@@ -23,7 +23,6 @@ from .panel import (
     panel_to_dict,
     save_panel,
     scalar_space,
-    subpanel,
 )
 from .estimate import (
     FactorFit,

@@ -42,6 +42,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 BENCH_HEADER = ["dgp", "N", "T", "k", "replication", "delta_sq", "epsilon_sq", "phi"]
+BENCH_SPEC_KEYS = {"dgps", "N", "T", "k", "replications", "seed", "select",
+                   "fixed_design_seed", "basis_dim", "n_factors", "target_opnorm"}
 SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
 
 
@@ -157,14 +159,10 @@ def cmd_select_r(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bench_replication(job: dict) -> list:
-    """Metrics rows for one (dgp, N, T, replication); runs in a worker."""
-    cfg = DgpConfig(
-        dgp=job["dgp"], N=job["N"], T=job["T"],
-        seed=job["seed"] + job["rep"],
-        fixed_design_seed=job["fixed_design_seed"],
-    )
-    panel, truth = gen_dgp(cfg)
+def _bench_replication(job: dict) -> tuple:
+    """Metrics rows and the selection row (or None) for one (dgp, N, T,
+    replication); runs in a worker."""
+    panel, truth = gen_dgp(_dgp_config_from_dict({**job, "seed": job["seed"] + job["rep"]}))
     rows = []
     for k in job["k_list"]:
         fit = fit_factors(panel, k)
@@ -173,7 +171,8 @@ def _bench_replication(job: dict) -> list:
         p = phi_nt(common_component(fit), truth.chi)
         rows.append([job["dgp"], job["N"], job["T"], k, job["rep"],
                      repr(d * d), repr(e * e), repr(p)])
-    if job["select"] is not None:
+    select_row = None
+    if job.get("select") is not None:
         sel = job["select"]
         if sel.get("method", "abc") == "fixed":
             r_hat = select_r_fixed(panel, float(sel.get("c", 1.0)),
@@ -184,13 +183,16 @@ def _bench_replication(job: dict) -> list:
                                       k_max=int(sel.get("k_max", 10)),
                                       P=int(sel.get("P", 5)))
             r_hat, _ = abc_select_r(panel, abc, sel.get("kind", IC2A))
-        rows.append(["SELECT", job["dgp"], job["N"], job["T"], job["rep"], r_hat])
-    return rows
+        select_row = [job["dgp"], job["N"], job["T"], job["rep"], r_hat]
+    return rows, select_row
 
 
 def cmd_bench(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
+    unknown = sorted(set(spec) - BENCH_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown bench spec keys {unknown}; allowed: {sorted(BENCH_SPEC_KEYS)}")
     dgps = [int(d) for d in spec["dgps"]]
     n_list = [int(n) for n in spec["N"]]
     t_list = [int(t) for t in spec["T"]]
@@ -199,14 +201,13 @@ def cmd_bench(args) -> int:
     if not (dgps and n_list and t_list and k_list) or reps < 1:
         raise ValueError("bench spec lists must be nonempty and replications >= 1")
     seed = int(spec.get("seed", 0))
-    fds = int(spec.get("fixed_design_seed", 12345))
-    select = spec.get("select")
 
+    # a job carries the spec's design keys (n_factors, basis_dim, ...) to gen_dgp
     jobs = [
-        {"dgp": dgp, "N": n, "T": t, "rep": rep, "seed": seed,
-         "fixed_design_seed": fds, "k_list": k_list, "select": select}
+        {**spec, "dgp": dgp, "N": n, "T": t, "rep": rep, "seed": seed, "k_list": k_list}
         for dgp in dgps for n in n_list for t in t_list for rep in range(reps)
     ]
+    n_factors = _dgp_config_from_dict(jobs[0]).n_factors  # bad design keys fail here
     workers = _worker_count(len(jobs))
     if workers == 1:
         results = [_bench_replication(job) for job in jobs]
@@ -214,24 +215,18 @@ def cmd_bench(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_replication, jobs, chunksize=4))
 
-    metric_rows, select_rows = [], []
-    for rows in results:
-        for row in rows:
-            if row[0] == "SELECT":
-                select_rows.append(row[1:])
-            else:
-                metric_rows.append(row)
-    metric_rows.sort(key=lambda r: (r[0], r[1], r[2], r[4], r[3]))
-    select_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    metric_rows = sorted((row for rows, _ in results for row in rows),
+                         key=lambda r: (r[0], r[1], r[2], r[4], r[3]))
+    select_rows = sorted(row for _, row in results if row is not None)
 
     manifest = _manifest("bench", spec)
     _write_csv(args.out, BENCH_HEADER, metric_rows, manifest)
     if select_rows:
         sel_path = os.path.splitext(str(args.out))[0] + ".selection.csv"
         _write_csv(sel_path, SELECTION_HEADER, select_rows, manifest)
-        under = sum(1 for r in select_rows if r[4] < 3)
-        over = sum(1 for r in select_rows if r[4] > 3)
-        print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r=3)")
+        under = sum(1 for r in select_rows if r[4] < n_factors)
+        over = sum(1 for r in select_rows if r[4] > n_factors)
+        print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={n_factors})")
     print(f"wrote {len(metric_rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -267,7 +262,7 @@ def _mortality_rolling(args) -> int:
         # One fit per origin; forecast curves for every horizon at once.
         fc = {}  # (delta, h) -> (N, ages) forecast values
         for delta in range(delta_min, T):
-            train = Panel(md.panel.spaces, [c[:delta] for c in md.panel.coeffs])
+            train = Panel.from_stacked(md.panel.spaces, md.panel.stacked_coeffs()[:, :delta])
             horizon = min(args.horizon, T - delta)
             result = _forecast_panel(train, args, horizon, rng_seed=args.seed)
             for h in range(1, horizon + 1):

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .panel import (
     Panel,
-    SpaceSpec,
-    gram_matrix,
-    panel_from_stacked,
+    block_offsets,
     space_from_dict,
     space_to_dict,
     spaces_match,
+    split_stacked,
+    whiten_stacked,
 )
 
 RANK_EPS = 1e-12
@@ -64,14 +63,18 @@ def symmetric_eigen(M: np.ndarray, k: int) -> tuple:
     if not 1 <= k <= M.shape[0]:
         raise ValueError(f"k={k} out of range [1, {M.shape[0]}]")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    vals = vals[::-1][:k]
-    vecs = vecs[:, ::-1][:, :k]
-    for l in range(k):
+    return vals[::-1][:k].copy(), _oriented(vecs[:, ::-1][:, :k])
+
+
+def _oriented(vecs: np.ndarray) -> np.ndarray:
+    """Copy of ``vecs`` with each column's first coordinate of magnitude > 1e-12 positive."""
+    vecs = vecs.copy()
+    for l in range(vecs.shape[1]):
         v = vecs[:, l]
         nz = np.nonzero(np.abs(v) > 1e-12)[0]
         if nz.size and v[nz[0]] < 0:
             vecs[:, l] = -v
-    return vals.copy(), vecs.copy()
+    return vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +112,12 @@ class FactorFit:
     def T(self) -> int:
         return self.factors.shape[1]
 
-    def loading_block(self, l: int, i: int) -> np.ndarray:
-        """Coefficient vector of series ``i`` in normalized loading ``l``."""
-        off = sum(s.dim for s in self.spaces[:i])
-        return self.e_hat[off : off + self.spaces[i].dim, l]
-
 
 def fit_factors(panel: Panel, k: int) -> FactorFit:
     """Fit ``k`` factors by least squares on the panel Gram matrix.
+
+    Reads the panel's cached Gram spectrum, so fits of several orders on
+    one panel share a single eigendecomposition.
 
     Raises
     ------
@@ -127,20 +128,9 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
     max_k = min(panel.total_dim, panel.T)
     if not 0 <= k <= max_k:
         raise ValueError(f"k={k} out of range [0, {max_k}]")
-    F = gram_matrix(panel)
-    trace_F = float(np.trace(F))
-    D = panel.total_dim
-    if k == 0:
-        return FactorFit(
-            k=0,
-            lambda_hat=np.zeros(0),
-            factors=np.zeros((0, panel.T)),
-            e_hat=np.zeros((D, 0)),
-            b_tilde=np.zeros((D, 0)),
-            trace_F=trace_F,
-            spaces=panel.spaces,
-        )
-    lam_tilde, vecs = symmetric_eigen(F, k)
+    lam_all, vecs_all, trace_F = panel.gram_spectrum()
+    lam_tilde = lam_all[:k]
+    vecs = _oriented(vecs_all[:, :k])
     for l in range(k):
         if lam_tilde[l] <= RANK_EPS * trace_F:
             raise RankDeficientError(l + 1)
@@ -150,7 +140,7 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
     Z = panel.stacked_white()
     # e_hat_l = lambda_hat_l**-0.5 / T * sum_t (f_hat_l)_t x_t
     e_white = (Z @ factors.T) / (T * np.sqrt(lambda_hat))
-    e_hat = _unwhiten_columns(panel.spaces, e_white)
+    e_hat = whiten_stacked(panel.spaces, e_white, inverse=True)
     b_tilde = e_hat * np.sqrt(lambda_hat)
     return FactorFit(
         k=k,
@@ -163,43 +153,23 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
     )
 
 
-def _unwhiten_columns(spaces: Sequence[SpaceSpec], white: np.ndarray) -> np.ndarray:
-    out = np.empty_like(white)
-    off = 0
-    for spec in spaces:
-        blk = white[off : off + spec.dim]
-        out[off : off + spec.dim] = spec.unwhiten(blk.T).T
-        off += spec.dim
-    return out
-
-
 def common_component(fit: FactorFit) -> Panel:
     """Panel of fitted common components ``chi_hat = b_tilde @ factors``."""
-    stacked = fit.b_tilde @ fit.factors
-    return panel_from_stacked(fit.spaces, stacked)
+    return Panel.from_stacked(fit.spaces, fit.b_tilde @ fit.factors)
 
 
 def idiosyncratic_residual(panel: Panel, fit: FactorFit) -> Panel:
     """Panel minus its fitted common component, entrywise in coefficients."""
     if fit.T != panel.T or not spaces_match(fit.spaces, panel.spaces):
         raise ValueError("fit does not match panel shape")
-    chi = fit.b_tilde @ fit.factors
-    stacked = panel.stacked_coeffs() - chi
-    return panel_from_stacked(panel.spaces, stacked)
-
-
-def gram_eigenvalues(panel: Panel) -> tuple:
-    """All eigenvalues of the panel Gram (descending, clipped at 0) and its trace."""
-    F = gram_matrix(panel)
-    vals = np.linalg.eigvalsh(F)[::-1]
-    return np.clip(vals, 0.0, None), float(np.trace(F))
+    return Panel.from_stacked(panel.spaces, panel.stacked_coeffs() - fit.b_tilde @ fit.factors)
 
 
 def v_profile(eigenvalues: np.ndarray, trace: float, T: int, k_max: int) -> np.ndarray:
-    """V(k) for k = 0..k_max from Gram eigenvalues: (trace - sum_{l<=k} lam_l)/T."""
+    """V(k) for k = 0..k_max from Gram eigenvalues (negatives as 0): (trace - sum_{l<=k} lam_l)/T."""
     if k_max > eigenvalues.size:
         raise ValueError(f"k_max={k_max} exceeds number of eigenvalues {eigenvalues.size}")
-    csum = np.concatenate([[0.0], np.cumsum(eigenvalues[:k_max])])
+    csum = np.concatenate([[0.0], np.cumsum(np.clip(eigenvalues[:k_max], 0.0, None))])
     return np.clip(trace - csum, 0.0, None) / T
 
 
@@ -208,7 +178,7 @@ def goodness_of_fit(panel: Panel, k: int) -> float:
     max_k = min(panel.total_dim, panel.T)
     if not 0 <= k <= max_k:
         raise ValueError(f"k={k} out of range [0, {max_k}]")
-    vals, trace = gram_eigenvalues(panel)
+    vals, _, trace = panel.gram_spectrum()
     return float(v_profile(vals, trace, panel.T, k)[k])
 
 
@@ -218,13 +188,11 @@ def goodness_of_fit(panel: Panel, k: int) -> float:
 
 
 def fit_to_dict(fit: FactorFit, manifest: dict | None = None) -> dict:
-    e_blocks = []
-    slices, off = [], 0
-    for spec in fit.spaces:
-        slices.append(slice(off, off + spec.dim))
-        off += spec.dim
-    for l in range(fit.k):
-        e_blocks.append({str(i): fit.e_hat[sl, l].tolist() for i, sl in enumerate(slices)})
+    offsets = block_offsets(fit.spaces)
+    e_blocks = [
+        {str(i): b.tolist() for i, b in enumerate(split_stacked(offsets, fit.e_hat[:, l]))}
+        for l in range(fit.k)
+    ]
     out = {
         "k": fit.k,
         "lambda_hat": fit.lambda_hat.tolist(),
@@ -243,13 +211,11 @@ def fit_from_dict(d: dict) -> FactorFit:
     k = int(d["k"])
     lambda_hat = np.asarray(d["lambda_hat"], dtype=float)
     factors = np.asarray(d["factors"], dtype=float).reshape(k, -1)
-    D = sum(s.dim for s in spaces)
-    e_hat = np.zeros((D, k))
+    offsets = block_offsets(spaces)
+    e_hat = np.zeros((offsets[-1], k))
     for l, blocks in enumerate(d["e_hat"]):
-        off = 0
-        for i, spec in enumerate(spaces):
-            e_hat[off : off + spec.dim, l] = np.asarray(blocks[str(i)], dtype=float)
-            off += spec.dim
+        for i, view in enumerate(split_stacked(offsets, e_hat[:, l])):
+            view[:] = blocks[str(i)]  # a block of the wrong length raises
     return FactorFit(
         k=k,
         lambda_hat=lambda_hat,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
-from .panel import Panel, center
+from .panel import Panel, center, split_stacked, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
 _RADIUS_TOL = 1e-8
@@ -173,26 +173,12 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
         # degenerate training window (e.g. constant panel): fit what is there
         r = exc.level - 1
         fit = fit_factors(centered, r)
-    xi = idiosyncratic_residual(centered, fit)
+    xi = idiosyncratic_residual(centered, fit).stacked_coeffs()
 
-    h = cfg.horizon
-    u_fc = np.empty((r, h))
-    for l in range(r):
-        model = fit_ar_bic(fit.factors[l], cfg.p_max)
-        u_fc[l] = ar_forecast(model, fit.factors[l], h)
-
-    slices = panel.block_slices()
-    steps = []
-    for i in range(panel.N):
-        d = panel.spaces[i].dim
-        common_fc = (fit.b_tilde[slices[i]] @ u_fc).T  # (h, d)
-        xi_block = xi.coeffs[i]  # (T, d)
-        xi_fc = np.empty((h, d))
-        for j in range(d):
-            model = fit_ar_bic(xi_block[:, j], cfg.p_max)
-            xi_fc[:, j] = ar_forecast(model, xi_block[:, j], h)
-        steps.append(means[i][None, :] + common_fc + xi_fc)
-    return ForecastResult(steps=tuple(steps), r=r, trace=trace)
+    u_fc = _ar_bic_forecasts(fit.factors, cfg.p_max, cfg.horizon)
+    xi_fc = _ar_bic_forecasts(xi, cfg.p_max, cfg.horizon)
+    stacked = np.concatenate(means)[:, None] + fit.b_tilde @ u_fc + xi_fc  # (total_dim, h)
+    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=r, trace=trace)
 
 
 def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> ForecastResult:
@@ -207,22 +193,27 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
         raise ValueError("h must be >= 1")
     if 3 * (p_max + 2) > panel.T:
         raise ValueError(f"p_max={p_max} too large for T={panel.T}")
-    steps = []
-    for spec, block in zip(panel.spaces, panel.coeffs):
-        if n_components > spec.dim:
-            raise ValueError(f"n_components={n_components} exceeds series dimension {spec.dim}")
-        mu = block.mean(axis=0)
-        zw = spec.whiten(block - mu)  # (T, d), Euclidean geometry
-        cov = zw.T @ zw / panel.T
-        vals, vecs = np.linalg.eigh(cov)
+    if n_components > min(panel.dims):
+        raise ValueError(f"n_components={n_components} exceeds series dimension {min(panel.dims)}")
+    X = panel.stacked_coeffs()
+    mu = X.mean(axis=1)
+    white = whiten_stacked(panel.spaces, X - mu[:, None])  # Euclidean geometry
+    z_fc = np.empty((panel.total_dim, h))
+    for a, b in zip(panel.offsets[:-1], panel.offsets[1:]):
+        zw = white[a:b]  # (dim, T)
+        _, vecs = np.linalg.eigh(zw @ zw.T / panel.T)
         vecs = vecs[:, ::-1][:, :n_components]
-        scores = zw @ vecs  # (T, m)
-        z_fc = np.zeros((h, spec.dim))
-        for m in range(n_components):
-            model = fit_ar_bic(scores[:, m], p_max)
-            z_fc += np.outer(ar_forecast(model, scores[:, m], h), vecs[:, m])
-        steps.append(mu[None, :] + spec.unwhiten(z_fc))
-    return ForecastResult(steps=tuple(steps), r=n_components, trace=None)
+        z_fc[a:b] = vecs @ _ar_bic_forecasts(vecs.T @ zw, p_max, h)
+    stacked = mu[:, None] + whiten_stacked(panel.spaces, z_fc, inverse=True)
+    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=n_components, trace=None)
+
+
+def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> np.ndarray:
+    """(rows, h) AR-BIC forecasts for steps 1..h of every row of ``series``."""
+    out = np.empty((len(series), h))
+    for j, y in enumerate(series):
+        out[j] = ar_forecast(fit_ar_bic(y, p_max), y, h)
+    return out
 
 
 def persistence_forecast(panel: Panel, h: int) -> ForecastResult:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import FactorFit
-from .panel import Panel, spaces_match
+from .panel import Panel, spaces_match, whiten_stacked
 from .simulate import GroundTruth
 
 
@@ -38,13 +38,7 @@ class LoadingMatrix:
 
     def whitened(self) -> np.ndarray:
         """Columns in coordinates where the H_N inner product is Euclidean."""
-        out = np.empty_like(self.columns)
-        off = 0
-        for spec in self.spaces:
-            blk = self.columns[off : off + spec.dim]
-            out[off : off + spec.dim] = spec.whiten(blk.T).T
-            off += spec.dim
-        return out
+        return whiten_stacked(self.spaces, self.columns)
 
     @classmethod
     def from_fit(cls, fit: FactorFit) -> "LoadingMatrix":

@@ -2,9 +2,13 @@
 
 Every series lives in its own Hilbert space, described by a basis dimension
 and a Gram matrix of basis inner products.  All panel-level quantities
-(inner products, the T x T panel Gram matrix, centering, subpanels) are
-computed in coefficient space, so scalar series, orthonormal functional
-bases and non-orthonormal bases (e.g. B-splines) are handled uniformly.
+(inner products, the T x T panel Gram matrix, centering) are computed in
+coefficient space, so scalar series, orthonormal functional bases and
+non-orthonormal bases (e.g. B-splines) are handled uniformly.
+
+A panel is stored as one stacked (total_dim, T) matrix: the rows of series
+``i`` are ``offsets[i]:offsets[i + 1]`` and column ``t`` is the panel at time
+``t``.  Per-series coefficient blocks are views into it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class SpaceSpec:
     dim: int
     gram: np.ndarray
     chol: np.ndarray = field(init=False, repr=False)
+    is_identity_gram: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (SCALAR, FUNCTIONAL):
@@ -67,10 +72,7 @@ class SpaceSpec:
         chol.flags.writeable = False
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "chol", chol)
-
-    @property
-    def is_identity_gram(self) -> bool:
-        return bool(np.array_equal(self.gram, np.eye(self.dim)))
+        object.__setattr__(self, "is_identity_gram", bool(np.array_equal(gram, np.eye(self.dim))))
 
     def matches(self, other: "SpaceSpec") -> bool:
         """Structural equality: same kind, dimension, and Gram matrix."""
@@ -79,18 +81,6 @@ class SpaceSpec:
             and self.dim == other.dim
             and np.allclose(self.gram, other.gram, rtol=1e-12, atol=1e-12)
         )
-
-    def whiten(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map coefficient rows to coordinates in which <a,b> is Euclidean."""
-        if self.is_identity_gram:
-            return coeffs
-        return coeffs @ self.chol
-
-    def unwhiten(self, white: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`whiten` (rows)."""
-        if self.is_identity_gram:
-            return white
-        return np.linalg.solve(self.chol.T, white.T).T
 
 
 def scalar_space() -> SpaceSpec:
@@ -105,40 +95,60 @@ def functional_space(dim: int, gram: np.ndarray | None = None) -> SpaceSpec:
     return SpaceSpec(FUNCTIONAL, dim, gram)
 
 
-@dataclass(frozen=True, eq=False)
-class MeanVector:
+class MeanVector(tuple):
     """Per-series sample means, one coefficient vector per series."""
 
-    means: tuple
+    @property
+    def means(self) -> tuple:
+        return tuple(self)
 
-    def __post_init__(self):
-        object.__setattr__(self, "means", tuple(np.asarray(m, dtype=float) for m in self.means))
 
-    def __len__(self):
-        return len(self.means)
+def block_offsets(spaces: Sequence[SpaceSpec]) -> np.ndarray:
+    """Row offsets of each series' block in the stacked layout (length N + 1)."""
+    return np.cumsum([0] + [s.dim for s in spaces])
 
-    def __getitem__(self, i):
-        return self.means[i]
+
+def split_stacked(offsets: np.ndarray, stacked: np.ndarray) -> tuple:
+    """Per-series views ``stacked[offsets[i]:offsets[i + 1]].T`` of a stacked array."""
+    return tuple(stacked[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
+
+
+def whiten_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Whiten (or, with ``inverse``, unwhiten) the rows of a stacked (total_dim, m) matrix.
+
+    Series ``i``'s block a becomes L_i' a, where G_i = L_i L_i', so that H_N
+    inner products are Euclidean.  When every Gram is the identity the input
+    is returned unchanged, without a copy.
+    """
+    if all(s.is_identity_gram for s in spaces):
+        return stacked
+    out = []
+    for spec, block in zip(spaces, split_stacked(block_offsets(spaces), stacked)):
+        rows = block.T  # (dim, m)
+        if not spec.is_identity_gram:
+            rows = np.linalg.solve(spec.chol.T, rows) if inverse else spec.chol.T @ rows
+        out.append(rows)
+    return np.concatenate(out, axis=0)
 
 
 class Panel:
     """An N x T panel of coefficient vectors plus the per-series spaces.
 
     ``coeffs[i]`` is a ``(T, dim_i)`` array whose row ``t`` holds the
-    coefficients of series ``i`` at time ``t``.  Panels are immutable;
-    all operations return new panels.
+    coefficients of series ``i`` at time ``t``; it is a read-only view into
+    the stacked (total_dim, T) matrix.  Panels are immutable; all
+    operations return new panels.
     """
 
     def __init__(self, spaces: Sequence[SpaceSpec], coeffs: Sequence[np.ndarray]):
         spaces = tuple(spaces)
-        if len(spaces) < 1:
+        if not spaces:
             raise ValueError("panel needs at least one series")
         if len(coeffs) != len(spaces):
             raise ValueError("coeffs and spaces length mismatch")
-        arrays = []
-        T = None
+        rows = []
         for i, (spec, block) in enumerate(zip(spaces, coeffs)):
-            block = np.ascontiguousarray(block, dtype=float)
+            block = np.asarray(block, dtype=float)
             if block.ndim == 1:
                 block = block[:, None]
             if block.ndim != 2 or block.shape[1] != spec.dim:
@@ -146,57 +156,79 @@ class Panel:
                     f"series {i}: coefficient block has shape {block.shape}, "
                     f"expected (T, {spec.dim})"
                 )
-            if T is None:
-                T = block.shape[0]
-            elif block.shape[0] != T:
-                raise ValueError(f"series {i}: time length {block.shape[0]} != {T}")
-            block.flags.writeable = False
-            arrays.append(block)
-        if T < 2:
+            if rows and block.shape[0] != rows[0].shape[1]:
+                raise ValueError(f"series {i}: time length {block.shape[0]} != {rows[0].shape[1]}")
+            rows.append(block.T)
+        self._init_stacked(spaces, np.concatenate(rows, axis=0))
+
+    @classmethod
+    def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
+        """Panel over a copy of a (total_dim, T) raw-coefficient matrix."""
+        panel = cls.__new__(cls)
+        panel._init_stacked(tuple(spaces), np.array(stacked, dtype=float))
+        return panel
+
+    def _init_stacked(self, spaces: tuple, stacked: np.ndarray) -> None:
+        """Validate and adopt ``stacked``, which this panel then owns."""
+        if not spaces:
+            raise ValueError("panel needs at least one series")
+        offsets = block_offsets(spaces)
+        if stacked.ndim != 2 or stacked.shape[0] != offsets[-1]:
+            raise ValueError(f"stacked coefficients have shape {stacked.shape}, "
+                             f"expected ({offsets[-1]}, T)")
+        if stacked.shape[1] < 2:
             raise ValueError("panel needs T >= 2")
+        bad = np.argwhere(~np.isfinite(stacked))
+        if bad.size:
+            row, t = bad[0]
+            i = int(np.searchsorted(offsets, row, side="right")) - 1
+            raise ValueError(f"series {i}: non-finite coefficient at time {t}")
+        stacked.flags.writeable = False
         self.spaces = spaces
-        self.coeffs = tuple(arrays)
+        self.offsets = offsets
+        self.coeffs = split_stacked(offsets, stacked)
         self.N = len(spaces)
-        self.T = T
-        self._stacked = None
+        self.T = stacked.shape[1]
+        self.total_dim = stacked.shape[0]
+        self._raw = stacked
+        self._white = None
+        self._spectrum = None
 
     @property
     def dims(self) -> tuple:
         return tuple(s.dim for s in self.spaces)
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def block_slices(self) -> list:
-        """Slices of each series' block in the stacked coefficient layout."""
-        out, off = [], 0
-        for d in self.dims:
-            out.append(slice(off, off + d))
-            off += d
-        return out
+    def stacked_coeffs(self) -> np.ndarray:
+        """(total_dim, T) read-only matrix of raw coefficients; columns are x_t."""
+        return self._raw
 
     def stacked_white(self) -> np.ndarray:
-        """(total_dim, T) matrix of whitened coefficients; columns are x_t.
+        """(total_dim, T) read-only matrix of whitened coefficients; columns are x_t.
 
         In these coordinates the H_N inner product of two time slices is
-        the Euclidean inner product of the corresponding columns.
+        the Euclidean inner product of the corresponding columns.  It is the
+        raw matrix itself when every Gram is the identity.
         """
-        if self._stacked is None:
-            cols = [s.whiten(c).T for s, c in zip(self.spaces, self.coeffs)]
-            stacked = np.concatenate(cols, axis=0)
-            stacked.flags.writeable = False
-            self._stacked = stacked
-        return self._stacked
+        if self._white is None:
+            white = whiten_stacked(self.spaces, self._raw)
+            white.flags.writeable = False
+            self._white = white
+        return self._white
 
-    def stacked_coeffs(self) -> np.ndarray:
-        """(total_dim, T) matrix of raw coefficients; columns are x_t."""
-        return np.concatenate([c.T for c in self.coeffs], axis=0)
+    def gram_spectrum(self) -> tuple:
+        """Eigenvalues (descending), eigenvectors and trace of ``gram_matrix(self)``.
 
-    def _check_time(self, t: int) -> int:
-        if not 0 <= t < self.T:
-            raise IndexError(f"time index {t} out of range [0, {self.T})")
-        return t
+        The Gram and its eigendecomposition are computed once per panel;
+        factor fits of every order, V(k) and fixed-c selection all read it.
+        """
+        if self._spectrum is None:
+            F = gram_matrix(self)
+            vals, vecs = np.linalg.eigh(F)
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+            vals.flags.writeable = False
+            vecs.flags.writeable = False
+            self._spectrum = (vals, vecs, float(np.trace(F)))
+        return self._spectrum
 
     def __repr__(self):
         return f"Panel(N={self.N}, T={self.T}, dims={self.dims})"
@@ -207,23 +239,13 @@ def spaces_match(a: Sequence[SpaceSpec], b: Sequence[SpaceSpec]) -> bool:
     return len(a) == len(b) and all(x.matches(y) for x, y in zip(a, b))
 
 
-def panel_from_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> Panel:
-    """Rebuild a panel from a (total_dim, T) raw-coefficient matrix."""
-    blocks, off = [], 0
-    for spec in spaces:
-        blocks.append(stacked[off : off + spec.dim].T)
-        off += spec.dim
-    return Panel(spaces, blocks)
-
-
 def inner_product(panel: Panel, s: int, t: int) -> float:
     """H_N inner product <x_s, x_t> = sum_i a_is' G_i a_it (0-based times)."""
-    s = panel._check_time(s)
-    t = panel._check_time(t)
-    total = 0.0
-    for spec, block in zip(panel.spaces, panel.coeffs):
-        total += float(block[s] @ spec.gram @ block[t])
-    return total
+    for u in (s, t):
+        if not 0 <= u < panel.T:
+            raise IndexError(f"time index {u} out of range [0, {panel.T})")
+    Z = panel.stacked_white()
+    return float(Z[:, s] @ Z[:, t])
 
 
 def gram_matrix(panel: Panel) -> np.ndarray:
@@ -238,36 +260,17 @@ def center(panel: Panel) -> tuple:
 
     Returns the centered panel and the removed means.
     """
-    means = []
-    blocks = []
-    for block in panel.coeffs:
-        mu = block.mean(axis=0)
-        means.append(mu)
-        blocks.append(block - mu)
-    return Panel(panel.spaces, blocks), MeanVector(tuple(means))
+    X = panel.stacked_coeffs()
+    mu = X.mean(axis=1)
+    return Panel.from_stacked(panel.spaces, X - mu[:, None]), MeanVector(split_stacked(panel.offsets, mu))
 
 
 def add_means(panel: Panel, means: MeanVector) -> Panel:
     """Add per-series constant vectors back onto a panel."""
     if len(means) != panel.N:
         raise ValueError("means length does not match panel")
-    return Panel(panel.spaces, [c + m for c, m in zip(panel.coeffs, means.means)])
-
-
-def subpanel(panel: Panel, n: int, t_len: int, perm: Sequence[int]) -> Panel:
-    """First ``n`` series under ``perm`` and first ``t_len`` time points."""
-    if not 1 <= n <= panel.N:
-        raise ValueError(f"n={n} out of range [1, {panel.N}]")
-    if not 2 <= t_len <= panel.T:
-        raise ValueError(f"t_len={t_len} out of range [2, {panel.T}]")
-    perm = list(perm)
-    if sorted(perm) != list(range(panel.N)):
-        raise ValueError("perm is not a permutation of 0..N-1")
-    take = perm[:n]
-    return Panel(
-        [panel.spaces[i] for i in take],
-        [panel.coeffs[i][:t_len] for i in take],
-    )
+    mu = np.concatenate(means.means)
+    return Panel.from_stacked(panel.spaces, panel.stacked_coeffs() + mu[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,4 @@ def load_scalar_csv(path) -> Panel:
     T = len(rows[0])
     if any(len(r) != T for r in rows):
         raise ValueError("ragged CSV panel")
-    return Panel(
-        [scalar_space() for _ in rows],
-        [np.asarray(r, dtype=float)[:, None] for r in rows],
-    )
+    return Panel.from_stacked([scalar_space()] * len(rows), rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import goodness_of_fit, gram_eigenvalues, v_profile
+from .estimate import goodness_of_fit, v_profile
 from .panel import Panel
 
 IC1A = "IC1a"
@@ -64,7 +64,7 @@ def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) ->
         raise ValueError("c must be nonnegative")
     if not 1 <= k_max <= min(panel.total_dim, panel.T):
         raise ValueError(f"k_max={k_max} out of range for this panel")
-    vals, trace = gram_eigenvalues(panel)
+    vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
     g = penalty(kind, panel.N, panel.T)
     return int(_r_hat_profile(v, g, np.asarray([c], dtype=float), k_max)[0])
@@ -213,8 +213,8 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
 
     Z = panel.stacked_white()
-    slices = panel.block_slices()
-    dims = np.asarray(panel.dims)
+    off = panel.offsets
+    dims = np.diff(off)
 
     r_table = np.zeros((I, J, P), dtype=int)
     permutations = []
@@ -230,7 +230,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
             if not 1 <= n_j <= panel.N or not 2 <= t_j <= panel.T:
                 raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
             if n_j > done:
-                block = np.concatenate([Z[slices[i]] for i in perm[done:n_j]], axis=0)
+                block = np.concatenate([Z[off[i] : off[i + 1]] for i in perm[done:n_j]], axis=0)
                 S += block.T @ block
                 done = n_j
             D_j = int(dims[perm[:n_j]].sum())
@@ -239,8 +239,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
                     f"k_max={k_max} exceeds the rank bound min({D_j}, {t_j}) of subpanel {j + 1}"
                 )
             F_j = S[:t_j, :t_j] / n_j
-            vals = np.clip(np.linalg.eigvalsh(F_j)[::-1], 0.0, None)
-            v = v_profile(vals, float(np.trace(F_j)), t_j, k_max)
+            v = v_profile(np.linalg.eigvalsh(F_j)[::-1], float(np.trace(F_j)), t_j, k_max)
             g = penalty(kind, n_j, t_j)
             r_table[:, j, p] = _r_hat_profile(v, g, c_grid, k_max)
 

@@ -74,14 +74,12 @@ def noise_covariance(dgp: int, basis_dim: int = 7) -> tuple:
     raise ValueError("dgp must be in {1, 2, 3, 4}")
 
 
-def _stationary_ar1(a: float, innov_sd: float, T: int, rng: np.random.Generator) -> np.ndarray:
-    if not abs(a) < 1:
-        raise ValueError("|a| must be < 1 for a stationary AR(1)")
-    z = rng.standard_normal(T)
-    x = np.empty(T)
-    x[0] = z[0] * innov_sd / np.sqrt(1.0 - a * a)
+def _ar1_path(a: float, z: np.ndarray, innov_sd: float, u0: float) -> np.ndarray:
+    """AR(1) path u_0 = ``u0``, u_t = a u_{t-1} + innov_sd * z_t for t >= 1."""
+    x = np.empty(z.size)
+    x[0] = u0
     x[1:] = z[1:] * innov_sd
-    # y[t] = x[t] + a y[t-1], so y[0] is the exact stationary draw
+    # y[t] = x[t] + a y[t-1]
     return lfilter([1.0], [1.0, -a], x)
 
 
@@ -92,7 +90,10 @@ def ar_burn_in_draw(a: float, innov_sd: float, T: int, seed: int) -> np.ndarray:
     N(0, innov_sd^2 / (1 - a^2)); subsequent values follow
     u_t = a u_{t-1} + eps_t.
     """
-    return _stationary_ar1(a, innov_sd, T, np.random.default_rng(seed))
+    if not abs(a) < 1:
+        raise ValueError("|a| must be < 1 for a stationary AR(1)")
+    z = np.random.default_rng(seed).standard_normal(T)
+    return _ar1_path(a, z, innov_sd, z[0] * innov_sd / np.sqrt(1.0 - a * a))
 
 
 def design_parameters(cfg: DgpConfig) -> tuple:
@@ -127,13 +128,8 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
 
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((r, T))
-    U = np.empty((r, T))
-    for l in range(r):
-        innov_sd = np.sqrt(1.0 - a[l] ** 2)
-        x = np.empty(T)
-        x[0] = z[l, 0]  # stationary variance is exactly 1
-        x[1:] = z[l, 1:] * innov_sd
-        U[l] = lfilter([1.0], [1.0, -a[l]], x)
+    # innovation sd sqrt(1 - a^2) makes the stationary variance 1, so u_0 = z_0
+    U = np.stack([_ar1_path(a[l], z[l], np.sqrt(1.0 - a[l] ** 2), z[l, 0]) for l in range(r)])
 
     noise_sd = np.sqrt(c * E / E.sum())
     xi = rng.standard_normal((N, T, d)) * noise_sd

@@ -71,6 +71,13 @@ class TestEstimate:
         assert main(["estimate", "--panel", str(ppath), "--k", "4",
                      "--out", str(tmp_path / "f.json")]) == 3
 
+    def test_nan_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,nan,6.0\n")
+        assert main(["estimate", "--panel", str(path), "--k", "1",
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert "series 1: non-finite coefficient at time 1" in capsys.readouterr().err
+
     def test_output_matches_in_process_fit(self, tmp_path, rng):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=8, T=30, seed=3))
         ppath = tmp_path / "p.json"
@@ -175,6 +182,31 @@ class TestBench:
         sel = read_csv_rows(tmp_path / "m.selection.csv")
         assert sel[0] == ["dgp", "N", "T", "replication", "r_hat"]
         assert len(sel) == 3
+
+    def test_design_keys_passed_through(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDFFM_THREADS", "1")
+        spec = {"dgps": [1], "N": [20], "T": [60], "replications": 2, "k": [2],
+                "seed": 3, "n_factors": 2, "select": {"method": "abc"}}
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        out = tmp_path / "m.csv"
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 0
+        from hdffm import common_component, phi_nt
+
+        for row in read_csv_rows(out)[1:]:
+            panel, truth = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=3 + int(row[4]), n_factors=2))
+            assert truth.U.shape == (2, 60)
+            assert float(row[7]) == phi_nt(common_component(fit_factors(panel, 2)), truth.chi)
+        r_hats = [int(r[4]) for r in read_csv_rows(tmp_path / "m.selection.csv")[1:]]
+        under, over = sum(r < 2 for r in r_hats), sum(r > 2 for r in r_hats)
+        assert f"{under} under, {over} over (r=2)" in capsys.readouterr().out
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], "n_factor": 2}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "n_factor" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path):
         spath = tmp_path / "spec.json"

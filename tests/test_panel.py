@@ -17,7 +17,6 @@ from hdffm import (
     panel_to_dict,
     save_panel,
     scalar_space,
-    subpanel,
 )
 from conftest import random_mixed_panel, random_spd
 
@@ -130,46 +129,6 @@ class TestCenter:
             assert np.abs(block.mean(axis=0)).max() < 1e-12
 
 
-class TestSubpanel:
-    def test_identity(self, rng):
-        p = random_mixed_panel(rng, N=4, T=6)
-        q = subpanel(p, p.N, p.T, list(range(p.N)))
-        assert q.N == p.N and q.T == p.T
-        for a, b in zip(p.coeffs, q.coeffs):
-            assert np.array_equal(a, b)
-
-    def test_single_series(self, rng):
-        p = random_mixed_panel(rng, N=4, T=6)
-        perm = [2, 0, 1, 3]
-        q = subpanel(p, 1, 4, perm)
-        assert q.N == 1
-        assert np.array_equal(q.coeffs[0], p.coeffs[2][:4])
-
-    def test_gram_equals_restricted_brute_force(self, rng):
-        p = random_mixed_panel(rng, N=5, T=7)
-        perm = [3, 1, 4, 0, 2]
-        q = subpanel(p, 3, 5, perm)
-        F = gram_matrix(q)
-        for s in range(5):
-            for t in range(5):
-                expect = sum(brute_force_inner_single(p, i, s, t) for i in perm[:3]) / 3
-                assert F[s, t] == pytest.approx(expect, abs=1e-12, rel=1e-11)
-
-    def test_invalid_args(self, rng):
-        p = random_mixed_panel(rng, N=3, T=5)
-        with pytest.raises(ValueError):
-            subpanel(p, 0, 5, [0, 1, 2])
-        with pytest.raises(ValueError):
-            subpanel(p, 3, 1, [0, 1, 2])
-        with pytest.raises(ValueError):
-            subpanel(p, 2, 4, [0, 0, 2])
-
-
-def brute_force_inner_single(panel, i, s, t):
-    spec, block = panel.spaces[i], panel.coeffs[i]
-    return float(block[s] @ spec.gram @ block[t])
-
-
 class TestBasisInvariance:
     def test_invertible_change_of_basis(self, rng):
         p = random_mixed_panel(rng, N=4, T=6)
@@ -203,6 +162,13 @@ class TestValidation:
                 [scalar_space(), scalar_space()],
                 [np.zeros((4, 1)), np.zeros((5, 1))],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        coeffs = [np.zeros((5, 1)), np.zeros((5, 3))]
+        coeffs[1][3, 2] = bad
+        with pytest.raises(ValueError, match="series 1: non-finite coefficient at time 3"):
+            Panel([scalar_space(), functional_space(3)], coeffs)
 
 
 class TestPersistence:
