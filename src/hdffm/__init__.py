@@ -58,6 +58,7 @@ from .forecast import (
     cf_forecast,
     fit_ar_bic,
     persistence_forecast,
+    rolling_origin_eval,
     tnh_forecast,
 )
 from .fbasis import (

@@ -18,8 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from dataclasses import MISSING, fields
 
 from . import __version__
 from .estimate import (
@@ -30,10 +29,10 @@ from .estimate import (
     goodness_of_fit,
 )
 from .fbasis import AGE_GRID, build_bspline, ingest_mortality, load_mortality_csv
-from .forecast import ForecastConfig, cf_forecast, tnh_forecast
-from .metrics import LoadingMatrix, delta_nt, epsilon_nt, mafe_msfe, phi_nt
+from .forecast import ForecastConfig, cf_forecast, rolling_origin_eval, tnh_forecast
+from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
-from .select import IC2A, AbcConfig, abc_select_r, select_r_fixed
+from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed
 from .simulate import DgpConfig, gen_dgp
 
 EXIT_OK = 0
@@ -41,10 +40,14 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+DGP_KEYS = {f.name for f in fields(DgpConfig)}
 BENCH_HEADER = ["dgp", "N", "T", "k", "replication", "delta_sq", "epsilon_sq", "phi"]
-BENCH_SPEC_KEYS = {"dgps", "N", "T", "k", "replications", "seed", "select",
-                   "fixed_design_seed", "basis_dim", "n_factors", "target_opnorm"}
+# a bench spec sets every DgpConfig field but dgp, which comes from its "dgps" list
+BENCH_SPEC_KEYS = {"dgps", "k", "replications", "select"} | DGP_KEYS - {"dgp"}
 SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
+# the select-r flags' defaults, which a bench spec's "select" object shares
+SELECT_METHODS = ("abc", "fixed")
+SELECT_DEFAULTS = {"method": "abc", "c": 1.0, "kind": IC2A, "k_max": 10, "P": 5, "seed": 0}
 
 
 def _manifest(command: str, args: dict) -> dict:
@@ -78,21 +81,19 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def _dgp_config_from_dict(d: dict) -> DgpConfig:
-    return DgpConfig(
-        dgp=int(d["dgp"]),
-        N=int(d["N"]),
-        T=int(d["T"]),
-        seed=int(d["seed"]),
-        fixed_design_seed=int(d.get("fixed_design_seed", 12345)),
-        basis_dim=int(d.get("basis_dim", 7)),
-        n_factors=int(d.get("n_factors", 3)),
-        target_opnorm=float(d.get("target_opnorm", 0.8)),
-    )
+    """Required fields are ints; an optional field, when given, takes its default's type."""
+    return DgpConfig(**{
+        f.name: (int if f.default is MISSING else type(f.default))(d[f.name])
+        for f in fields(DgpConfig) if f.default is MISSING or f.name in d
+    })
 
 
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
+    unknown = sorted(set(cfg_dict) - DGP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown simulate config keys {unknown}; allowed: {sorted(DGP_KEYS)}")
     cfg = _dgp_config_from_dict(cfg_dict)
     panel, truth = gen_dgp(cfg)
     manifest = _manifest("simulate", cfg_dict)
@@ -133,14 +134,19 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _select_r(panel, method: str, c: float, kind: str, k_max: int, P: int, seed: int) -> tuple:
+    """r-hat and the selection trace: fixed-c criterion (no trace) or tuned ``abc``."""
+    if method == "fixed":
+        return select_r_fixed(panel, c, kind, k_max), None
+    cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed, k_max=k_max, P=P)
+    return abc_select_r(panel, cfg, kind)
+
+
 def cmd_select_r(args) -> int:
+    if args.method == "fixed" and (args.trace or args.variance_csv):
+        raise ValueError("--trace and --variance-csv need --method abc")
     panel = _load_panel_arg(args.panel)
-    if args.method == "fixed":
-        r = select_r_fixed(panel, args.c, args.kind, args.k_max)
-        print(r)
-        return EXIT_OK
-    cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=args.seed, k_max=args.k_max, P=args.P)
-    r, trace = abc_select_r(panel, cfg, args.kind)
+    r, trace = _select_r(panel, args.method, args.c, args.kind, args.k_max, args.P, args.seed)
     if args.trace:
         manifest = _manifest(
             "select-r",
@@ -173,16 +179,9 @@ def _bench_replication(job: dict) -> tuple:
                      repr(d * d), repr(e * e), repr(p)])
     select_row = None
     if job.get("select") is not None:
-        sel = job["select"]
-        if sel.get("method", "abc") == "fixed":
-            r_hat = select_r_fixed(panel, float(sel.get("c", 1.0)),
-                                   sel.get("kind", IC2A), int(sel.get("k_max", 10)))
-        else:
-            abc = AbcConfig.for_panel(panel.N, panel.T,
-                                      rng_seed=int(sel.get("seed", 0)) + job["rep"],
-                                      k_max=int(sel.get("k_max", 10)),
-                                      P=int(sel.get("P", 5)))
-            r_hat, _ = abc_select_r(panel, abc, sel.get("kind", IC2A))
+        sel = {**SELECT_DEFAULTS, **job["select"]}
+        r_hat, _ = _select_r(panel, sel["method"], float(sel["c"]), sel["kind"], int(sel["k_max"]),
+                             int(sel["P"]), int(sel["seed"]) + job["rep"])
         select_row = [job["dgp"], job["N"], job["T"], job["rep"], r_hat]
     return rows, select_row
 
@@ -201,6 +200,9 @@ def cmd_bench(args) -> int:
     if not (dgps and n_list and t_list and k_list) or reps < 1:
         raise ValueError("bench spec lists must be nonempty and replications >= 1")
     seed = int(spec.get("seed", 0))
+    method = {**SELECT_DEFAULTS, **(spec.get("select") or {})}["method"]
+    if method not in SELECT_METHODS:
+        raise ValueError(f"unknown select.method {method!r}; allowed: {list(SELECT_METHODS)}")
 
     # a job carries the spec's design keys (n_factors, basis_dim, ...) to gen_dgp
     jobs = [
@@ -249,33 +251,18 @@ def _mortality_rolling(args) -> int:
     records = load_mortality_csv(args.mortality)
     basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
     data = ingest_mortality(records, basis)
-    sexes = [args.sex] if args.sex else sorted(data)
-    eval_ages = AGE_GRID[: args.eval_age_max + 1]
-    design = basis.evaluate(eval_ages)
+    design = basis.evaluate(AGE_GRID[: args.eval_age_max + 1])
     table_rows = []
-    for sex in sexes:
+    for sex in [args.sex] if args.sex else sorted(data):
         md = data[sex]
-        T = md.panel.T
-        delta_min = args.delta_min or max(T - 16, 3 * (args.p_max + 2))
-        if delta_min >= T:
-            raise ValueError(f"no rolling origins: delta_min={delta_min} >= T={T}")
-        # One fit per origin; forecast curves for every horizon at once.
-        fc = {}  # (delta, h) -> (N, ages) forecast values
-        for delta in range(delta_min, T):
-            train = Panel.from_stacked(md.panel.spaces, md.panel.stacked_coeffs()[:, :delta])
-            horizon = min(args.horizon, T - delta)
-            result = _forecast_panel(train, args, horizon, rng_seed=args.seed)
-            for h in range(1, horizon + 1):
-                fc[(delta, h)] = np.stack([design @ c for c in result.at_step(h)])
-        for h in range(1, args.horizon + 1):
-            deltas = [d for d in range(delta_min, T - h + 1)]
-            if not deltas:
-                continue
-            fc_all = np.stack([fc[(d, h)] for d in deltas])
-            act_all = np.stack(
-                [md.log_rates[:, d + h - 1, : args.eval_age_max + 1] for d in deltas]
-            )
-            mafe, msfe = mafe_msfe(fc_all, act_all)
+        delta_min = args.delta_min or max(md.panel.T - 16, 3 * (args.p_max + 2))
+        # _forecast_panel is looked up per call: one call per origin is one op
+        rows = rolling_origin_eval(
+            md.panel, md.log_rates[:, :, : args.eval_age_max + 1], design,
+            lambda train, steps: _forecast_panel(train, args, steps, rng_seed=args.seed),
+            args.horizon, delta_min,
+        )
+        for h, mafe, msfe in rows:
             table_rows.append([sex, h, args.method, repr(mafe), repr(msfe)])
             print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
@@ -338,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="select the number of factors")
     p.add_argument("--panel", required=True)
-    p.add_argument("--method", choices=["abc", "fixed"], default="abc")
-    p.add_argument("--c", type=float, default=1.0, help="tuning constant for --method fixed")
-    p.add_argument("--kind", choices=["IC1a", "IC2a"], default="IC2a")
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--P", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", choices=SELECT_METHODS)
+    p.add_argument("--c", type=float, help="tuning constant for --method fixed")
+    p.add_argument("--kind", choices=PENALTY_KINDS)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--P", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trace", default=None, help="write the selection trace JSON here")
     p.add_argument("--variance-csv", default=None)
-    p.set_defaults(func=cmd_select_r)
+    p.set_defaults(func=cmd_select_r, **SELECT_DEFAULTS)
 
     p = sub.add_parser("bench", help="run a Monte Carlo benchmark grid")
     p.add_argument("--spec", required=True, help="bench spec JSON")

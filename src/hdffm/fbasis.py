@@ -176,6 +176,7 @@ def ingest_mortality(records: list, basis: BSplineBasis) -> dict:
         by_key[(sex, pref, year)][age] = rate
 
     sexes = sorted({sex for sex, _, _ in by_key})
+    space = basis.space()
     out = {}
     for sex in sexes:
         prefs = sorted({p for s, p, _ in by_key if s == sex})
@@ -192,8 +193,7 @@ def ingest_mortality(records: list, basis: BSplineBasis) -> dict:
                 coeffs[i, t] = project_curve(
                     basis, GriddedCurve(AGE_GRID, log_rates[i, t])
                 )
-        spaces = [basis.space() for _ in range(N)]
-        panel = Panel(spaces, list(coeffs))
+        panel = Panel([space] * N, list(coeffs))
         out[sex] = MortalityData(
             panel=panel, prefectures=tuple(prefs), years=tuple(years), log_rates=log_rates
         )

@@ -1,11 +1,12 @@
 """h-step-ahead forecasting of functional panels.
 
-``tnh_forecast`` runs the factor pipeline: select the number of factors,
-center, split the panel into common and idiosyncratic parts, forecast the
+``tnh_forecast`` runs the factor pipeline: center, select the number of
+factors, split the panel into common and idiosyncratic parts, forecast the
 factor series and the idiosyncratic coefficient series with AR models
 chosen by BIC, and recompose.  ``cf_forecast`` is the componentwise
 baseline: per-series functional PCA scores forecast independently,
-ignoring all cross-sectional structure.
+ignoring all cross-sectional structure.  ``rolling_origin_eval`` scores a
+forecaster over expanding training windows (Hyndman & Ullah, 2007).
 
 The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
+from .metrics import mafe_msfe
 from .panel import Panel, center, split_stacked, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
@@ -121,9 +123,7 @@ class ForecastConfig:
 
     horizon: int
     p_max: int = 5
-    penalty_kind: str = IC2A
     fixed_r: int | None = None
-    abc: AbcConfig | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -143,30 +143,23 @@ class ForecastResult:
     r: int
     trace: SelectionTrace | None
 
-    def at_step(self, step: int) -> list:
-        """Coefficient vectors of all series at forecast step (1-based)."""
-        return [s[step - 1] for s in self.steps]
-
 
 def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
     """Factor-model forecast of every series, h steps ahead.
 
-    Pipeline: select the factor count (tuned criterion unless ``fixed_r``
-    is set), center, fit factors on the centered panel, forecast each
+    Pipeline: center, select the factor count on the centered panel (tuned
+    IC2a criterion unless ``fixed_r`` is set), fit factors, forecast each
     factor series and each idiosyncratic coefficient series by AR-BIC,
     then recompose mean + loadings @ factor forecasts + idiosyncratic
     forecasts in coefficient form.
     """
     if 3 * (cfg.p_max + 2) > panel.T:
         raise ValueError(f"p_max={cfg.p_max} too large for T={panel.T}")
-    trace = None
-    if cfg.fixed_r is not None:
-        r = cfg.fixed_r
-    else:
-        abc = cfg.abc or AbcConfig.for_panel(panel.N, panel.T, rng_seed=cfg.rng_seed)
-        r, trace = abc_select_r(panel, abc, cfg.penalty_kind)
-
     centered, means = center(panel)
+    r, trace = cfg.fixed_r, None
+    if r is None:
+        abc = AbcConfig.for_panel(panel.N, panel.T, rng_seed=cfg.rng_seed)
+        r, trace = abc_select_r(centered, abc, IC2A)
     try:
         fit = fit_factors(centered, r)
     except RankDeficientError as exc:
@@ -214,6 +207,31 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> np.ndarray:
     for j, y in enumerate(series):
         out[j] = ar_forecast(fit_ar_bic(y, p_max), y, h)
     return out
+
+
+def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, forecaster,
+                        horizon: int, delta_min: int) -> list:
+    """Rolling-origin forecast errors, one ``(h, mafe, msfe)`` row per step h.
+
+    Each origin delta = delta_min..T-1 makes one call ``forecaster(train,
+    steps)`` on the first delta periods, steps = min(horizon, T - delta), which
+    returns a ``ForecastResult``.  Its step-h coefficients, mapped to the grid
+    by ``design``, are scored against ``actual[:, delta + h - 1]`` of the
+    (N, T, grid) array ``actual``.
+    """
+    T = panel.T
+    if delta_min >= T:
+        raise ValueError(f"no rolling origins: delta_min={delta_min} >= T={T}")
+    X = panel.stacked_coeffs()
+    # step h + 1: (N, grid) forecasts and actuals, in origin order
+    fc, act = [[] for _ in range(horizon)], [[] for _ in range(horizon)]
+    for delta in range(delta_min, T):
+        steps = min(horizon, T - delta)
+        result = forecaster(Panel.from_stacked(panel.spaces, X[:, :delta]), steps)
+        for h in range(steps):
+            fc[h].append(np.stack([design @ s[h] for s in result.steps]))
+            act[h].append(actual[:, delta + h])
+    return [(h + 1, *mafe_msfe(fc[h], act[h])) for h in range(horizon) if fc[h]]
 
 
 def persistence_forecast(panel: Panel, h: int) -> ForecastResult:

@@ -235,8 +235,8 @@ class Panel:
 
 
 def spaces_match(a: Sequence[SpaceSpec], b: Sequence[SpaceSpec]) -> bool:
-    """Structural equality of two space sequences."""
-    return len(a) == len(b) and all(x.matches(y) for x, y in zip(a, b))
+    """Structural equality of two space sequences; shared spec objects match at once."""
+    return len(a) == len(b) and all(x is y or x.matches(y) for x, y in zip(a, b))
 
 
 def inner_product(panel: Panel, s: int, t: int) -> float:

@@ -137,7 +137,7 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     chi = np.zeros((N, T, d))
     chi[:, :, :r] = b[:, None, :] * U.T[None, :, :]
 
-    spaces = [SpaceSpec(FUNCTIONAL, d, np.eye(d)) for _ in range(N)]
+    spaces = [SpaceSpec(FUNCTIONAL, d, np.eye(d))] * N
     panel = Panel(spaces, list(chi + xi))
     chi_panel = Panel(spaces, list(chi))
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from hdffm import DgpConfig, fit_factors, gen_dgp, load_panel, save_panel
+from hdffm import DgpConfig, fit_factors, gen_dgp, load_panel, persistence_forecast, save_panel
+from hdffm import cli
 from hdffm.cli import main
 from conftest import rank_k_panel
 
@@ -47,6 +49,14 @@ class TestSimulate:
         write_dgp_config(cfg_path, dgp=9)
         assert main(["simulate", "--config", str(cfg_path),
                      "--out-panel", str(tmp_path / "x.json")]) == 2
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_dgp_config(cfg_path, n_factor=2)
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out-panel", str(tmp_path / "x.json")]) == 2
+        assert "n_factor" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -125,6 +135,18 @@ class TestSelectR:
                 per_p.append(doc["r_hat_table"][idx][-1][p])
         moved = sorted(per_p)[(len(per_p) - 1) // 2]
         assert moved == doc["r_hat_final"] == printed
+
+
+    @pytest.mark.parametrize("flag", ["--trace", "--variance-csv"])
+    def test_fixed_with_trace_output_exit_2(self, tmp_path, capsys, flag):
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))
+        ppath = tmp_path / "p.json"
+        save_panel(panel, ppath)
+        out = tmp_path / "trace.out"
+        assert main(["select-r", "--panel", str(ppath), "--method", "fixed",
+                     flag, str(out)]) == 2
+        assert "--method abc" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:
@@ -208,6 +230,14 @@ class TestBench:
         assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
         assert "n_factor" in capsys.readouterr().err
 
+    def test_unknown_select_method_rejected(self, tmp_path, capsys):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], "select": {"method": "tuned"}}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "tuned" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps({"dgps": [], "N": [5], "T": [30],
@@ -274,3 +304,32 @@ class TestForecastCommand:
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",
                      "--horizon", "1"]) == 2
+
+    @pytest.mark.parametrize("table", ["cf", "tnh_fixed_r2"])
+    def test_mortality_tables_pinned(self, tmp_path, table):
+        # recorded once before the rolling-origin loop moved out of the CLI
+        with open(os.path.join(os.path.dirname(__file__), "data", "mortality_rolling.json")) as fh:
+            ref = json.load(fh)
+        mpath = tmp_path / "mort.csv"
+        write_synthetic_mortality(mpath)
+        out = tmp_path / "table.csv"
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "3",
+                     *ref["args"][table], "--out", str(out)]) == 0
+        manifest, body = out.read_bytes().split(b"\n", 1)
+        assert manifest.startswith(b"# manifest: ")
+        assert body == ref["tables"][table].encode()
+
+    def test_one_forecast_per_sex_and_origin(self, tmp_path, monkeypatch):
+        # the benchmark times each _forecast_panel call as one op
+        calls = []
+
+        def counting(panel, args, horizon, rng_seed=0):
+            calls.append(panel.T)
+            return persistence_forecast(panel, horizon)
+
+        monkeypatch.setattr(cli, "_forecast_panel", counting)
+        mpath = tmp_path / "mort.csv"
+        write_synthetic_mortality(mpath, n_years=30)
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "3",
+                     "--delta-min", "26"]) == 0
+        assert calls == [26, 27, 28, 29] * 2  # sexes F and M, origins 26..29

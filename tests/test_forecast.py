@@ -10,6 +10,8 @@ from hdffm import (
     fit_ar_bic,
     functional_space,
     persistence_forecast,
+    rolling_origin_eval,
+    scalar_space,
     tnh_forecast,
 )
 from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
@@ -126,9 +128,10 @@ class TestTnhForecast:
             recon = means[i][None, :] + chi.coeffs[i] + xi.coeffs[i]
             assert np.allclose(recon, panel.coeffs[i], atol=1e-10)
 
-    def test_shift_equivariance(self):
+    @pytest.mark.parametrize("fixed_r", [3, None], ids=["fixed", "tuned"])
+    def test_shift_equivariance(self, fixed_r):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=6, T=60, seed=16))
-        cfg = ForecastConfig(horizon=2, fixed_r=3)
+        cfg = ForecastConfig(horizon=2, fixed_r=fixed_r)
         base = tnh_forecast(panel, cfg)
         shift = np.arange(7.0)
         shifted_panel = Panel(
@@ -139,6 +142,17 @@ class TestTnhForecast:
         for i in range(panel.N):
             expect = base.steps[i] + (shift if i == 2 else 0.0)
             assert np.allclose(shifted.steps[i], expect, atol=1e-9)
+        assert shifted.r == base.r
+
+    def test_tuned_selection_runs_on_centered_panel(self):
+        # nonzero means must not change the tuned factor count
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=100, seed=16))
+        shifted_panel = Panel.from_stacked(panel.spaces, panel.stacked_coeffs() + 5.0)
+        base = tnh_forecast(panel, ForecastConfig(horizon=1))
+        shifted = tnh_forecast(shifted_panel, ForecastConfig(horizon=1))
+        assert base.r == shifted.r == 3
+        for a, b in zip(base.steps, shifted.steps):
+            assert np.allclose(b, a + 5.0, atol=1e-9)
 
     def test_ar1_factor_oracle(self):
         # zero idiosyncratic part, single AR(1) factor: the pipeline forecast
@@ -210,3 +224,41 @@ class TestAgainstPersistence:
             )
             wins += err_t < err_p
         assert wins >= 4
+
+
+class TestRollingOriginEval:
+    @staticmethod
+    def scalar_panel():
+        x = np.array([[0.0, 1.0, 3.0, 6.0, 10.0], [0.0, -1.0, -1.0, 2.0, 2.0]])
+        return Panel.from_stacked([scalar_space()] * 2, x), x
+
+    def test_persistence_by_hand(self):
+        panel, x = self.scalar_panel()
+        calls = []
+
+        def forecaster(train, steps):
+            calls.append((train.T, steps))
+            return persistence_forecast(train, steps)
+
+        rows = rolling_origin_eval(panel, x[:, :, None], np.ones((1, 1)), forecaster,
+                                   horizon=2, delta_min=3)
+        assert calls == [(3, 2), (4, 1)]
+        # h=1: origins 3 and 4 give errors (3-6, -1-2) and (6-10, 2-2);
+        # h=2: origin 3 alone gives (3-10, -1-2)
+        assert rows == [(1, 2.5, 8.5), (2, 5.0, 29.0)]
+
+    def test_design_maps_coefficients_to_grid(self):
+        panel, x = self.scalar_panel()
+        design = np.array([[1.0], [2.0]])
+        actual = x[:, :, None] * design[:, 0]
+        rows = rolling_origin_eval(panel, actual, design, persistence_forecast,
+                                   horizon=1, delta_min=3)
+        # grid points 1 and 2 scale the h=1 errors above by 1 and 2
+        assert rows == [(1, (10 + 20) / 8, (34 + 136) / 8)]
+
+    @pytest.mark.parametrize("delta_min", [5, 6])
+    def test_no_origin_rejected(self, delta_min):
+        panel, x = self.scalar_panel()
+        with pytest.raises(ValueError, match="no rolling origins"):
+            rolling_origin_eval(panel, x[:, :, None], np.ones((1, 1)), persistence_forecast,
+                                horizon=1, delta_min=delta_min)

@@ -4,6 +4,7 @@ import pytest
 from hdffm import (
     LoadingMatrix,
     Panel,
+    SpaceSpec,
     delta_nt,
     epsilon_nt,
     fit_factors,
@@ -144,6 +145,31 @@ class TestPhi:
         p = random_mixed_panel(rng, N=3, T=5)
         q = Panel(p.spaces, [c + 1e-3 for c in p.coeffs])
         assert phi_nt(q, p) > 0
+
+
+class TestSpaceChecks:
+    def test_generated_panels_share_one_spec(self):
+        panel, truth = gen_dgp(DgpConfig(dgp=1, N=5, T=20, seed=1))
+        assert all(s is panel.spaces[0] for s in panel.spaces + truth.chi.spaces)
+
+    def test_equal_distinct_specs_match(self, rng):
+        spaces = [functional_space(3, random_spd(rng, 3)) for _ in range(4)]
+        copies = tuple(SpaceSpec(s.kind, s.dim, s.gram.copy()) for s in spaces)
+        assert not any(a is b for a, b in zip(spaces, copies))
+        B = make_loading(rng, spaces, 2)
+        assert epsilon_nt(LoadingMatrix(spaces=copies, columns=B.columns), B) < 1e-10
+        p = Panel(spaces, [rng.standard_normal((5, 3)) for _ in spaces])
+        assert phi_nt(Panel(copies, p.coeffs), p) == 0.0
+
+    def test_different_gram_rejected(self, rng):
+        spaces = [functional_space(3, random_spd(rng, 3))] * 4
+        other = spaces[:2] + [functional_space(3, random_spd(rng, 3))] + spaces[3:]
+        B = make_loading(rng, spaces, 2)
+        with pytest.raises(ValueError, match="different spaces"):
+            epsilon_nt(LoadingMatrix(spaces=tuple(other), columns=B.columns), B)
+        p = Panel(spaces, [rng.standard_normal((5, 3)) for _ in spaces])
+        with pytest.raises(ValueError, match="mismatched"):
+            phi_nt(Panel(other, p.coeffs), p)
 
 
 class TestMafeMsfe:
