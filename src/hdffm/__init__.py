@@ -9,14 +9,11 @@ and an h-step-ahead forecasting pipeline with a componentwise baseline.
 from .panel import (
     FUNCTIONAL,
     SCALAR,
-    MeanVector,
     Panel,
     SpaceSpec,
-    add_means,
     center,
     functional_space,
     gram_matrix,
-    inner_product,
     load_panel,
     load_scalar_csv,
     panel_from_dict,
@@ -33,9 +30,6 @@ from .estimate import (
     fit_to_dict,
     goodness_of_fit,
     idiosyncratic_residual,
-    load_fit,
-    save_fit,
-    symmetric_eigen,
 )
 from .select import (
     IC1A,

@@ -200,7 +200,11 @@ def cmd_bench(args) -> int:
     if not (dgps and n_list and t_list and k_list) or reps < 1:
         raise ValueError("bench spec lists must be nonempty and replications >= 1")
     seed = int(spec.get("seed", 0))
-    method = {**SELECT_DEFAULTS, **(spec.get("select") or {})}["method"]
+    select = spec.get("select") or {}
+    unknown = sorted(set(select) - set(SELECT_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown bench select keys {unknown}; allowed: {sorted(SELECT_DEFAULTS)}")
+    method = {**SELECT_DEFAULTS, **select}["method"]
     if method not in SELECT_METHODS:
         raise ValueError(f"unknown select.method {method!r}; allowed: {list(SELECT_METHODS)}")
 

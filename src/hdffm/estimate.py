@@ -17,7 +17,6 @@ available in closed form from the eigenvalues alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,29 +40,6 @@ class RankDeficientError(ValueError):
     def __init__(self, level: int):
         self.level = level
         super().__init__(f"eigenvalue {level} of the panel Gram is numerically zero")
-
-
-def symmetric_eigen(M: np.ndarray, k: int) -> tuple:
-    """Leading ``k`` eigenpairs of a symmetric matrix, deterministically.
-
-    Eigenvalues are returned in descending order; each eigenvector is
-    normalized and its first coordinate of magnitude > 1e-12 is made
-    positive so repeated calls (and parallel callers) agree on signs.
-
-    Returns
-    -------
-    (values, vectors) : ndarray of shape (k,), ndarray of shape (T, k)
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise ValueError("M is not symmetric")
-    if not 1 <= k <= M.shape[0]:
-        raise ValueError(f"k={k} out of range [1, {M.shape[0]}]")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    return vals[::-1][:k].copy(), _oriented(vecs[:, ::-1][:, :k])
 
 
 def _oriented(vecs: np.ndarray) -> np.ndarray:
@@ -225,13 +201,3 @@ def fit_from_dict(d: dict) -> FactorFit:
         trace_F=float(d["trace_F"]),
         spaces=spaces,
     )
-
-
-def save_fit(fit: FactorFit, path, manifest: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit_to_dict(fit, manifest), fh)
-
-
-def load_fit(path) -> FactorFit:
-    with open(path) as fh:
-        return fit_from_dict(json.load(fh))

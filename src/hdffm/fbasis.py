@@ -133,11 +133,15 @@ def load_mortality_csv(path) -> list:
     """
     records = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             if row[0].strip().lower() in ("prefecture_id", "prefecture"):
                 continue
+            if len(row) < 5:
+                raise ValueError(f"line {reader.line_num}: expected 5 columns "
+                                 f"(prefecture_id, year, sex, age, rate), got {len(row)}")
             pref, year, sex, age, rate = (v.strip() for v in row[:5])
             age_val = GROUP_AGE + 16 if age.endswith("+") else int(age)
             records.append(

@@ -77,11 +77,13 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
     target = y[p_max:]
     # below this, residual sums of squares are pure roundoff (exact fits)
     rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
+    # [1 | y_{t-1} ... y_{t-p_max}]; order p is fitted on its first p + 1 columns
+    lags = np.ones((t_eff, p_max + 1))
+    for j in range(1, p_max + 1):
+        lags[:, j] = y[p_max - j : T - j]
     best = None
     for p in range(p_max + 1):
-        X = np.ones((t_eff, p + 1))
-        for j in range(1, p + 1):
-            X[:, j] = y[p_max - j : T - j]
+        X = lags[:, : p + 1]
         beta, _, _, _ = np.linalg.lstsq(X, target, rcond=None)
         resid = target - X @ beta
         rss = float(resid @ resid)
@@ -89,11 +91,13 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
             bic, sigma2 = -np.inf, 0.0
         else:
             bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
+        # only a candidate that would win needs the (eigvals) explosiveness check
+        if best is not None and not bic < best[0]:
+            continue
         coefs = beta[1:]
         if companion_radius(coefs) >= 1.0 + _RADIUS_TOL:
             continue
-        if best is None or bic < best[0]:
-            best = (bic, p, float(beta[0]), coefs, sigma2)
+        best = (bic, p, float(beta[0]), coefs, sigma2)
     _, p, intercept, coefs, sigma2 = best
     return ArModel(order=p, intercept=intercept, coefficients=coefs, innovation_variance=sigma2)
 

@@ -95,14 +95,6 @@ def functional_space(dim: int, gram: np.ndarray | None = None) -> SpaceSpec:
     return SpaceSpec(FUNCTIONAL, dim, gram)
 
 
-class MeanVector(tuple):
-    """Per-series sample means, one coefficient vector per series."""
-
-    @property
-    def means(self) -> tuple:
-        return tuple(self)
-
-
 def block_offsets(spaces: Sequence[SpaceSpec]) -> np.ndarray:
     """Row offsets of each series' block in the stacked layout (length N + 1)."""
     return np.cumsum([0] + [s.dim for s in spaces])
@@ -239,15 +231,6 @@ def spaces_match(a: Sequence[SpaceSpec], b: Sequence[SpaceSpec]) -> bool:
     return len(a) == len(b) and all(x is y or x.matches(y) for x, y in zip(a, b))
 
 
-def inner_product(panel: Panel, s: int, t: int) -> float:
-    """H_N inner product <x_s, x_t> = sum_i a_is' G_i a_it (0-based times)."""
-    for u in (s, t):
-        if not 0 <= u < panel.T:
-            raise IndexError(f"time index {u} out of range [0, {panel.T})")
-    Z = panel.stacked_white()
-    return float(Z[:, s] @ Z[:, t])
-
-
 def gram_matrix(panel: Panel) -> np.ndarray:
     """T x T panel Gram matrix with entries <x_s, x_t> / N."""
     Z = panel.stacked_white()
@@ -258,19 +241,12 @@ def gram_matrix(panel: Panel) -> np.ndarray:
 def center(panel: Panel) -> tuple:
     """Subtract each series' time-average coefficient vector.
 
-    Returns the centered panel and the removed means.
+    Returns the centered panel and the removed means: a tuple holding one
+    (dim_i,) mean vector per series.
     """
     X = panel.stacked_coeffs()
     mu = X.mean(axis=1)
-    return Panel.from_stacked(panel.spaces, X - mu[:, None]), MeanVector(split_stacked(panel.offsets, mu))
-
-
-def add_means(panel: Panel, means: MeanVector) -> Panel:
-    """Add per-series constant vectors back onto a panel."""
-    if len(means) != panel.N:
-        raise ValueError("means length does not match panel")
-    mu = np.concatenate(means.means)
-    return Panel.from_stacked(panel.spaces, panel.stacked_coeffs() + mu[:, None])
+    return Panel.from_stacked(panel.spaces, X - mu[:, None]), split_stacked(panel.offsets, mu)
 
 
 # ---------------------------------------------------------------------------

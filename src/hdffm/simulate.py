@@ -88,7 +88,9 @@ def ar_burn_in_draw(a: float, innov_sd: float, T: int, seed: int) -> np.ndarray:
 
     The initial value is drawn from the exact stationary law
     N(0, innov_sd^2 / (1 - a^2)); subsequent values follow
-    u_t = a u_{t-1} + eps_t.
+    u_t = a u_{t-1} + eps_t.  No pipeline path calls it; it stays public as
+    the seeded AR(1) generator that the AR-BIC and forecast tests draw from,
+    sharing its recursion with ``gen_dgp``'s factor paths.
     """
     if not abs(a) < 1:
         raise ValueError("|a| must be < 1 for a stationary AR(1)")

@@ -238,6 +238,17 @@ class TestBench:
         assert "tuned" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_unknown_select_key_rejected(self, tmp_path, capsys):
+        # a misspelled "method" must not silently run the tuned abc path
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [10], "T": [40], "replications": 1,
+                                     "k": [1], "select": {"metod": "fixed", "c": 0.0}}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown bench select keys ['metod']" in err
+        assert "'method'" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps({"dgps": [], "N": [5], "T": [30],
@@ -300,6 +311,13 @@ class TestForecastCommand:
         assert rows_t[1][3] != rows_c[1][3]
         for row in rows_t[1:]:
             assert float(row[3]) > 0 and float(row[4]) > 0
+
+    def test_short_mortality_row_rejected(self, tmp_path, capsys):
+        mpath = tmp_path / "mort.csv"
+        mpath.write_text("prefecture_id,year,sex,age,rate\n1,1980,F,0,0.01\n1,1980,F,1\n")
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4" in err
 
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",

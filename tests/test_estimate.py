@@ -11,7 +11,6 @@ from hdffm import (
     goodness_of_fit,
     gram_matrix,
     idiosyncratic_residual,
-    symmetric_eigen,
 )
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, rank_k_panel
@@ -21,44 +20,19 @@ def stacked_norm(panel):
     return np.linalg.norm(panel.stacked_white())
 
 
-class TestSymmetricEigen:
-    def test_identity(self):
-        vals, vecs = symmetric_eigen(np.eye(4), 2)
-        assert np.allclose(vals, [1.0, 1.0])
-        assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
-
-    def test_diagonal(self):
-        vals, vecs = symmetric_eigen(np.diag([3.0, 2.0, 1.0]), 3)
-        assert np.allclose(vals, [3.0, 2.0, 1.0])
-        assert np.allclose(np.abs(vecs), np.eye(3), atol=1e-12)
-        # sign rule: first significant coordinate positive
-        assert all(vecs[i, i] > 0 for i in range(3))
-
-    def test_residual_oracle(self, rng):
-        A = rng.standard_normal((8, 8))
-        M = A + A.T
-        vals, vecs = symmetric_eigen(M, 8)
-        for l in range(8):
-            assert np.linalg.norm(M @ vecs[:, l] - vals[l] * vecs[:, l]) < 1e-8
-        assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.eye(3), 4)
-
-    def test_deterministic_signs(self, rng):
-        A = rng.standard_normal((6, 6))
-        M = A @ A.T
-        v1 = symmetric_eigen(M, 4)[1]
-        v2 = symmetric_eigen(M.copy(), 4)[1]
-        assert np.array_equal(v1, v2)
-
-
 class TestFitFactors:
+    def test_sign_rule_and_determinism(self, rng):
+        # x_0 = 0, so coordinate 0 of every factor is roundoff and the rule skips it
+        p = random_mixed_panel(rng, N=5, T=9)
+        X = p.stacked_coeffs().copy()
+        X[:, 0] = 0.0
+        fit = fit_factors(Panel.from_stacked(p.spaces, X), 4)
+        for v in fit.factors / np.sqrt(p.T):
+            first = np.flatnonzero(np.abs(v) > 1e-12)[0]
+            assert first == 1 and v[first] > 0
+        again = fit_factors(Panel.from_stacked(p.spaces, X.copy()), 4)
+        assert np.array_equal(again.factors, fit.factors)
+
     def test_rank_one_exact(self, rng):
         panel, U, _ = rank_k_panel(rng, N=5, T=8, k=1)
         fit = fit_factors(panel, 1)

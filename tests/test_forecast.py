@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from hdffm import (
     ArModel,
@@ -14,6 +15,7 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
+from hdffm.forecast import companion_radius
 from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
 from conftest import random_mixed_panel
 
@@ -56,6 +58,58 @@ class TestFitArBic:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fit_ar_bic(np.zeros(10), p_max=5)
+
+
+def brute_force_ar_bic(y, p_max):
+    """(bic, order, intercept, coefficients, variance) of AR-BIC written out
+    directly: a fresh lag matrix and lstsq per order, the companion radius of
+    every candidate, ties to the smaller order."""
+    T = y.size
+    t_eff, target = T - p_max, y[p_max:]
+    rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
+    candidates = []
+    for p in range(p_max + 1):
+        X = np.ones((t_eff, p + 1))
+        for j in range(1, p + 1):
+            X[:, j] = y[p_max - j : T - j]
+        beta = np.linalg.lstsq(X, target, rcond=None)[0]
+        resid = target - X @ beta
+        rss = float(resid @ resid)
+        if rss <= rss_floor:
+            bic, sigma2 = -np.inf, 0.0
+        else:
+            bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
+        if companion_radius(beta[1:]) < 1.0 + 1e-8:
+            candidates.append((bic, p, float(beta[0]), beta[1:], sigma2))
+    return min(candidates, key=lambda c: c[:2])
+
+
+def stationary_ar3(seed):
+    rng = np.random.default_rng(seed)
+    poly = np.poly(rng.uniform(-0.9, 0.9, 3))  # roots inside the unit circle
+    T = int(rng.integers(21, 200))
+    return 1.0 + lfilter([1.0], poly, rng.standard_normal(T + 100))[100:]
+
+
+class TestFitArBicOracle:
+    @pytest.mark.parametrize("p_max", [3, 5])
+    @pytest.mark.parametrize("kind", ["ar3", "iid", "constant", "geometric"])
+    def test_bitwise_equal_to_brute_force(self, kind, p_max):
+        rng = np.random.default_rng(7)
+        series = {
+            "ar3": [stationary_ar3(seed) for seed in range(30)],
+            "iid": [rng.standard_normal(n) for n in (30, 60, 200)],
+            "constant": [np.full(n, -1.5) for n in (30, 60)],
+            # the exact AR(1) fit has -inf BIC but is explosive: AR(0) remains
+            "geometric": [1.05 ** np.arange(60)],
+        }[kind]
+        for y in series:
+            m = fit_ar_bic(y, p_max)
+            _, p, intercept, coefs, sigma2 = brute_force_ar_bic(y, p_max)
+            assert (m.order, m.intercept, m.innovation_variance) == (p, intercept, sigma2)
+            assert np.array_equal(m.coefficients, coefs)
+            if kind in ("constant", "geometric"):
+                assert m.order == 0
 
 
 class TestArForecast:
