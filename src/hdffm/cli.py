@@ -200,7 +200,9 @@ def cmd_bench(args) -> int:
     if not (dgps and n_list and t_list and k_list) or reps < 1:
         raise ValueError("bench spec lists must be nonempty and replications >= 1")
     seed = int(spec.get("seed", 0))
-    select = spec.get("select") or {}
+    select = {} if spec.get("select") is None else spec["select"]
+    if not isinstance(select, dict):
+        raise ValueError(f"bench select must be a JSON object, got {json.dumps(select)}")
     unknown = sorted(set(select) - set(SELECT_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown bench select keys {unknown}; allowed: {sorted(SELECT_DEFAULTS)}")

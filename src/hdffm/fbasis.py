@@ -9,11 +9,11 @@ splines) carries the L2 geometry into the coefficient representation.
 from __future__ import annotations
 
 import csv
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .panel import FUNCTIONAL, Panel, SpaceSpec
 
@@ -34,6 +34,7 @@ class BSplineBasis:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Design matrix of all basis functions at the points ``x``."""
+        from scipy.interpolate import BSpline  # imported here: ~1 s, and only bases need it
         x = np.asarray(x, dtype=float)
         a, b = self.domain
         if x.min() < a or x.max() > b:
@@ -54,6 +55,7 @@ def build_bspline(domain: tuple, dim: int, order: int = 4) -> BSplineBasis:
     span, which integrates the degree-2(order-1) product polynomials
     exactly.
     """
+    from scipy.interpolate import BSpline
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ValueError("domain must satisfy a < b")
@@ -128,77 +130,91 @@ class MortalityData:
 def load_mortality_csv(path) -> list:
     """Read records (prefecture_id, year, sex, age, rate-or-None) from CSV.
 
-    Expected columns: prefecture_id, year, sex, age (0..110 or "110+"),
-    rate (empty string for missing).  A header row is detected and skipped.
+    Expected columns: prefecture_id, year, sex, age (0..110 or "110+"), rate
+    (finite, or empty for missing).  A header row is detected and skipped.
     """
     records = []
+    append = records.append
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            if row[0].strip().lower() in ("prefecture_id", "prefecture"):
+            pref = row[0].strip()
+            if pref.lower() in ("prefecture_id", "prefecture"):
                 continue
             if len(row) < 5:
                 raise ValueError(f"line {reader.line_num}: expected 5 columns "
                                  f"(prefecture_id, year, sex, age, rate), got {len(row)}")
-            pref, year, sex, age, rate = (v.strip() for v in row[:5])
-            age_val = GROUP_AGE + 16 if age.endswith("+") else int(age)
-            records.append(
-                (pref, int(year), sex, age_val, float(rate) if rate != "" else None)
-            )
+            # int() and float() skip surrounding whitespace themselves
+            age, text = row[3].strip(), row[4].strip()
+            rate = float(text) if text else None
+            if rate is not None and not math.isfinite(rate):
+                raise ValueError(f"line {reader.line_num}: rate must be finite, got {text!r}")
+            append((pref, int(row[1]), row[2].strip(),
+                    GROUP_AGE + 16 if age.endswith("+") else int(age), rate))
     return records
 
 
-def _preprocess_curve(rates: dict, key) -> np.ndarray:
-    """Ages 0..95 (95 = mean of all ages >= 95), forward-filled, log scale."""
-    old = [v for age, v in rates.items() if age >= GROUP_AGE and v is not None]
-    values = [rates.get(age) for age in range(GROUP_AGE)]
-    values.append(float(np.mean(old)) if old else None)
-    out = np.empty(GROUP_AGE + 1)
-    for age, v in enumerate(values):
-        if v is None:
-            if age == 0:
-                raise ValueError(f"{key}: rate at age 0 is missing and cannot be filled")
-            v = out_raw  # previous age's raw value
-        if v <= 0:
-            raise ValueError(f"{key}: nonpositive rate {v} at age {age}")
-        out_raw = v
-        out[age] = np.log(v)
-    return out
+def _log_rate_curves(keys: list, by_key: dict) -> np.ndarray:
+    """(curves, 96) log rates on ages 0..95, one row per key: age 95 is the mean
+    of all given ages >= 95, and a missing rate takes the previous age's.  The
+    first bad curve in ``keys``, at its first bad age, raises."""
+    rows = []
+    for key in keys:
+        rates = by_key.get(key, {})
+        old = [v for age, v in rates.items() if age >= GROUP_AGE and v is not None]
+        rows.append([*map(rates.get, range(GROUP_AGE)), float(np.mean(old)) if old else None])
+    rows = np.array(rows, dtype=object)
+    missing = np.equal(rows, None)
+    # the 1.0 is never read: age 0 must be given, a later gap takes an earlier age
+    raw = np.where(missing, 1.0, rows).astype(float)
+    last_given = np.maximum.accumulate(np.where(missing, 0, np.arange(GROUP_AGE + 1)), axis=1)
+    filled = np.take_along_axis(raw, last_given, axis=1)
+    nonpositive = filled <= 0
+    bad = missing[:, 0] | nonpositive.any(axis=1)
+    if bad.any():
+        key = keys[c := int(np.argmax(bad))]
+        if key not in by_key:
+            raise ValueError(f"missing curve for {key}")
+        if missing[c, 0]:
+            raise ValueError(f"{key}: rate at age 0 is missing and cannot be filled")
+        age = int(np.argmax(nonpositive[c]))
+        raise ValueError(f"{key}: nonpositive rate {float(filled[c, age])} at age {age}")
+    return np.log(filled)
 
 
 def ingest_mortality(records: list, basis: BSplineBasis) -> dict:
     """Build one coefficient panel per sex from mortality-rate records.
 
-    Rates for ages >= 95 are grouped by averaging, missing rates are filled
-    with the previous age group's value, the log transform is applied, and
-    every (prefecture, year) curve is projected onto ``basis``.
+    Rates for ages >= 95 are grouped by averaging, missing rates (None) are
+    filled with the previous age group's value, the log transform is applied,
+    and every (prefecture, year) curve is projected onto ``basis``.  Of
+    repeated records for one age, the last wins.
     """
+    bad = next((r for r in records if r[4] is not None and not math.isfinite(r[4])), None)
+    if bad is not None:
+        raise ValueError(f"{bad[2], bad[0], bad[1]}: rate must be finite, got {bad[4]!r} at age {bad[3]}")
     by_key = defaultdict(dict)
     for pref, year, sex, age, rate in records:
         by_key[(sex, pref, year)][age] = rate
 
-    sexes = sorted({sex for sex, _, _ in by_key})
+    design = basis.evaluate(AGE_GRID)
     space = basis.space()
     out = {}
-    for sex in sexes:
+    for sex in sorted({sex for sex, _, _ in by_key}):
         prefs = sorted({p for s, p, _ in by_key if s == sex})
         years = sorted({y for s, _, y in by_key if s == sex})
         N, T = len(prefs), len(years)
-        log_rates = np.empty((N, T, GROUP_AGE + 1))
-        coeffs = np.empty((N, T, basis.dim))
-        for i, pref in enumerate(prefs):
-            for t, year in enumerate(years):
-                key = (sex, pref, year)
-                if key not in by_key:
-                    raise ValueError(f"missing curve for {key}")
-                log_rates[i, t] = _preprocess_curve(by_key[key], key)
-                coeffs[i, t] = project_curve(
-                    basis, GriddedCurve(AGE_GRID, log_rates[i, t])
-                )
-        panel = Panel([space] * N, list(coeffs))
-        out[sex] = MortalityData(
-            panel=panel, prefectures=tuple(prefs), years=tuple(years), log_rates=log_rates
-        )
+        log_rates = _log_rate_curves([(sex, p, y) for p in prefs for y in years], by_key)
+        coeffs = np.empty((N * T, basis.dim))
+        # one lstsq per curve: a multi-right-hand-side solve differs at rounding level
+        for c, curve in enumerate(log_rates):
+            coeffs[c], _, rank, _ = np.linalg.lstsq(design, curve, rcond=None)
+            if rank < basis.dim:
+                raise ValueError("projection design matrix is rank deficient (grid too coarse)")
+        # per-series blocks give the column-major stacked layout, which sets later sums' order
+        panel = Panel([space] * N, list(coeffs.reshape(N, T, basis.dim)))
+        out[sex] = MortalityData(panel, tuple(prefs), tuple(years),
+                                 log_rates.reshape(N, T, GROUP_AGE + 1))
     return out

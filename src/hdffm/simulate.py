@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .panel import FUNCTIONAL, Panel, SpaceSpec
 
@@ -74,13 +73,14 @@ def noise_covariance(dgp: int, basis_dim: int = 7) -> tuple:
     raise ValueError("dgp must be in {1, 2, 3, 4}")
 
 
-def _ar1_path(a: float, z: np.ndarray, innov_sd: float, u0: float) -> np.ndarray:
-    """AR(1) path u_0 = ``u0``, u_t = a u_{t-1} + innov_sd * z_t for t >= 1."""
-    x = np.empty(z.size)
-    x[0] = u0
-    x[1:] = z[1:] * innov_sd
-    # y[t] = x[t] + a y[t-1]
-    return lfilter([1.0], [1.0, -a], x)
+def _ar1_path(a, z: np.ndarray, innov_sd, u0) -> np.ndarray:
+    """AR(1) paths u_0 = ``u0``, u_t = a u_{t-1} + innov_sd * z_t (t >= 1) along the
+    last axis of ``z``; ``a``, ``innov_sd`` and ``u0`` broadcast over the others."""
+    x = z * np.asarray(innov_sd)[..., None]
+    x[..., 0] = u0
+    for t in range(1, z.shape[-1]):
+        x[..., t] += a * x[..., t - 1]
+    return x
 
 
 def ar_burn_in_draw(a: float, innov_sd: float, T: int, seed: int) -> np.ndarray:
@@ -131,7 +131,7 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((r, T))
     # innovation sd sqrt(1 - a^2) makes the stationary variance 1, so u_0 = z_0
-    U = np.stack([_ar1_path(a[l], z[l], np.sqrt(1.0 - a[l] ** 2), z[l, 0]) for l in range(r)])
+    U = _ar1_path(a, z, np.sqrt(1.0 - a**2), z[:, 0])
 
     noise_sd = np.sqrt(c * E / E.sum())
     xi = rng.standard_normal((N, T, d)) * noise_sd
@@ -144,7 +144,6 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     chi_panel = Panel(spaces, list(chi))
 
     B_coeffs = np.zeros((N, r, d))
-    for l in range(r):
-        B_coeffs[:, l, l] = b[:, l]
+    B_coeffs[:, np.arange(r), np.arange(r)] = b
 
     return panel, GroundTruth(U=U, B_coeffs=B_coeffs, chi=chi_panel, a=a)

@@ -249,6 +249,15 @@ class TestBench:
         assert "'method'" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("select", [["method"], "fixed", []])
+    def test_select_not_an_object_rejected(self, tmp_path, capsys, select):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], "select": select}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "bench select must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps({"dgps": [], "N": [5], "T": [30],
@@ -318,6 +327,14 @@ class TestForecastCommand:
         assert main(["forecast", "--mortality", str(mpath), "--horizon", "1"]) == 2
         err = capsys.readouterr().err
         assert "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_mortality_rate_rejected(self, tmp_path, capsys, text):
+        mpath = tmp_path / "mort.csv"
+        mpath.write_text(f"prefecture_id,year,sex,age,rate\n1,1980,F,0,0.01\n1,1980,F,1, {text}\n")
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 3: rate must be finite, got {text!r}" in err
 
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",

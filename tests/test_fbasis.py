@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -5,11 +7,13 @@ from scipy.optimize import minimize
 
 from hdffm import (
     GriddedCurve,
+    Panel,
     build_bspline,
     ingest_mortality,
     load_mortality_csv,
     project_curve,
 )
+from hdffm.fbasis import AGE_GRID, GROUP_AGE
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +178,98 @@ class TestIngestMortality:
         data = ingest_mortality(recs, basis9)
         assert data["F"].panel.N == 3
         assert data["F"].years == (2000, 2001, 2002)
+
+
+def _preprocess_curve(rates: dict, key) -> np.ndarray:
+    """Per-curve reference: ages 0..95 (95 = mean of all ages >= 95),
+    forward-filled, log scale, one value at a time."""
+    old = [v for age, v in rates.items() if age >= GROUP_AGE and v is not None]
+    values = [rates.get(age) for age in range(GROUP_AGE)]
+    values.append(float(np.mean(old)) if old else None)
+    out = np.empty(GROUP_AGE + 1)
+    for age, v in enumerate(values):
+        if v is None:
+            if age == 0:
+                raise ValueError(f"{key}: rate at age 0 is missing and cannot be filled")
+            v = out_raw  # previous age's raw value
+        if v <= 0:
+            raise ValueError(f"{key}: nonpositive rate {v} at age {age}")
+        out_raw = v
+        out[age] = np.log(v)
+    return out
+
+
+def reference_ingest(records, basis) -> dict:
+    """(log_rates, coefficients) per sex, one curve and one projection at a time."""
+    by_key = defaultdict(dict)
+    for pref, year, sex, age, rate in records:
+        by_key[(sex, pref, year)][age] = rate
+    out = {}
+    for sex in sorted({sex for sex, _, _ in by_key}):
+        prefs = sorted({p for s, p, _ in by_key if s == sex})
+        years = sorted({y for s, _, y in by_key if s == sex})
+        log_rates = np.empty((len(prefs), len(years), GROUP_AGE + 1))
+        coeffs = np.empty((len(prefs), len(years), basis.dim))
+        for i, pref in enumerate(prefs):
+            for t, year in enumerate(years):
+                key = (sex, pref, year)
+                log_rates[i, t] = _preprocess_curve(by_key[key], key)
+                coeffs[i, t] = project_curve(basis, GriddedCurve(AGE_GRID, log_rates[i, t]))
+        out[sex] = log_rates, coeffs
+    return out
+
+
+class TestIngestMatchesPerCurveReference:
+    @pytest.fixture(scope="class")
+    def records(self):
+        rng = np.random.default_rng(7)
+        missing = {(p, y, s, a) for p in range(3) for y in (2000, 2001, 2002) for s in ("F", "M")
+                   for a in range(1, 111) if rng.random() < 0.05}
+        missing |= {(1, 2001, "M", a) for a in range(95, 111)}  # a whole 95+ group
+        missing |= {(2, 2000, "F", a) for a in (95, 96, 103, 110)}
+        recs = synth_records(
+            years=(2000, 2001, 2002), sexes=("F", "M"), missing=missing,
+            rate_fn=lambda p, y, s, a: float(np.exp(-7.0 + 0.07 * a + rng.normal(0, 0.1))),
+        )
+        recs += [("0", 2000, "F", age, 0.5 + 0.01 * age) for age in (112, 115, 120)]
+        recs += [("1", 2002, "M", 111, 0.9)]  # the loader's "110+"
+        # repeats of a mid-curve age, a 95+ age and one as missing: the later record wins
+        recs += [("2", 2001, "F", 40, 0.02), ("0", 2002, "M", 100, 0.7),
+                 ("2", 2002, "M", 30, None)]
+        return [recs[i] for i in rng.permutation(len(recs))]
+
+    def test_bitwise_equal(self, basis9, records):
+        want = reference_ingest(records, basis9)
+        got = ingest_mortality(records, basis9)
+        assert set(got) == set(want) == {"F", "M"}
+        for sex, (log_rates, coeffs) in want.items():
+            assert np.array_equal(got[sex].log_rates, log_rates)
+            ref = Panel([basis9.space()] * len(coeffs), list(coeffs))
+            stacked = got[sex].panel.stacked_coeffs()
+            assert np.array_equal(stacked, ref.stacked_coeffs())
+            # the layout sets the summation order of every later reduction
+            assert stacked.strides == ref.stacked_coeffs().strides
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rate_names_key_and_age(self, basis9, bad):
+        recs = synth_records(rate_fn=lambda p, y, s, a: bad if (p, y, a) == (1, 2001, 37) else 0.01)
+        with pytest.raises(ValueError, match=r"\('F', '1', 2001\): rate must be finite, "
+                                             rf"got {bad!r} at age 37"):
+            ingest_mortality(recs, basis9)
+
+    def test_missing_curve(self, basis9):
+        recs = [r for r in synth_records() if (r[0], r[1]) != ("2", 2001)]
+        with pytest.raises(ValueError, match=r"missing curve for \('F', '2', 2001\)"):
+            ingest_mortality(recs, basis9)
+
+    def test_first_bad_curve_and_age_reported(self, basis9):
+        # curve ('F', '0', 2002) sorts before ('F', '1', 2000); its age 0 is missing
+        recs = synth_records(missing={(0, 2002, "F", 0)},
+                             rate_fn=lambda p, y, s, a: -1.0 if (p, a) == (1, 60) else 0.01)
+        with pytest.raises(ValueError, match=r"\('F', '0', 2002\): rate at age 0 is missing"):
+            ingest_mortality(recs, basis9)
+        recs = synth_records(rate_fn=lambda p, y, s, a: -1.0 if (p, a) in ((1, 60), (1, 70)) else 0.01)
+        with pytest.raises(ValueError, match=r"\('F', '1', 2000\): nonpositive rate -1.0 at age 60"):
+            ingest_mortality(recs, basis9)
