@@ -255,8 +255,10 @@ def _forecast_panel(panel, args, horizon: int, rng_seed: int = 0):
 
 def _mortality_rolling(args) -> int:
     records = load_mortality_csv(args.mortality)
-    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
+    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9)
     data = ingest_mortality(records, basis)
+    if args.sex and args.sex not in data:
+        raise ValueError(f"no rows for --sex {args.sex!r}; the data has sexes {sorted(data)}")
     design = basis.evaluate(AGE_GRID[: args.eval_age_max + 1])
     table_rows = []
     for sex in [args.sex] if args.sex else sorted(data):

@@ -77,7 +77,7 @@ def build_bspline(domain: tuple, dim: int, order: int = 4) -> BSplineBasis:
         phi = BSpline.design_matrix(x, knots, order - 1).toarray()
         gram += phi.T @ (w[:, None] * phi)
     gram = 0.5 * (gram + gram.T)
-    return BSplineBasis(domain=(a, b), order=order, knots=knots, dim=dim, gram=gram)
+    return BSplineBasis((a, b), order, knots, dim, gram)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +148,16 @@ def load_mortality_csv(path) -> list:
                                  f"(prefecture_id, year, sex, age, rate), got {len(row)}")
             # int() and float() skip surrounding whitespace themselves
             age, text = row[3].strip(), row[4].strip()
-            rate = float(text) if text else None
+            try:
+                year, age = int(row[1]), GROUP_AGE + 16 if age.endswith("+") else int(age)
+                rate = float(text) if text else None
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             if rate is not None and not math.isfinite(rate):
                 raise ValueError(f"line {reader.line_num}: rate must be finite, got {text!r}")
-            append((pref, int(row[1]), row[2].strip(),
-                    GROUP_AGE + 16 if age.endswith("+") else int(age), rate))
+            append((pref, year, row[2].strip(), age, rate))
+    if not records:
+        raise ValueError("mortality CSV has no data rows")
     return records
 
 
@@ -213,8 +218,7 @@ def ingest_mortality(records: list, basis: BSplineBasis) -> dict:
             coeffs[c], _, rank, _ = np.linalg.lstsq(design, curve, rcond=None)
             if rank < basis.dim:
                 raise ValueError("projection design matrix is rank deficient (grid too coarse)")
-        # per-series blocks give the column-major stacked layout, which sets later sums' order
-        panel = Panel([space] * N, list(coeffs.reshape(N, T, basis.dim)))
+        panel = Panel([space] * N, coeffs.reshape(N, T, basis.dim))
         out[sex] = MortalityData(panel, tuple(prefs), tuple(years),
                                  log_rates.reshape(N, T, GROUP_AGE + 1))
     return out

@@ -99,7 +99,7 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
             continue
         best = (bic, p, float(beta[0]), coefs, sigma2)
     _, p, intercept, coefs, sigma2 = best
-    return ArModel(order=p, intercept=intercept, coefficients=coefs, innovation_variance=sigma2)
+    return ArModel(p, intercept, coefs, sigma2)
 
 
 def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
@@ -192,16 +192,15 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
         raise ValueError(f"p_max={p_max} too large for T={panel.T}")
     if n_components > min(panel.dims):
         raise ValueError(f"n_components={n_components} exceeds series dimension {min(panel.dims)}")
-    X = panel.stacked_coeffs()
-    mu = X.mean(axis=1)
-    white = whiten_stacked(panel.spaces, X - mu[:, None])  # Euclidean geometry
+    centered, means = center(panel)
+    white = centered.stacked_white()  # Euclidean geometry
     z_fc = np.empty((panel.total_dim, h))
     for a, b in zip(panel.offsets[:-1], panel.offsets[1:]):
         zw = white[a:b]  # (dim, T)
         _, vecs = np.linalg.eigh(zw @ zw.T / panel.T)
         vecs = vecs[:, ::-1][:, :n_components]
         z_fc[a:b] = vecs @ _ar_bic_forecasts(vecs.T @ zw, p_max, h)
-    stacked = mu[:, None] + whiten_stacked(panel.spaces, z_fc, inverse=True)
+    stacked = np.concatenate(means)[:, None] + whiten_stacked(panel.spaces, z_fc, inverse=True)
     return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=n_components, trace=None)
 
 

@@ -134,11 +134,9 @@ class Panel:
 
     def __init__(self, spaces: Sequence[SpaceSpec], coeffs: Sequence[np.ndarray]):
         spaces = tuple(spaces)
-        if not spaces:
-            raise ValueError("panel needs at least one series")
         if len(coeffs) != len(spaces):
             raise ValueError("coeffs and spaces length mismatch")
-        rows = []
+        blocks = []
         for i, (spec, block) in enumerate(zip(spaces, coeffs)):
             block = np.asarray(block, dtype=float)
             if block.ndim == 1:
@@ -148,20 +146,23 @@ class Panel:
                     f"series {i}: coefficient block has shape {block.shape}, "
                     f"expected (T, {spec.dim})"
                 )
-            if rows and block.shape[0] != rows[0].shape[1]:
-                raise ValueError(f"series {i}: time length {block.shape[0]} != {rows[0].shape[1]}")
-            rows.append(block.T)
-        self._init_stacked(spaces, np.concatenate(rows, axis=0))
+            if blocks and block.shape[0] != blocks[0].shape[0]:
+                raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
+            blocks.append(block)
+        self._init_stacked(spaces, np.hstack(blocks).T if blocks else np.empty((0, 0)))
 
     @classmethod
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
         """Panel over a copy of a (total_dim, T) raw-coefficient matrix."""
         panel = cls.__new__(cls)
-        panel._init_stacked(tuple(spaces), np.array(stacked, dtype=float))
+        panel._init_stacked(tuple(spaces), stacked, copy=True)
         return panel
 
-    def _init_stacked(self, spaces: tuple, stacked: np.ndarray) -> None:
-        """Validate and adopt ``stacked``, which this panel then owns."""
+    def _init_stacked(self, spaces: tuple, stacked: np.ndarray, copy: bool | None = None) -> None:
+        """Validate and own ``stacked``, copied when ``copy`` is true or it is not a
+        column-major float array: one layout for every panel, so identical
+        numbers give identical sums (means, Grams) whichever constructor ran."""
+        stacked = np.array(stacked, dtype=float, order="F", copy=copy)
         if not spaces:
             raise ValueError("panel needs at least one series")
         offsets = block_offsets(spaces)
@@ -302,13 +303,17 @@ def load_scalar_csv(path) -> Panel:
     """Read an all-scalar panel from CSV laid out as N rows x T columns."""
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            rows.append([float(v) for v in row])
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"line {reader.line_num}: ragged CSV panel, "
+                                 f"{len(row)} values where earlier rows have {len(rows[0])}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("empty CSV panel")
-    T = len(rows[0])
-    if any(len(r) != T for r in rows):
-        raise ValueError("ragged CSV panel")
     return Panel.from_stacked([scalar_space()] * len(rows), rows)

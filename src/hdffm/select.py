@@ -23,6 +23,8 @@ from .panel import Panel
 IC1A = "IC1a"
 IC2A = "IC2a"
 PENALTY_KINDS = (IC1A, IC2A)
+# the tuning sweep's grid of c values: 0, 0.05, ..., 10
+C_GRID = np.round(np.arange(0.0, 10.0 + 1e-9, 0.05), 10)
 
 
 def penalty(kind: str, N: int, T: int) -> float:
@@ -87,7 +89,6 @@ class AbcConfig:
 
     k_max: int = 10
     P: int = 5
-    c_grid: tuple = tuple(np.round(np.arange(0.0, 10.0 + 1e-9, 0.05), 10))
     subpanel_sizes: tuple = ()
     rng_seed: int = 0
 
@@ -96,16 +97,10 @@ class AbcConfig:
             raise ValueError("k_max must be >= 1")
         if self.P < 1:
             raise ValueError("P must be >= 1")
-        grid = np.asarray(self.c_grid, dtype=float)
-        if grid.size < 1 or grid[0] != 0.0:
-            raise ValueError("c_grid must start at 0")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("c_grid must be strictly increasing")
         sizes = tuple((int(n), int(t)) for n, t in self.subpanel_sizes)
         ns = [n for n, _ in sizes]
         if ns and any(b < a for a, b in zip(ns, ns[1:])):
             raise ValueError("subpanel N_j must be nondecreasing")
-        object.__setattr__(self, "c_grid", tuple(grid.tolist()))
         object.__setattr__(self, "subpanel_sizes", sizes)
 
     @classmethod
@@ -209,7 +204,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
     if sizes[-1] != (panel.N, panel.T):
         raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({panel.N}, {panel.T})")
-    c_grid = np.asarray(cfg.c_grid, dtype=float)
+    c_grid = C_GRID.copy()  # the trace keeps its own
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
 
     Z = panel.stacked_white()

@@ -88,6 +88,17 @@ class TestEstimate:
                      "--out", str(tmp_path / "f.json")]) == 2
         assert "series 1: non-finite coefficient at time 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0,3.0\n4.0,abc,6.0\n", "line 2: could not convert string to float: 'abc'"),
+        ("# panel\n1.0,2.0,3.0\n4.0,5.0\n", "line 3: ragged CSV panel, 2 values where earlier rows have 3"),
+    ], ids=["non-numeric", "ragged"])
+    def test_malformed_csv_names_the_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        assert main(["estimate", "--panel", str(path), "--k", "1",
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_output_matches_in_process_fit(self, tmp_path, rng):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=8, T=30, seed=3))
         ppath = tmp_path / "p.json"
@@ -335,6 +346,33 @@ class TestForecastCommand:
         assert main(["forecast", "--mortality", str(mpath), "--horizon", "1"]) == 2
         err = capsys.readouterr().err
         assert f"line 3: rate must be finite, got {text!r}" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("01,1975,F,0,abc", "could not convert string to float: 'abc'"),
+        ("01,1975,F,x5,0.01", "invalid literal for int() with base 10: 'x5'"),
+        ("01,19x5,F,0,0.01", "invalid literal for int() with base 10: '19x5'"),
+    ], ids=["rate", "age", "year"])
+    def test_malformed_mortality_field_names_the_line(self, tmp_path, capsys, row, message):
+        mpath = tmp_path / "mort.csv"
+        mpath.write_text(f"prefecture_id,year,sex,age,rate\n01,1975,F,1,0.01\n{row}\n")
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "1"]) == 2
+        assert f"line 3: {message}" in capsys.readouterr().err
+
+    def test_header_only_mortality_rejected(self, tmp_path, capsys):
+        mpath = tmp_path / "mort.csv"
+        mpath.write_text("prefecture_id,year,sex,age,rate\n")
+        out = tmp_path / "table.csv"
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "1",
+                     "--out", str(out)]) == 2
+        assert "mortality CSV has no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_absent_sex_rejected(self, tmp_path, capsys):
+        mpath = tmp_path / "mort.csv"
+        write_synthetic_mortality(mpath, n_pref=2, n_years=20)
+        assert main(["forecast", "--mortality", str(mpath), "--sex", "X",
+                     "--horizon", "1"]) == 2
+        assert "no rows for --sex 'X'; the data has sexes ['F', 'M']" in capsys.readouterr().err
 
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",

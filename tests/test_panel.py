@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from hdffm import (
+    ForecastConfig,
     Panel,
     SpaceSpec,
+    build_bspline,
     center,
+    cf_forecast,
     functional_space,
     gram_matrix,
     load_panel,
@@ -15,6 +18,7 @@ from hdffm import (
     panel_to_dict,
     save_panel,
     scalar_space,
+    tnh_forecast,
 )
 from conftest import random_mixed_panel, random_spd
 
@@ -132,6 +136,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             Panel([scalar_space()], [np.zeros((1, 1))])
 
+    def test_no_series(self):
+        with pytest.raises(ValueError, match="at least one series"):
+            Panel([], [])
+
     def test_ragged_time(self):
         with pytest.raises(ValueError):
             Panel(
@@ -145,6 +153,60 @@ class TestValidation:
         coeffs[1][3, 2] = bad
         with pytest.raises(ValueError, match="series 1: non-finite coefficient at time 3"):
             Panel([scalar_space(), functional_space(3)], coeffs)
+
+
+def three_builds(spaces, blocks):
+    """The same coefficients through the blocks constructor and through
+    ``from_stacked`` of a row-major and of a column-major stacked matrix."""
+    X = np.ascontiguousarray(np.concatenate([np.asarray(b).T for b in blocks]))
+    return [Panel(spaces, blocks), Panel.from_stacked(spaces, X),
+            Panel.from_stacked(spaces, np.asfortranarray(X))]
+
+
+def same_bits(arrays_a, arrays_b):
+    return [a.tobytes() for a in arrays_a] == [b.tobytes() for b in arrays_b]
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("kind", ["functional", "scalar", "mixed"])
+    def test_constructors_agree_bitwise(self, rng, kind):
+        T = 30
+        if kind == "functional":
+            spaces = [functional_space(4, random_spd(rng, 4)) for _ in range(6)]
+        elif kind == "scalar":
+            spaces = [scalar_space()] * 6
+        else:
+            spaces = [scalar_space(), functional_space(3, random_spd(rng, 3)),
+                      scalar_space(), functional_space(5), scalar_space()]
+        blocks = [rng.standard_normal((T, s.dim)) + rng.uniform(-3, 3) for s in spaces]
+        first, *others = three_builds(spaces, blocks)
+        X = first.stacked_coeffs()
+        assert X.flags.f_contiguous
+        ref_means = center(first)[1]
+        ref_spectrum = first.gram_spectrum()
+        for panel in others:
+            Y = panel.stacked_coeffs()
+            assert Y.strides == X.strides and Y.tobytes("A") == X.tobytes("A")
+            assert same_bits(center(panel)[1], ref_means)
+            assert same_bits(panel.gram_spectrum()[:2], ref_spectrum[:2])
+            assert panel.gram_spectrum()[2] == ref_spectrum[2]
+
+    def test_forecasts_agree_bitwise_on_a_mortality_sized_panel(self):
+        # 47 series, 40 years, a 9-dim B-spline basis on ages 0..95
+        rng = np.random.default_rng(7)
+        N, T = 47, 40
+        space = build_bspline((0.0, 95.0), dim=9).space()
+        level = np.linspace(-8.0, -1.0, 9)
+        trend = np.cumsum(rng.standard_normal((T, 9)) * 0.05, axis=0)
+        blocks = [level + trend * rng.uniform(0.5, 1.5) + 0.02 * rng.standard_normal((T, 9))
+                  for _ in range(N)]
+        builds = three_builds([space] * N, blocks)
+        tnh = [tnh_forecast(p, ForecastConfig(horizon=3, fixed_r=2)).steps for p in builds]
+        cf = [cf_forecast(p, 3, 6).steps for p in builds]
+        for steps in tnh[1:]:
+            assert same_bits(steps, tnh[0])
+        for steps in cf[1:]:
+            assert same_bits(steps, cf[0])
 
 
 class TestPersistence:

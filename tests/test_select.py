@@ -14,6 +14,7 @@ from hdffm import (
     penalty,
     select_r_fixed,
 )
+from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, rank_k_panel
 
@@ -109,18 +110,10 @@ class TestAbcConfig:
         assert sizes[-1] == (100, 200)
         assert [n for n, _ in sizes] == sorted(n for n, _ in sizes)
 
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            AbcConfig(c_grid=(0.1, 0.2), subpanel_sizes=((5, 10),))
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            AbcConfig(c_grid=(0.0, 0.2, 0.2), subpanel_sizes=((5, 10),))
-
     def test_default_grid(self):
         cfg = AbcConfig.for_panel(50, 100)
-        assert len(cfg.c_grid) == 201
-        assert cfg.c_grid[0] == 0.0 and cfg.c_grid[-1] == pytest.approx(10.0)
+        assert len(C_GRID) == 201
+        assert C_GRID[0] == 0.0 and C_GRID[-1] == pytest.approx(10.0)
         assert cfg.k_max == 10 and cfg.P == 5
 
 
@@ -197,9 +190,10 @@ class TestAbcSelect:
         trace.save(jpath, manifest={"seed": 0})
         doc = json.loads(jpath.read_text())
         assert doc["r_hat_final"] == r
-        assert len(doc["r_hat_table"]) == len(cfg.c_grid)
+        assert doc["c_grid"] == C_GRID.tolist()
+        assert len(doc["r_hat_table"]) == len(trace.c_grid)
         cpath = tmp_path / "var.csv"
         trace.save_variance_csv(cpath)
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "c,var_p1,var_p2"
-        assert len(lines) == 1 + len(cfg.c_grid)
+        assert len(lines) == 1 + len(trace.c_grid)
