@@ -255,7 +255,7 @@ def _forecast_panel(panel, args, horizon: int, rng_seed: int = 0):
 
 def _mortality_rolling(args) -> int:
     records = load_mortality_csv(args.mortality)
-    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9)
+    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
     data = ingest_mortality(records, basis)
     if args.sex and args.sex not in data:
         raise ValueError(f"no rows for --sex {args.sex!r}; the data has sexes {sorted(data)}")

@@ -77,7 +77,7 @@ def build_bspline(domain: tuple, dim: int, order: int = 4) -> BSplineBasis:
         phi = BSpline.design_matrix(x, knots, order - 1).toarray()
         gram += phi.T @ (w[:, None] * phi)
     gram = 0.5 * (gram + gram.T)
-    return BSplineBasis((a, b), order, knots, dim, gram)
+    return BSplineBasis(domain=(a, b), order=order, knots=knots, dim=dim, gram=gram)
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,7 +99,7 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
             continue
         best = (bic, p, float(beta[0]), coefs, sigma2)
     _, p, intercept, coefs, sigma2 = best
-    return ArModel(p, intercept, coefs, sigma2)
+    return ArModel(order=p, intercept=intercept, coefficients=coefs, innovation_variance=sigma2)
 
 
 def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:

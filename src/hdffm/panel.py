@@ -155,16 +155,16 @@ class Panel:
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
         """Panel over a copy of a (total_dim, T) raw-coefficient matrix."""
         panel = cls.__new__(cls)
-        panel._init_stacked(tuple(spaces), stacked, copy=True)
+        panel._init_stacked(tuple(spaces), np.array(stacked, dtype=float, order="F"))
         return panel
 
-    def _init_stacked(self, spaces: tuple, stacked: np.ndarray, copy: bool | None = None) -> None:
-        """Validate and own ``stacked``, copied when ``copy`` is true or it is not a
-        column-major float array: one layout for every panel, so identical
-        numbers give identical sums (means, Grams) whichever constructor ran."""
-        stacked = np.array(stacked, dtype=float, order="F", copy=copy)
+    def _init_stacked(self, spaces: tuple, stacked: np.ndarray) -> None:
+        """Validate and own ``stacked``, copied only if it is not a column-major
+        float array: one layout for every panel, so identical numbers give
+        identical sums (means, Grams) whichever constructor ran."""
         if not spaces:
             raise ValueError("panel needs at least one series")
+        stacked = np.asarray(stacked, dtype=float, order="F")
         offsets = block_offsets(spaces)
         if stacked.ndim != 2 or stacked.shape[0] != offsets[-1]:
             raise ValueError(f"stacked coefficients have shape {stacked.shape}, "

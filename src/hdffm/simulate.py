@@ -102,8 +102,8 @@ def design_parameters(cfg: DgpConfig) -> tuple:
     """AR coefficients and loading matrix held fixed across replications.
 
     Draw order (from ``fixed_design_seed``): r uniforms on (-1, 1) for the
-    raw AR coefficients, then N*r uniforms on [0, 1], series by series, for
-    the loading triples.  The raw AR coefficients are rescaled so that
+    raw AR coefficients, then N*r uniforms on [0, 1] row-major for the
+    loading triples.  The raw AR coefficients are rescaled so that
     max_k |a_k| equals ``target_opnorm`` (the companion matrix of r
     independent AR(1) processes is diagonal, so its operator norm is
     max |a_k|); each loading row is rescaled to unit Euclidean norm.
@@ -121,7 +121,7 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     """Generate one panel draw and its ground truth.
 
     Draw order (from ``seed``): r*T standard normals for the factor paths
-    (factor by factor), then N*T*basis_dim standard normals for the
+    (row-major by factor), then N*T*basis_dim standard normals for the
     idiosyncratic coefficients.
     """
     a, b = design_parameters(cfg)
