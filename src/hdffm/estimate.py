@@ -138,7 +138,8 @@ def idiosyncratic_residual(panel: Panel, fit: FactorFit) -> Panel:
     """Panel minus its fitted common component, entrywise in coefficients."""
     if fit.T != panel.T or not spaces_match(fit.spaces, panel.spaces):
         raise ValueError("fit does not match panel shape")
-    return Panel.from_stacked(panel.spaces, panel.stacked_coeffs() - fit.b_tilde @ fit.factors)
+    xi = np.subtract(panel.stacked_coeffs(), fit.b_tilde @ fit.factors, order="F")
+    return Panel._adopt(panel.spaces, xi)
 
 
 def v_profile(eigenvalues: np.ndarray, trace: float, T: int, k_max: int) -> np.ndarray:

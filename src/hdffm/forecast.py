@@ -10,6 +10,9 @@ forecaster over expanding training windows (Hyndman & Ullah, 2007).
 
 The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
+``fit_ar_bic`` defines the fit of one series; the pipelines fit all their
+series at once with ``_ar_bic_forecasts``, which gives bitwise the same
+orders and forecasts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ from .panel import Panel, center, split_stacked, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
 _RADIUS_TOL = 1e-8
+# The batched AR-BIC screen (``_screen_orders``) takes this many bytes of lag
+# matrices at a time.  It leaves a row to ``fit_ar_bic`` when rounding could
+# overturn its choice: an R-diagonal ratio at or below _RANK_RTOL (rank
+# deficient), a rival BIC within the rounding of the RSS values (_SCREEN_RTOL,
+# ~1e4 eps per unit of conditioning), a companion radius within _RADIUS_MARGIN
+# of 1 + _RADIUS_TOL, or an RSS within _FLOOR_MARGIN times the exact-fit floor.
+_CHUNK_BYTES = 1 << 19
+_RANK_RTOL = 1e-8
+_SCREEN_RTOL = 1e-12
+_RADIUS_MARGIN = 1e-6
+_FLOOR_MARGIN = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +155,13 @@ class ForecastConfig:
 
 @dataclass(frozen=True, eq=False)
 class ForecastResult:
-    """Per-series forecasts (h, dim_i) plus how the factor count was chosen."""
+    """Per-series forecasts (h, dim_i), how the factor count was chosen, and
+    the BIC-chosen order of every AR series fitted (none for persistence)."""
 
     steps: tuple  # one (h, dim_i) array per series
     r: int
     trace: SelectionTrace | None
+    ar_orders: np.ndarray  # tnh: factors, then idiosyncratic rows; cf: scores, series by series
 
 
 def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
@@ -172,10 +188,10 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
         fit = fit_factors(centered, r)
     xi = idiosyncratic_residual(centered, fit).stacked_coeffs()
 
-    u_fc = _ar_bic_forecasts(fit.factors, cfg.p_max, cfg.horizon)
-    xi_fc = _ar_bic_forecasts(xi, cfg.p_max, cfg.horizon)
-    stacked = np.concatenate(means)[:, None] + fit.b_tilde @ u_fc + xi_fc  # (total_dim, h)
-    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=r, trace=trace)
+    fc, orders = _ar_bic_forecasts(np.concatenate([fit.factors, xi]), cfg.p_max, cfg.horizon)
+    stacked = np.concatenate(means)[:, None] + fit.b_tilde @ fc[:r] + fc[r:]  # (total_dim, h)
+    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=r, trace=trace,
+                          ar_orders=orders)
 
 
 def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> ForecastResult:
@@ -194,22 +210,123 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
         raise ValueError(f"n_components={n_components} exceeds series dimension {min(panel.dims)}")
     centered, means = center(panel)
     white = centered.stacked_white()  # Euclidean geometry
-    z_fc = np.empty((panel.total_dim, h))
+    bases, scores = [], []
     for a, b in zip(panel.offsets[:-1], panel.offsets[1:]):
         zw = white[a:b]  # (dim, T)
         _, vecs = np.linalg.eigh(zw @ zw.T / panel.T)
         vecs = vecs[:, ::-1][:, :n_components]
-        z_fc[a:b] = vecs @ _ar_bic_forecasts(vecs.T @ zw, p_max, h)
+        bases.append(vecs)
+        scores.append(vecs.T @ zw)
+    fc, orders = _ar_bic_forecasts(np.concatenate(scores), p_max, h)
+    z_fc = np.concatenate([vecs @ f for vecs, f in zip(bases, np.split(fc, panel.N))])
     stacked = np.concatenate(means)[:, None] + whiten_stacked(panel.spaces, z_fc, inverse=True)
-    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=n_components, trace=None)
+    return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=n_components, trace=None,
+                          ar_orders=orders)
 
 
-def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> np.ndarray:
-    """(rows, h) AR-BIC forecasts for steps 1..h of every row of ``series``."""
-    out = np.empty((len(series), h))
-    for j, y in enumerate(series):
-        out[j] = ar_forecast(fit_ar_bic(y, p_max), y, h)
-    return out
+def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
+    """AR-BIC forecasts for steps 1..h of every row of a (rows, T) matrix.
+
+    Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
+    those of ``fit_ar_bic`` and ``ar_forecast`` row by row.  A QR screen
+    (``_screen_orders``) picks each row's order; the row then gets
+    ``fit_ar_bic``'s own ``lstsq`` fit of that order alone.  Rows the screen
+    cannot settle go through ``fit_ar_bic`` itself.  The forecast recursion
+    runs over all rows of one order at once, in ``ar_forecast``'s operation
+    order.
+    """
+    Y = np.asarray(series, dtype=float)
+    rows, T = Y.shape
+    if T < 3 * (p_max + 2):
+        raise ValueError(f"series of length {T} too short for p_max={p_max}")
+    t_eff = T - p_max
+    orders = np.empty(rows, dtype=int)
+    beta = np.zeros((rows, p_max + 1))  # intercept, then coefficients
+    chunk = max(1, _CHUNK_BYTES // (8 * t_eff * (p_max + 2)))
+    for lo in range(0, rows, chunk):
+        # [1, y_{t-1} ... y_{t-p_max} | y_t] over the common effective sample
+        Yc = Y[lo : lo + chunk]
+        A = np.ones((len(Yc), t_eff, p_max + 2))
+        for j in range(1, p_max + 1):
+            A[:, :, j] = Yc[:, p_max - j : T - j]
+        A[:, :, -1] = Yc[:, p_max:]
+        for i, p in enumerate(_screen_orders(A), start=lo):
+            if p < 0:
+                model = fit_ar_bic(Y[i], p_max)
+                p = model.order
+                beta[i, 0], beta[i, 1 : p + 1] = model.intercept, model.coefficients
+            else:
+                beta[i, : p + 1] = np.linalg.lstsq(A[i - lo, :, : p + 1], A[i - lo, :, -1],
+                                                   rcond=None)[0]
+            orders[i] = p
+    out = np.empty((rows, h))
+    for p in np.unique(orders):
+        group = orders == p
+        hist = np.empty((np.count_nonzero(group), p + h))  # last p values, then the steps
+        hist[:, :p] = Y[group, T - p :]
+        for step in range(p, p + h):
+            val = beta[group, 0].copy()
+            for j in range(p):
+                val += beta[group, 1 + j] * hist[:, step - 1 - j]
+            hist[:, step] = val
+        out[group] = hist[:, p:]
+    return out, orders
+
+
+def _screen_orders(A: np.ndarray) -> np.ndarray:
+    """AR-BIC order of every row of a (rows, t_eff, p_max + 2) stack of
+    augmented lag matrices, or -1 where rounding could make ``fit_ar_bic``
+    choose differently.
+
+    One QR of the stack gives every order at once: order p regresses on the
+    first p + 1 columns, so its RSS is the sum of squares of R's last column
+    below row p, and its coefficients solve the leading (p + 1) triangle.
+    The choice is ``fit_ar_bic``'s: the first BIC minimum among the orders
+    whose companion radius is below 1 + 1e-8.  A row is left unsettled when
+    its lag matrix is rank deficient, an RSS lies near the exact-fit floor
+    (where ``fit_ar_bic`` switches to -inf BIC), a radius lies near the
+    threshold, or another candidate's BIC lies within the rounding margin of
+    the winner's.
+    """
+    rows, t_eff, k = A.shape
+    n_orders = k - 1
+    R = np.linalg.qr(A, mode="r")
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))[:, :n_orders]
+    dmin, dmax = diag.min(axis=1), diag.max(axis=1)
+    rank_deficient = dmin <= _RANK_RTOL * dmax
+    cond = dmax / np.maximum(dmin, _RANK_RTOL * dmax)
+    tail = np.cumsum(R[:, ::-1, -1] ** 2, axis=1)[:, ::-1]  # tail[:, i] = sum_{l >= i} R[l, -1]^2
+    rss = tail[:, 1:]  # (rows, n_orders): order p leaves rows p + 1.. of R's last column
+    floor = 1e-24 * np.maximum(tail[:, 0], 1e-30 * t_eff)  # fit_ar_bic's rss_floor
+    near_floor = (rss <= _FLOOR_MARGIN * floor[:, None]).any(axis=1)
+    rss = np.maximum(rss, floor[:, None])
+    bic = t_eff * np.log(rss / t_eff) + np.arange(2, k + 1) * np.log(t_eff)
+    norm_a = np.sqrt((R**2).sum(axis=(1, 2)))
+    margin = t_eff * _SCREEN_RTOL * cond[:, None] * (norm_a[:, None] / np.sqrt(rss) + cond[:, None])
+
+    # coefficients of every order, with rank-deficient rows masked out of the solves
+    Rs = np.where(rank_deficient[:, None, None], np.eye(k), R)
+    near_radius = np.zeros(rows, dtype=bool)
+    for p in range(1, n_orders):
+        coefs = np.linalg.solve(Rs[:, : p + 1, : p + 1], Rs[:, : p + 1, -1:])[:, 1:, 0]
+        # sum |c| <= 0.99 keeps every root within 0.99**(1 / p) < 0.998 (Cauchy's
+        # bound), so only the other rows need their companion eigenvalues
+        radius = np.abs(coefs).sum(axis=1)
+        loose = radius > 0.99
+        if loose.any():
+            comp = np.zeros((np.count_nonzero(loose), p, p))
+            comp[:, 0] = coefs[loose]
+            comp[:, 1:, :-1] = np.eye(p - 1)
+            radius[loose] = np.abs(np.linalg.eigvals(comp)).max(axis=1)
+        bic[radius >= 1.0 + _RADIUS_TOL, p] = np.inf
+        near_radius |= np.abs(radius - (1.0 + _RADIUS_TOL)) <= _RADIUS_MARGIN
+
+    best = np.argmin(bic, axis=1)  # first minimum: ties go to the smaller order
+    idx = np.arange(rows)
+    rivals = np.abs(bic - bic[idx, best][:, None]) <= margin + margin[idx, best][:, None]
+    rivals[idx, best] = False
+    unsettled = rank_deficient | near_floor | near_radius | rivals.any(axis=1)
+    return np.where(unsettled, -1, best)
 
 
 def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, forecaster,
@@ -240,4 +357,4 @@ def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, fo
 def persistence_forecast(panel: Panel, h: int) -> ForecastResult:
     """Naive baseline: repeat the last observation at every step."""
     steps = tuple(np.repeat(c[-1][None, :], h, axis=0) for c in panel.coeffs)
-    return ForecastResult(steps=steps, r=0, trace=None)
+    return ForecastResult(steps=steps, r=0, trace=None, ar_orders=np.zeros(0, dtype=int))

@@ -149,13 +149,25 @@ class Panel:
             if blocks and block.shape[0] != blocks[0].shape[0]:
                 raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
             blocks.append(block)
-        self._init_stacked(spaces, np.hstack(blocks).T if blocks else np.empty((0, 0)))
+        # one column-major copy, filled block by block whatever the blocks' layout
+        offsets = block_offsets(spaces)
+        stacked = np.empty((offsets[-1], blocks[0].shape[0] if blocks else 0), order="F")
+        for a, b, block in zip(offsets[:-1], offsets[1:], blocks):
+            stacked[a:b] = block.T
+        self._init_stacked(spaces, stacked)
 
     @classmethod
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
         """Panel over a copy of a (total_dim, T) raw-coefficient matrix."""
+        return cls._adopt(spaces, np.array(stacked, dtype=float, order="F"))
+
+    @classmethod
+    def _adopt(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
+        """Panel that takes ownership of ``stacked`` (made read-only), without a
+        copy when it is a column-major float array; only for arrays the caller
+        has just computed and holds no other reference to."""
         panel = cls.__new__(cls)
-        panel._init_stacked(tuple(spaces), np.array(stacked, dtype=float, order="F"))
+        panel._init_stacked(tuple(spaces), stacked)
         return panel
 
     def _init_stacked(self, spaces: tuple, stacked: np.ndarray) -> None:
@@ -247,7 +259,8 @@ def center(panel: Panel) -> tuple:
     """
     X = panel.stacked_coeffs()
     mu = X.mean(axis=1)
-    return Panel.from_stacked(panel.spaces, X - mu[:, None]), split_stacked(panel.offsets, mu)
+    # X is column-major, and so is the difference the new panel adopts
+    return Panel._adopt(panel.spaces, X - mu[:, None]), split_stacked(panel.offsets, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.forecast import companion_radius
+from hdffm.forecast import _ar_bic_forecasts, _screen_orders, companion_radius
 from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
 from conftest import random_mixed_panel
 
@@ -110,6 +110,113 @@ class TestFitArBicOracle:
             assert np.array_equal(m.coefficients, coefs)
             if kind in ("constant", "geometric"):
                 assert m.order == 0
+
+
+def scalar_ar_bic_forecasts(Y, p_max, h):
+    """(rows, h) forecasts and (rows,) orders of ``fit_ar_bic`` + ``ar_forecast``, row by row."""
+    models = [fit_ar_bic(y, p_max) for y in Y]
+    fc = np.array([ar_forecast(m, y, h) for m, y in zip(models, Y)]).reshape(len(Y), h)
+    return fc, np.array([m.order for m in models], dtype=int)
+
+
+def random_ar_rows(rng, n, T):
+    """n rows of AR(q), q = 0..5 at random, stationary roots, random level."""
+    rows = []
+    for _ in range(n):
+        q = int(rng.integers(0, 6))
+        poly = np.poly(rng.uniform(-0.95, 0.95, q)) if q else [1.0]
+        rows.append(rng.normal(0.0, 3.0) + lfilter([1.0], poly, rng.standard_normal(T + 100))[100:])
+    return np.array(rows)
+
+
+def near_tie_rows(T=120, p_max=3, n=64):
+    """Rows e + a u for the n floats a around where fit_ar_bic's order flips:
+    there two orders' BIC values agree to rounding."""
+    e = np.random.default_rng(11).standard_normal(T)
+    u = ar_burn_in_draw(0.9, 1.0, T, seed=12)
+
+    def order(a):
+        return fit_ar_bic(e + a * u, p_max).order
+
+    lo, hi = 0.0, 1.0
+    assert order(lo) != order(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if order(mid) == order(lo) else (lo, mid)
+    a = lo
+    for _ in range(n // 2):
+        a = np.nextafter(a, -np.inf)
+    rows = []
+    for _ in range(n):
+        rows.append(e + a * u)
+        a = np.nextafter(a, np.inf)
+    return np.array(rows)
+
+
+def degenerate_rows(T):
+    t = np.arange(T, dtype=float)
+    return np.array([np.full(T, 2.5), np.zeros(T), 1.05**t, 3.0 - 0.5 * t])
+
+
+class TestBatchedArBic:
+    """``_ar_bic_forecasts`` against the scalar path: same orders, same bits."""
+
+    @staticmethod
+    def assert_agrees(Y, p_max, h):
+        fc, orders = _ar_bic_forecasts(Y, p_max, h)
+        want_fc, want_orders = scalar_ar_bic_forecasts(Y, p_max, h)
+        assert orders.dtype.kind == "i" and orders.tolist() == want_orders.tolist()
+        assert fc.shape == (len(Y), h) and fc.tobytes() == want_fc.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_ar_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            p_max = int(rng.integers(0, 6))
+            T = int(rng.integers(max(21, 3 * (p_max + 2)), 401))
+            self.assert_agrees(random_ar_rows(rng, 25, T), p_max, int(rng.integers(1, 6)))
+
+    def test_several_chunks(self, rng):
+        # 150 rows of T=300 span more than one screening chunk
+        self.assert_agrees(random_ar_rows(rng, 150, 300), 5, 3)
+
+    def test_near_unit_root_rows(self, rng):
+        T = 200
+        eps = rng.standard_normal((6, T))
+        rows = [np.cumsum(eps[0]), np.cumsum(np.cumsum(eps[1])) / T]
+        for i, phi in enumerate([0.999, 0.9999999, 1.0, 1.02]):
+            y = np.empty(T)
+            y[0] = eps[2 + i, 0]
+            for t in range(1, T):
+                y[t] = phi * y[t - 1] + eps[2 + i, t]
+            rows.append(y)
+        for p_max in (1, 3, 5):
+            self.assert_agrees(np.array(rows), p_max, 4)
+
+    @pytest.mark.parametrize("p_max", [0, 2, 5])
+    def test_degenerate_rows_take_the_scalar_path(self, rng, p_max):
+        T = 60
+        Y = np.concatenate([degenerate_rows(T), random_ar_rows(rng, 3, T)])
+        self.assert_agrees(Y, p_max, 3)
+        A = np.ones((len(Y), T - p_max, p_max + 2))
+        for j in range(1, p_max + 1):
+            A[:, :, j] = Y[:, p_max - j : T - j]
+        A[:, :, -1] = Y[:, p_max:]
+        # exact fits; with p_max=0 only the constant and zero rows are exact
+        assert (_screen_orders(A)[: 4 if p_max else 2] == -1).all()
+
+    def test_near_tie(self):
+        Y = near_tie_rows()
+        assert len(set(scalar_ar_bic_forecasts(Y, 3, 2)[1])) == 2  # the rows straddle the flip
+        self.assert_agrees(Y, 3, 2)
+
+    def test_empty(self):
+        fc, orders = _ar_bic_forecasts(np.zeros((0, 30)), 3, 2)
+        assert fc.shape == (0, 2) and orders.shape == (0,)
+
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="too short"):
+            _ar_bic_forecasts(np.zeros((2, 10)), 5, 1)
 
 
 class TestArForecast:
@@ -223,6 +330,17 @@ class TestTnhForecast:
         with pytest.raises(ValueError):
             ForecastConfig(horizon=0)
 
+    def test_ar_orders(self):
+        from hdffm import center, fit_factors, idiosyncratic_residual
+
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=17))
+        res = tnh_forecast(panel, ForecastConfig(horizon=2, p_max=3, fixed_r=2))
+        centered, _ = center(panel)
+        fit = fit_factors(centered, 2)
+        rows = np.concatenate([fit.factors, idiosyncratic_residual(centered, fit).stacked_coeffs()])
+        assert res.ar_orders.tolist() == [fit_ar_bic(y, 3).order for y in rows]
+        assert len(res.ar_orders) == 2 + panel.total_dim
+
 
 class TestCfForecast:
     def test_constant_series(self):
@@ -251,6 +369,14 @@ class TestCfForecast:
         b = tnh.steps[0][0]
         scale = max(np.abs(b).max(), 1e-3)
         assert np.abs(a - b).max() < 0.05 * scale
+
+    def test_ar_orders(self, rng):
+        panel = random_mixed_panel(rng, N=3, T=40, scalar_prob=0.0, max_dim=3)
+        k = min(panel.dims)
+        res = cf_forecast(panel, 2, n_components=k, p_max=2)
+        assert res.ar_orders.shape == (panel.N * k,) and res.ar_orders.dtype.kind == "i"
+        assert set(res.ar_orders.tolist()) <= {0, 1, 2}
+        assert persistence_forecast(panel, 2).ar_orders.shape == (0,)
 
     def test_too_many_components(self, rng):
         panel = random_mixed_panel(rng, N=2, T=40, scalar_prob=0.0, max_dim=3)

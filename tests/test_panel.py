@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hdffm import (
     build_bspline,
     center,
     cf_forecast,
+    fit_factors,
     functional_space,
     gram_matrix,
+    idiosyncratic_residual,
     load_panel,
     load_scalar_csv,
     panel_from_dict,
@@ -167,6 +170,23 @@ def same_bits(arrays_a, arrays_b):
     return [a.tobytes() for a in arrays_a] == [b.tobytes() for b in arrays_b]
 
 
+def peak_bytes(fn, *args):
+    """(result, peak bytes allocated while ``fn(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mixed_spaces(rng, kind):
+    if kind == "functional":
+        return [functional_space(4, random_spd(rng, 4)) for _ in range(6)]
+    return [scalar_space(), functional_space(3, random_spd(rng, 3)),
+            scalar_space(), functional_space(5), scalar_space()]
+
+
 class TestStackedLayout:
     @pytest.mark.parametrize("kind", ["functional", "scalar", "mixed"])
     def test_constructors_agree_bitwise(self, rng, kind):
@@ -190,6 +210,34 @@ class TestStackedLayout:
             assert same_bits(center(panel)[1], ref_means)
             assert same_bits(panel.gram_spectrum()[:2], ref_spectrum[:2])
             assert panel.gram_spectrum()[2] == ref_spectrum[2]
+
+    @pytest.mark.parametrize("kind", ["functional", "mixed"])
+    def test_fortran_blocks_take_one_copy(self, rng, kind):
+        T = 2000
+        spaces = mixed_spaces(rng, kind)
+        blocks = [rng.standard_normal((T, s.dim)) for s in spaces]
+        ref = Panel.from_stacked(spaces, np.concatenate([b.T for b in blocks])).stacked_coeffs()
+        panel, peak = peak_bytes(Panel, spaces, [np.asfortranarray(b) for b in blocks])
+        X = panel.stacked_coeffs()
+        assert X.strides == ref.strides and X.tobytes("A") == ref.tobytes("A")
+        assert X.base is None  # the panel's own buffer, not a view into a temporary
+        assert peak < 1.5 * X.nbytes
+
+    @pytest.mark.parametrize("kind", ["functional", "mixed"])
+    def test_derived_panels_keep_values_and_layout(self, rng, kind):
+        T = 2000
+        spaces = mixed_spaces(rng, kind)
+        panel = Panel(spaces, [rng.standard_normal((T, s.dim)) + 2.0 for s in spaces])
+        X = panel.stacked_coeffs()
+        (centered, _), peak = peak_bytes(center, panel)
+        want = Panel.from_stacked(spaces, X - X.mean(axis=1)[:, None]).stacked_coeffs()
+        C = centered.stacked_coeffs()
+        assert C.strides == want.strides and C.tobytes("A") == want.tobytes("A")
+        assert peak < 1.5 * C.nbytes  # the difference itself becomes the panel's matrix
+        fit = fit_factors(centered, 2)
+        xi = idiosyncratic_residual(centered, fit).stacked_coeffs()
+        want = Panel.from_stacked(spaces, C - fit.b_tilde @ fit.factors).stacked_coeffs()
+        assert xi.strides == want.strides and xi.tobytes("A") == want.tobytes("A")
 
     def test_forecasts_agree_bitwise_on_a_mortality_sized_panel(self):
         # 47 series, 40 years, a 9-dim B-spline basis on ages 0..95
