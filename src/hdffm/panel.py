@@ -149,12 +149,12 @@ class Panel:
             if blocks and block.shape[0] != blocks[0].shape[0]:
                 raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
             blocks.append(block)
-        # one column-major copy, filled block by block whatever the blocks' layout
-        offsets = block_offsets(spaces)
-        stacked = np.empty((offsets[-1], blocks[0].shape[0] if blocks else 0), order="F")
-        for a, b, block in zip(offsets[:-1], offsets[1:], blocks):
-            stacked[a:b] = block.T
-        self._init_stacked(spaces, stacked)
+        # one copy whatever the blocks' layout: a row-major (T, D) array is the
+        # column-major (D, T) matrix the panel keeps
+        stacked = np.empty((blocks[0].shape[0] if blocks else 0, sum(s.dim for s in spaces)))
+        if blocks:
+            np.concatenate(blocks, axis=1, out=stacked)
+        self._init_stacked(spaces, stacked.T)
 
     @classmethod
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
