@@ -15,7 +15,8 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.forecast import _ar_bic_forecasts, _screen_orders, companion_radius
+from hdffm import forecast
+from hdffm.forecast import _ar_bic_forecasts, companion_radius
 from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
 from conftest import random_mixed_panel
 
@@ -194,16 +195,21 @@ class TestBatchedArBic:
             self.assert_agrees(np.array(rows), p_max, 4)
 
     @pytest.mark.parametrize("p_max", [0, 2, 5])
-    def test_degenerate_rows_take_the_scalar_path(self, rng, p_max):
+    def test_degenerate_rows_take_the_scalar_path(self, rng, monkeypatch, p_max):
         T = 60
         Y = np.concatenate([degenerate_rows(T), random_ar_rows(rng, 3, T)])
-        self.assert_agrees(Y, p_max, 3)
-        A = np.ones((len(Y), T - p_max, p_max + 2))
-        for j in range(1, p_max + 1):
-            A[:, :, j] = Y[:, p_max - j : T - j]
-        A[:, :, -1] = Y[:, p_max:]
+        scalar_rows = set()
+
+        def recording_fit(y, p):
+            scalar_rows.add(y.tobytes())
+            return fit_ar_bic(y, p)
+
+        monkeypatch.setattr(forecast, "fit_ar_bic", recording_fit)
+        _ar_bic_forecasts(Y, p_max, 3)
+        monkeypatch.undo()
         # exact fits; with p_max=0 only the constant and zero rows are exact
-        assert (_screen_orders(A)[: 4 if p_max else 2] == -1).all()
+        assert {y.tobytes() for y in Y[: 4 if p_max else 2]} <= scalar_rows
+        self.assert_agrees(Y, p_max, 3)
 
     def test_near_tie(self):
         Y = near_tie_rows()
