@@ -23,6 +23,7 @@ import numpy as np
 
 from .panel import (
     Panel,
+    _minus,
     block_offsets,
     space_from_dict,
     space_to_dict,
@@ -138,8 +139,7 @@ def idiosyncratic_residual(panel: Panel, fit: FactorFit) -> Panel:
     """Panel minus its fitted common component, entrywise in coefficients."""
     if fit.T != panel.T or not spaces_match(fit.spaces, panel.spaces):
         raise ValueError("fit does not match panel shape")
-    xi = np.subtract(panel.stacked_coeffs(), fit.b_tilde @ fit.factors, order="F")
-    return Panel._adopt(panel.spaces, xi)
+    return _minus(panel, fit.b_tilde @ fit.factors)
 
 
 def v_profile(eigenvalues: np.ndarray, trace: float, T: int, k_max: int) -> np.ndarray:

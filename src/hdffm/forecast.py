@@ -32,7 +32,8 @@ _RADIUS_TOL = 1e-8
 # overturn its choice: an R-diagonal ratio at or below _RANK_RTOL (rank
 # deficient), a rival BIC within the rounding of the RSS values (_SCREEN_RTOL,
 # ~1e4 eps per unit of conditioning), a companion radius within _RADIUS_MARGIN
-# of 1 + _RADIUS_TOL, or an RSS within _FLOOR_MARGIN times the exact-fit floor.
+# plus the square root of that rounding of 1 + _RADIUS_TOL, or an RSS within
+# _FLOOR_MARGIN times the exact-fit floor.
 _CHUNK_BYTES = 1 << 19
 _RANK_RTOL = 1e-8
 _SCREEN_RTOL = 1e-12
@@ -302,7 +303,11 @@ def _screen_orders(A: np.ndarray) -> np.ndarray:
     rss = np.maximum(rss, floor[:, None])
     bic = t_eff * np.log(rss / t_eff) + np.arange(2, k + 1) * np.log(t_eff)
     norm_a = np.sqrt((R**2).sum(axis=(1, 2)))
-    margin = t_eff * _SCREEN_RTOL * cond[:, None] * (norm_a[:, None] / np.sqrt(rss) + cond[:, None])
+    rel = _SCREEN_RTOL * cond[:, None] * (norm_a[:, None] / np.sqrt(rss) + cond[:, None])
+    margin = t_eff * rel
+    # these coefficients and fit_ar_bic's (lstsq) agree to about ``rel``, and a
+    # repeated root near 1 magnifies that to its square root in the radius
+    radius_margin = _RADIUS_MARGIN + np.sqrt(rel)
 
     # coefficients of every order, with rank-deficient rows masked out of the solves
     Rs = np.where(rank_deficient[:, None, None], np.eye(k), R)
@@ -319,7 +324,7 @@ def _screen_orders(A: np.ndarray) -> np.ndarray:
             comp[:, 1:, :-1] = np.eye(p - 1)
             radius[loose] = np.abs(np.linalg.eigvals(comp)).max(axis=1)
         bic[radius >= 1.0 + _RADIUS_TOL, p] = np.inf
-        near_radius |= np.abs(radius - (1.0 + _RADIUS_TOL)) <= _RADIUS_MARGIN
+        near_radius |= np.abs(radius - (1.0 + _RADIUS_TOL)) <= radius_margin[:, p]
 
     best = np.argmin(bic, axis=1)  # first minimum: ties go to the smaller order
     idx = np.arange(rows)

@@ -149,12 +149,7 @@ class Panel:
             if blocks and block.shape[0] != blocks[0].shape[0]:
                 raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
             blocks.append(block)
-        # one copy whatever the blocks' layout: a row-major (T, D) array is the
-        # column-major (D, T) matrix the panel keeps
-        stacked = np.empty((blocks[0].shape[0] if blocks else 0, sum(s.dim for s in spaces)))
-        if blocks:
-            np.concatenate(blocks, axis=1, out=stacked)
-        self._init_stacked(spaces, stacked.T)
+        self._init_stacked(spaces, np.hstack(blocks).T if blocks else np.empty((0, 0)))
 
     @classmethod
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":
@@ -257,10 +252,14 @@ def center(panel: Panel) -> tuple:
     Returns the centered panel and the removed means: a tuple holding one
     (dim_i,) mean vector per series.
     """
-    X = panel.stacked_coeffs()
-    mu = X.mean(axis=1)
-    # X is column-major, and so is the difference the new panel adopts
-    return Panel._adopt(panel.spaces, X - mu[:, None]), split_stacked(panel.offsets, mu)
+    mu = panel.stacked_coeffs().mean(axis=1)
+    return _minus(panel, mu[:, None]), split_stacked(panel.offsets, mu)
+
+
+def _minus(panel: Panel, M: np.ndarray) -> Panel:
+    """Panel of ``panel``'s stacked coefficients minus ``M`` (broadcast), which
+    adopts the difference it computes in the panel's layout instead of copying it."""
+    return Panel._adopt(panel.spaces, np.subtract(panel.stacked_coeffs(), M, order="F"))
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,9 @@ def random_ar_rows(rng, n, T):
     return np.array(rows)
 
 
-def near_tie_rows(T=120, p_max=3, n=64):
-    """Rows e + a u for the n floats a around where fit_ar_bic's order flips:
-    there two orders' BIC values agree to rounding."""
-    e = np.random.default_rng(11).standard_normal(T)
-    u = ar_burn_in_draw(0.9, 1.0, T, seed=12)
+def flip_rows(e, u, p_max, n=64):
+    """Rows e + a u for the n floats a around where fit_ar_bic's order flips
+    as a goes from 0 to 1."""
 
     def order(a):
         return fit_ar_bic(e + a * u, p_max).order
@@ -152,6 +150,50 @@ def near_tie_rows(T=120, p_max=3, n=64):
         rows.append(e + a * u)
         a = np.nextafter(a, np.inf)
     return np.array(rows)
+
+
+def near_tie_rows(T=120, p_max=3):
+    """Rows where two orders' BIC values agree to rounding."""
+    e = np.random.default_rng(11).standard_normal(T)
+    return flip_rows(e, ar_burn_in_draw(0.9, 1.0, T, seed=12), p_max)
+
+
+def radius_flip_rows(seed, T=100):
+    """Random walks whose last value runs over the floats where the AR(1)
+    candidate's companion radius crosses 1 + 1e-8: fit_ar_bic drops it as
+    explosive there, and the order flips from 1 to 0."""
+    e = np.cumsum(np.random.default_rng(seed).standard_normal(T))
+    lags = np.column_stack([np.ones(T - 1), e[:-1]])
+    coef = np.linalg.lstsq(lags, e[1:], rcond=None)[0][1]
+    slope = np.linalg.lstsq(lags, np.eye(T - 1)[-1], rcond=None)[0][1]  # d coef / d e[-1]
+    u = np.zeros(T)
+    u[-1] = 2 * (1 - coef) / slope  # a = 1 takes the coefficient to 2 - coef > 1
+    return flip_rows(e, u, 1)
+
+
+def trending_rows(rng, T, n=10):
+    """Rows near a (repeated) unit root: linear and quadratic trends plus noise
+    of scale 1e-6..1, I(2) paths with drift and random walks at a high level."""
+    t = np.arange(T, dtype=float)
+    rows = []
+    for _ in range(n):
+        e = rng.standard_normal(T)
+        a = 10 ** rng.uniform(-6, 0)
+        rows += [rng.uniform(-5, 5) + rng.uniform(0.1, 3) * t + a * e,
+                 1 + 0.01 * t**2 + a * e,
+                 np.cumsum(np.cumsum(e)) + rng.uniform(1, 100) * t,
+                 10 ** rng.uniform(2, 6) + np.cumsum(e)]
+    return np.array(rows)
+
+
+def order_radii(y, p_max):
+    """Companion radius of ``fit_ar_bic``'s least-squares fit of each order 1..p_max."""
+    T = y.size
+    lags = np.ones((T - p_max, p_max + 1))
+    for j in range(1, p_max + 1):
+        lags[:, j] = y[p_max - j : T - j]
+    return np.array([companion_radius(np.linalg.lstsq(lags[:, : p + 1], y[p_max:], rcond=None)[0][1:])
+                     for p in range(1, p_max + 1)])
 
 
 def degenerate_rows(T):
@@ -194,6 +236,17 @@ class TestBatchedArBic:
         for p_max in (1, 3, 5):
             self.assert_agrees(np.array(rows), p_max, 4)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trending_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        for p_max in (1, 3, 5):
+            Y = trending_rows(rng, int(rng.integers(40, 201)))
+            # most rows have an order whose companion radius is within 1e-2 of 1,
+            # chosen or dropped as explosive
+            near_one = [np.abs(order_radii(y, p_max) - 1).min() < 1e-2 for y in Y]
+            assert np.mean(near_one) >= 0.5
+            self.assert_agrees(Y, p_max, 3)
+
     @pytest.mark.parametrize("p_max", [0, 2, 5])
     def test_degenerate_rows_take_the_scalar_path(self, rng, monkeypatch, p_max):
         T = 60
@@ -215,6 +268,12 @@ class TestBatchedArBic:
         Y = near_tie_rows()
         assert len(set(scalar_ar_bic_forecasts(Y, 3, 2)[1])) == 2  # the rows straddle the flip
         self.assert_agrees(Y, 3, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_explosive_flip(self, seed):
+        Y = radius_flip_rows(seed)
+        assert set(scalar_ar_bic_forecasts(Y, 1, 2)[1]) == {0, 1}
+        self.assert_agrees(Y, 1, 2)
 
     def test_empty(self):
         fc, orders = _ar_bic_forecasts(np.zeros((0, 30)), 3, 2)

@@ -212,19 +212,6 @@ class TestStackedLayout:
             assert panel.gram_spectrum()[2] == ref_spectrum[2]
 
     @pytest.mark.parametrize("kind", ["functional", "mixed"])
-    def test_fortran_blocks_take_one_copy(self, rng, kind):
-        T = 2000
-        spaces = mixed_spaces(rng, kind)
-        blocks = [rng.standard_normal((T, s.dim)) for s in spaces]
-        ref = Panel.from_stacked(spaces, np.concatenate([b.T for b in blocks])).stacked_coeffs()
-        panel, peak = peak_bytes(Panel, spaces, [np.asfortranarray(b) for b in blocks])
-        X = panel.stacked_coeffs()
-        assert X.strides == ref.strides and X.tobytes("A") == ref.tobytes("A")
-        buffer = X if X.base is None else X.base
-        assert buffer.base is None and buffer.nbytes == X.nbytes  # one buffer, the matrix's own
-        assert peak < 1.5 * X.nbytes
-
-    @pytest.mark.parametrize("kind", ["functional", "mixed"])
     def test_derived_panels_keep_values_and_layout(self, rng, kind):
         T = 2000
         spaces = mixed_spaces(rng, kind)
