@@ -28,8 +28,8 @@ from .estimate import (
     fit_to_dict,
     goodness_of_fit,
 )
-from .fbasis import AGE_GRID, build_bspline, ingest_mortality, load_mortality_csv
-from .forecast import ForecastConfig, cf_forecast, rolling_origin_eval, tnh_forecast
+from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
+from .forecast import ForecastConfig, _min_length, cf_forecast, rolling_origin_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
 from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed
@@ -254,6 +254,8 @@ def _forecast_panel(panel, args, horizon: int, rng_seed: int = 0):
 
 
 def _mortality_rolling(args) -> int:
+    if not 0 <= args.eval_age_max <= GROUP_AGE:
+        raise ValueError(f"--eval-age-max must lie in 0..{GROUP_AGE}, got {args.eval_age_max}")
     records = load_mortality_csv(args.mortality)
     basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
     data = ingest_mortality(records, basis)
@@ -263,7 +265,8 @@ def _mortality_rolling(args) -> int:
     table_rows = []
     for sex in [args.sex] if args.sex else sorted(data):
         md = data[sex]
-        delta_min = args.delta_min or max(md.panel.T - 16, 3 * (args.p_max + 2))
+        delta_min = (max(md.panel.T - 16, _min_length(args.p_max)) if args.delta_min is None
+                     else args.delta_min)
         # _forecast_panel is looked up per call: one call per origin is one op
         rows = rolling_origin_eval(
             md.panel, md.log_rates[:, :, : args.eval_age_max + 1], design,

@@ -63,14 +63,40 @@ class ArModel:
 
 def companion_radius(coefs: np.ndarray) -> float:
     """Spectral radius of the companion matrix of an AR coefficient vector."""
-    p = len(coefs)
+    return float(_companion_radii(np.asarray(coefs, dtype=float).reshape(1, -1))[0])
+
+
+def _companion_radii(coefs: np.ndarray) -> np.ndarray:
+    """Spectral radii of the companion matrices of the rows of a (rows, p) matrix."""
+    rows, p = coefs.shape
     if p == 0:
-        return 0.0
-    comp = np.zeros((p, p))
-    comp[0] = coefs
-    if p > 1:
-        comp[1:, :-1] = np.eye(p - 1)
-    return float(np.abs(np.linalg.eigvals(comp)).max())
+        return np.zeros(rows)
+    comp = np.zeros((rows, p, p))
+    comp[:, 0] = coefs
+    comp[:, 1:, :-1] = np.eye(p - 1)
+    return np.abs(np.linalg.eigvals(comp)).max(axis=1)
+
+
+def _min_length(p_max: int) -> int:
+    """Shortest series that AR-BIC fits of orders 0..p_max accept: three
+    observations per parameter of the largest model (p_max coefficients,
+    intercept, innovation variance)."""
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
+    return 3 * (p_max + 2)
+
+
+def _lag_matrices(Y: np.ndarray, p_max: int) -> np.ndarray:
+    """(rows, T - p_max, p_max + 2) stack of the augmented lag matrices
+    [1, y_{t-1} ... y_{t-p_max} | y_t] of the rows of a (rows, T) matrix, over
+    the common effective sample t = p_max..T-1.  Order p regresses the last
+    column on the first p + 1."""
+    rows, T = Y.shape
+    A = np.ones((rows, T - p_max, p_max + 2))
+    for j in range(1, p_max + 1):
+        A[:, :, j] = Y[:, p_max - j : T - j]
+    A[:, :, -1] = Y[:, p_max:]
+    return A
 
 
 def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
@@ -86,16 +112,13 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
     """
     y = np.asarray(series, dtype=float).ravel()
     T = y.size
-    if T < 3 * (p_max + 2):
+    if T < _min_length(p_max):
         raise ValueError(f"series of length {T} too short for p_max={p_max}")
     t_eff = T - p_max
-    target = y[p_max:]
+    lags = _lag_matrices(y[None], p_max)[0]
+    target = lags[:, -1]
     # below this, residual sums of squares are pure roundoff (exact fits)
     rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
-    # [1 | y_{t-1} ... y_{t-p_max}]; order p is fitted on its first p + 1 columns
-    lags = np.ones((t_eff, p_max + 1))
-    for j in range(1, p_max + 1):
-        lags[:, j] = y[p_max - j : T - j]
     best = None
     for p in range(p_max + 1):
         X = lags[:, : p + 1]
@@ -124,16 +147,23 @@ def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
         raise ValueError(f"need at least {model.order} past values, got {history.size}")
     if h < 1:
         raise ValueError("h must be >= 1")
-    buf = list(history[len(history) - model.order :]) if model.order else []
-    out = np.empty(h)
-    for step in range(h):
-        val = model.intercept
-        for j in range(model.order):
-            val += model.coefficients[j] * buf[-1 - j]
-        out[step] = val
-        if model.order:
-            buf.append(val)
-    return out
+    beta = np.concatenate([[model.intercept], model.coefficients])
+    return _iterate_ar(beta[None], history[None, history.size - model.order :], h)[0]
+
+
+def _iterate_ar(beta: np.ndarray, last: np.ndarray, h: int) -> np.ndarray:
+    """Plug-in forecasts for steps 1..h of rows sharing one AR order p: beta
+    (rows, p + 1) holds each row's intercept, then its coefficients; last
+    (rows, p) its p most recent values, oldest first."""
+    rows, p = last.shape
+    hist = np.empty((rows, p + h))  # last p values, then the steps
+    hist[:, :p] = last
+    for step in range(p, p + h):
+        val = beta[:, 0].copy()
+        for j in range(p):
+            val += beta[:, 1 + j] * hist[:, step - 1 - j]
+        hist[:, step] = val
+    return hist[:, p:]
 
 
 @dataclass(frozen=True)
@@ -174,7 +204,7 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
     then recompose mean + loadings @ factor forecasts + idiosyncratic
     forecasts in coefficient form.
     """
-    if 3 * (cfg.p_max + 2) > panel.T:
+    if _min_length(cfg.p_max) > panel.T:
         raise ValueError(f"p_max={cfg.p_max} too large for T={panel.T}")
     centered, means = center(panel)
     r, trace = cfg.fixed_r, None
@@ -205,10 +235,11 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
     """
     if h < 1:
         raise ValueError("h must be >= 1")
-    if 3 * (p_max + 2) > panel.T:
+    if _min_length(p_max) > panel.T:
         raise ValueError(f"p_max={p_max} too large for T={panel.T}")
-    if n_components > min(panel.dims):
-        raise ValueError(f"n_components={n_components} exceeds series dimension {min(panel.dims)}")
+    if not 1 <= n_components <= min(panel.dims):
+        raise ValueError(f"n_components={n_components} out of range 1..{min(panel.dims)} "
+                         "(the smallest series dimension)")
     centered, means = center(panel)
     white = centered.stacked_white()  # Euclidean geometry
     bases, scores = [], []
@@ -233,24 +264,19 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     (``_screen_orders``) picks each row's order; the row then gets
     ``fit_ar_bic``'s own ``lstsq`` fit of that order alone.  Rows the screen
     cannot settle go through ``fit_ar_bic`` itself.  The forecast recursion
-    runs over all rows of one order at once, in ``ar_forecast``'s operation
-    order.
+    (``_iterate_ar``, which ``ar_forecast`` runs on one row) runs over all
+    rows of one order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
-    if T < 3 * (p_max + 2):
+    if T < _min_length(p_max):
         raise ValueError(f"series of length {T} too short for p_max={p_max}")
     t_eff = T - p_max
     orders = np.empty(rows, dtype=int)
     beta = np.zeros((rows, p_max + 1))  # intercept, then coefficients
     chunk = max(1, _CHUNK_BYTES // (8 * t_eff * (p_max + 2)))
     for lo in range(0, rows, chunk):
-        # [1, y_{t-1} ... y_{t-p_max} | y_t] over the common effective sample
-        Yc = Y[lo : lo + chunk]
-        A = np.ones((len(Yc), t_eff, p_max + 2))
-        for j in range(1, p_max + 1):
-            A[:, :, j] = Yc[:, p_max - j : T - j]
-        A[:, :, -1] = Yc[:, p_max:]
+        A = _lag_matrices(Y[lo : lo + chunk], p_max)
         for i, p in enumerate(_screen_orders(A), start=lo):
             if p < 0:
                 model = fit_ar_bic(Y[i], p_max)
@@ -263,14 +289,7 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     out = np.empty((rows, h))
     for p in np.unique(orders):
         group = orders == p
-        hist = np.empty((np.count_nonzero(group), p + h))  # last p values, then the steps
-        hist[:, :p] = Y[group, T - p :]
-        for step in range(p, p + h):
-            val = beta[group, 0].copy()
-            for j in range(p):
-                val += beta[group, 1 + j] * hist[:, step - 1 - j]
-            hist[:, step] = val
-        out[group] = hist[:, p:]
+        out[group] = _iterate_ar(beta[group, : p + 1], Y[group, T - p :], h)
     return out, orders
 
 
@@ -319,10 +338,7 @@ def _screen_orders(A: np.ndarray) -> np.ndarray:
         radius = np.abs(coefs).sum(axis=1)
         loose = radius > 0.99
         if loose.any():
-            comp = np.zeros((np.count_nonzero(loose), p, p))
-            comp[:, 0] = coefs[loose]
-            comp[:, 1:, :-1] = np.eye(p - 1)
-            radius[loose] = np.abs(np.linalg.eigvals(comp)).max(axis=1)
+            radius[loose] = _companion_radii(coefs[loose])
         bic[radius >= 1.0 + _RADIUS_TOL, p] = np.inf
         near_radius |= np.abs(radius - (1.0 + _RADIUS_TOL)) <= radius_margin[:, p]
 
@@ -345,6 +361,8 @@ def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, fo
     (N, T, grid) array ``actual``.
     """
     T = panel.T
+    if delta_min < 2:
+        raise ValueError(f"delta_min={delta_min} must be >= 2: a training window needs T >= 2")
     if delta_min >= T:
         raise ValueError(f"no rolling origins: delta_min={delta_min} >= T={T}")
     X = panel.stacked_coeffs()

@@ -60,16 +60,21 @@ def _r_hat_profile(v: np.ndarray, g: float, c_grid: np.ndarray, k_max: int) -> n
     return np.argmin(ic, axis=1) + 1
 
 
-def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
-    """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
+    """argmin_k of IC(c, k) on the full panel for every c in the grid, read
+    from the panel's cached Gram spectrum."""
     if not 1 <= k_max <= min(panel.total_dim, panel.T):
         raise ValueError(f"k_max={k_max} out of range for this panel")
     vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
-    g = penalty(kind, panel.N, panel.T)
-    return int(_r_hat_profile(v, g, np.asarray([c], dtype=float), k_max)[0])
+    return _r_hat_profile(v, penalty(kind, panel.N, panel.T), c_grid, k_max)
+
+
+def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
+    """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    return int(_full_panel_profile(panel, np.asarray([c], dtype=float), kind, k_max)[0])
 
 
 def nested_subpanel_sizes(N: int, T: int, J: int = 10) -> tuple:
@@ -204,6 +209,9 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
     if sizes[-1] != (panel.N, panel.T):
         raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({panel.N}, {panel.T})")
+    for n_j, t_j in sizes:
+        if not 1 <= n_j <= panel.N or not 2 <= t_j <= panel.T:
+            raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
     c_grid = C_GRID.copy()  # the trace keeps its own
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
 
@@ -212,6 +220,9 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     dims = np.diff(off)
 
     r_table = np.zeros((I, J, P), dtype=int)
+    # the last subpanel is the full panel whatever the permutation: its
+    # column comes from the panel's own spectrum, the one the fit reads
+    r_table[:, -1, :] = _full_panel_profile(panel, c_grid, kind, k_max)[:, None]
     permutations = []
     for p in range(P):
         rng = np.random.default_rng(cfg.rng_seed + p)
@@ -221,9 +232,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
         # at each N_j; the T_j x T_j Gram is the leading block of S_n / n.
         S = np.zeros((panel.T, panel.T))
         done = 0
-        for j, (n_j, t_j) in enumerate(sizes):
-            if not 1 <= n_j <= panel.N or not 2 <= t_j <= panel.T:
-                raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
+        for j, (n_j, t_j) in enumerate(sizes[:-1]):
             if n_j > done:
                 block = np.concatenate([Z[off[i] : off[i + 1]] for i in perm[done:n_j]], axis=0)
                 S += block.T @ block

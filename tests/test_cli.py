@@ -373,6 +373,20 @@ class TestForecastCommand:
         assert main(["forecast", "--mortality", str(mpath), "--sex", "X",
                      "--horizon", "1"]) == 2
         assert "no rows for --sex 'X'; the data has sexes ['F', 'M']" in capsys.readouterr().err
+        # flags out of range exit 2 as well, before any forecast is scored
+        for flags, message in [
+            (["--method", "cf", "--n-components", "-1"], "n_components=-1 out of range 1..9"),
+            (["--method", "cf", "--n-components", "0"], "n_components=0 out of range 1..9"),
+            (["--method", "cf", "--p-max", "-1"], "p_max must be >= 0"),
+            (["--method", "cf", "--p-max", "-1", "--delta-min", "12"], "p_max must be >= 0"),
+            (["--eval-age-max", "-5"], "--eval-age-max must lie in 0..95, got -5"),
+            (["--eval-age-max", "200"], "--eval-age-max must lie in 0..95, got 200"),
+            (["--delta-min", "0"], "delta_min=0 must be >= 2"),
+            (["--delta-min", "-3"], "delta_min=-3 must be >= 2"),
+        ]:
+            assert main(["forecast", "--mortality", str(mpath), "--sex", "F", "--horizon", "1",
+                         "--p-max", "2", *flags]) == 2, flags
+            assert message in capsys.readouterr().err
 
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",

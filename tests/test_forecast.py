@@ -501,9 +501,9 @@ class TestRollingOriginEval:
         # grid points 1 and 2 scale the h=1 errors above by 1 and 2
         assert rows == [(1, (10 + 20) / 8, (34 + 136) / 8)]
 
-    @pytest.mark.parametrize("delta_min", [5, 6])
+    @pytest.mark.parametrize("delta_min", [5, 6, 1, 0, -3])
     def test_no_origin_rejected(self, delta_min):
         panel, x = self.scalar_panel()
-        with pytest.raises(ValueError, match="no rolling origins"):
+        with pytest.raises(ValueError, match="no rolling origins|must be >= 2"):
             rolling_origin_eval(panel, x[:, :, None], np.ones((1, 1)), persistence_forecast,
                                 horizon=1, delta_min=delta_min)

@@ -8,15 +8,30 @@ from hdffm import (
     AbcConfig,
     Panel,
     abc_select_r,
+    build_bspline,
     goodness_of_fit,
     ic_value,
     nested_subpanel_sizes,
     penalty,
+    scalar_space,
     select_r_fixed,
 )
 from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, rank_k_panel
+
+
+def mixed_bspline_panel():
+    """Two factors loaded on scalar series and on 6-dim B-spline series
+    (non-identity Gram), plus noise."""
+    rng = np.random.default_rng(17)
+    N, T, d = 16, 50, 6
+    U = rng.standard_normal((2, T))
+    bspline = build_bspline((0.0, 1.0), dim=d).space()
+    spaces = [scalar_space() if i % 3 == 0 else bspline for i in range(N)]
+    coeffs = [U.T @ rng.standard_normal((2, s.dim)) + 0.3 * rng.standard_normal((T, s.dim))
+              for s in spaces]
+    return Panel(spaces, coeffs)
 
 
 class TestPenalty:
@@ -162,6 +177,28 @@ class TestAbcSelect:
         _, trace = abc_select_r(panel, cfg, "IC2a")
         full = trace.r_hat_table[:, -1, :]
         assert np.all(full == full[:, :1])
+
+    @pytest.mark.parametrize("make_panel", [
+        lambda: gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=9))[0], mixed_bspline_panel,
+    ], ids=["dgp1", "mixed_bspline"])
+    def test_full_panel_column_is_the_fixed_c_selection(self, monkeypatch, make_panel):
+        # the full-panel column reads the panel's own spectrum: only the J - 1
+        # proper subpanels of each permutation make an eigvalsh call
+        panel = make_panel()
+        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=6, P=3)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _, trace = abc_select_r(panel, cfg, "IC2a")
+        monkeypatch.undo()
+        assert len(calls) == cfg.P * (len(cfg.subpanel_sizes) - 1)
+        for i, c in enumerate(C_GRID):
+            r = select_r_fixed(panel, float(c), "IC2a", cfg.k_max)
+            assert trace.r_hat_table[i, -1].tolist() == [r] * cfg.P
 
     def test_variance_zero_kmax_at_c0(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=21))
