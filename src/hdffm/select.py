@@ -201,10 +201,12 @@ def _second_plateau(runs: list, k_max: int) -> tuple | None:
 def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     """Tuned selection of the number of factors.
 
-    For each permutation p, selects r on every (c, subpanel) pair, locates
-    the second zero-variance plateau of the variance-over-subpanels profile,
-    evaluates r at the plateau's middle c on the full panel, and returns the
-    lower median across permutations together with the full trace.
+    For each permutation p, selects r on every (c, subpanel) pair (the last
+    subpanel, the full panel, is the fixed-c selection on the panel's own
+    Gram spectrum for every p), locates the second zero-variance plateau of
+    the variance-over-subpanels profile, evaluates r at the plateau's middle
+    c on the full panel, and returns the lower median across permutations
+    together with the full trace.
     """
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
     if sizes[-1] != (panel.N, panel.T):
