@@ -20,6 +20,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields
 
+import numpy as np
+
 from . import __version__
 from .estimate import (
     RankDeficientError,
@@ -48,6 +50,9 @@ SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
 # the select-r flags' defaults, which a bench spec's "select" object shares
 SELECT_METHODS = ("abc", "fixed")
 SELECT_DEFAULTS = {"method": "abc", "c": 1.0, "kind": IC2A, "k_max": 10, "P": 5, "seed": 0}
+# documented defaults of forecast flags whose None default marks them as not given
+N_COMPONENTS = 6
+EVAL_AGE_MAX = 89
 
 
 def _manifest(command: str, args: dict) -> dict:
@@ -277,10 +282,14 @@ def _mortality_rolling(args) -> int:
             table_rows.append([sex, h, args.method, repr(mafe), repr(msfe)])
             print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
+        # every flag that can change the table (delta_min null: the per-sex default)
         manifest = _manifest("forecast", {
-            "mortality": str(args.mortality), "method": args.method,
-            "horizon": args.horizon, "seed": args.seed,
+            "mortality": str(args.mortality), "sex": args.sex, "method": args.method,
+            "horizon": args.horizon, "seed": args.seed, "fixed_r": args.fixed_r,
+            "n_components": args.n_components, "p_max": args.p_max,
+            "delta_min": args.delta_min, "eval_age_max": args.eval_age_max,
         })
+        manifest["numpy"] = np.__version__
         _write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows, manifest)
     return EXIT_OK
 
@@ -290,6 +299,18 @@ def cmd_forecast(args) -> int:
         raise ValueError("horizon must be >= 1")
     if bool(args.mortality) == bool(args.panel):
         raise ValueError("provide exactly one of --panel or --mortality")
+    for flag, value, mode, applies in [
+            ("--sex", args.sex, "--mortality", args.mortality),
+            ("--delta-min", args.delta_min, "--mortality", args.mortality),
+            ("--eval-age-max", args.eval_age_max, "--mortality", args.mortality),
+            ("--fixed-r", args.fixed_r, "--method tnh", args.method == "tnh"),
+            ("--n-components", args.n_components, "--method cf", args.method == "cf")]:
+        if value is not None and not applies:
+            raise ValueError(f"{flag} applies only to {mode}")
+    if args.method == "cf" and args.n_components is None:
+        args.n_components = N_COMPONENTS
+    if args.mortality and args.eval_age_max is None:
+        args.eval_age_max = EVAL_AGE_MAX
     if args.mortality:
         return _mortality_rolling(args)
     panel = _load_panel_arg(args.panel)
@@ -354,16 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="forecast a panel or a mortality CSV")
     p.add_argument("--panel", default=None)
     p.add_argument("--mortality", default=None, help="mortality-rate CSV")
-    p.add_argument("--sex", default=None)
+    p.add_argument("--sex", default=None, help="one sex's rows (mortality mode; default: all)")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--method", choices=["tnh", "cf"], default="tnh")
-    p.add_argument("--fixed-r", type=int, default=None)
-    p.add_argument("--n-components", type=int, default=6)
+    p.add_argument("--fixed-r", type=int, default=None, help="factor count (tnh; default: tuned)")
+    p.add_argument("--n-components", type=int, default=None,
+                   help=f"score series per curve (cf; default {N_COMPONENTS})")
     p.add_argument("--p-max", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta-min", type=int, default=None,
                    help="first rolling-origin training length (mortality mode)")
-    p.add_argument("--eval-age-max", type=int, default=89)
+    p.add_argument("--eval-age-max", type=int, default=None,
+                   help=f"oldest age scored (mortality mode; default {EVAL_AGE_MAX})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_forecast)
     return parser

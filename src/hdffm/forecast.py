@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .metrics import mafe_msfe
-from .panel import Panel, center, split_stacked, whiten_stacked
+from .panel import Panel, center, lstsq_stack, split_stacked, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
 _RADIUS_TOL = 1e-8
@@ -261,11 +261,11 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
     those of ``fit_ar_bic`` and ``ar_forecast`` row by row.  A QR screen
-    (``_screen_orders``) picks each row's order; the row then gets
-    ``fit_ar_bic``'s own ``lstsq`` fit of that order alone.  Rows the screen
-    cannot settle go through ``fit_ar_bic`` itself.  The forecast recursion
-    (``_iterate_ar``, which ``ar_forecast`` runs on one row) runs over all
-    rows of one order at once.
+    (``_screen_orders``) picks each row's order; the rows of one order then
+    get ``fit_ar_bic``'s ``lstsq`` fit of that order from one ``lstsq_stack``
+    call.  Rows the screen cannot settle go through ``fit_ar_bic`` itself.
+    The forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on
+    one row) runs over all rows of one order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
@@ -277,15 +277,15 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     chunk = max(1, _CHUNK_BYTES // (8 * t_eff * (p_max + 2)))
     for lo in range(0, rows, chunk):
         A = _lag_matrices(Y[lo : lo + chunk], p_max)
-        for i, p in enumerate(_screen_orders(A), start=lo):
-            if p < 0:
-                model = fit_ar_bic(Y[i], p_max)
-                p = model.order
-                beta[i, 0], beta[i, 1 : p + 1] = model.intercept, model.coefficients
-            else:
-                beta[i, : p + 1] = np.linalg.lstsq(A[i - lo, :, : p + 1], A[i - lo, :, -1],
-                                                   rcond=None)[0]
-            orders[i] = p
+        screened = _screen_orders(A)
+        for i in np.flatnonzero(screened < 0) + lo:
+            model = fit_ar_bic(Y[i], p_max)
+            orders[i] = p = model.order
+            beta[i, 0], beta[i, 1 : p + 1] = model.intercept, model.coefficients
+        for p in np.unique(screened[screened >= 0]):
+            group = np.flatnonzero(screened == p)
+            beta[lo + group, : p + 1] = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])[0]
+            orders[lo + group] = p
     out = np.empty((rows, h))
     for p in np.unique(orders):
         group = orders == p

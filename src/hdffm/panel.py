@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 SCALAR = "scalar"
 FUNCTIONAL = "functional"
@@ -121,6 +122,26 @@ def whiten_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray, inverse: bo
             rows = np.linalg.solve(spec.chol.T, rows) if inverse else spec.chol.T @ rows
         out.append(rows)
     return np.concatenate(out, axis=0)
+
+
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Least-squares solutions and ranks of the problems a[i] x = b[i] of a
+    (..., m, n) and a (..., m) stack, which broadcast: bitwise those of
+    ``np.linalg.lstsq(a[i], b[i], rcond=None)`` one at a time (one LAPACK
+    ``gelsd`` per slice), without its per-call cost."""
+    m, n = a.shape[-2:]
+    # numpy 2 has one gufunc; numpy 1.x splits it into lstsq_m (m <= n) and lstsq_n
+    gufunc = getattr(_umath_linalg, "lstsq", None) or getattr(
+        _umath_linalg, "lstsq_m" if m <= n else "lstsq_n")
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x, _, rank, _ = gufunc(a, b[..., None], np.finfo(float).eps * max(m, n),
+                               signature="ddd->ddid")
+    return x[..., 0], rank
 
 
 class Panel:

@@ -388,6 +388,42 @@ class TestForecastCommand:
                          "--p-max", "2", *flags]) == 2, flags
             assert message in capsys.readouterr().err
 
+    def test_manifest_names_every_flag(self, tmp_path):
+        mpath = tmp_path / "mort.csv"
+        write_synthetic_mortality(mpath, n_pref=2, n_years=20)
+        lines = []
+        for r in ("1", "2"):
+            out = tmp_path / f"r{r}.csv"
+            assert main(["forecast", "--mortality", str(mpath), "--sex", "F", "--horizon", "1",
+                         "--p-max", "2", "--fixed-r", r, "--out", str(out)]) == 0
+            lines.append(out.read_text().split("\n", 1)[0])
+        assert lines[0] != lines[1]
+        manifest = json.loads(lines[0].removeprefix("# manifest: "))
+        assert manifest["args"] == {
+            "mortality": str(mpath), "sex": "F", "method": "tnh", "horizon": 1, "seed": 0,
+            "fixed_r": 1, "n_components": None, "p_max": 2, "delta_min": None,
+            "eval_age_max": 89,
+        }
+        assert manifest["numpy"] == np.__version__
+
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("--panel", ["--fixed-r", "3", "--sex", "Q", "--delta-min", "-7", "--eval-age-max", "500"],
+         "--sex applies only to --mortality"),
+        ("--panel", ["--eval-age-max", "89"], "--eval-age-max applies only to --mortality"),
+        ("--panel", ["--method", "cf", "--fixed-r", "3"], "--fixed-r applies only to --method tnh"),
+        ("--panel", ["--n-components", "3"], "--n-components applies only to --method cf"),
+        ("--mortality", ["--method", "cf", "--fixed-r", "2"],
+         "--fixed-r applies only to --method tnh"),
+    ], ids=["mortality-flags", "default-value", "cf-fixed-r", "tnh-n-components", "mortality-cf"])
+    def test_flag_outside_its_mode_rejected(self, tmp_path, capsys, mode, flags, message):
+        path = tmp_path / "input"
+        if mode == "--panel":
+            save_panel(gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=12))[0], path)
+        else:
+            write_synthetic_mortality(path, n_pref=2, n_years=20)
+        assert main(["forecast", mode, str(path), "--horizon", "1", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_both_inputs_rejected(self, tmp_path):
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",
                      "--horizon", "1"]) == 2

@@ -1,8 +1,12 @@
+import importlib.util
+import os
+import re
 from collections import defaultdict
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from hdffm import (
@@ -13,6 +17,7 @@ from hdffm import (
     load_mortality_csv,
     project_curve,
 )
+from hdffm import fbasis
 from hdffm.fbasis import AGE_GRID, GROUP_AGE
 
 
@@ -49,6 +54,33 @@ class TestBuildBspline:
             build_bspline((0.0, 1.0), dim=3, order=4)
         with pytest.raises(ValueError):
             build_bspline((1.0, 0.0), dim=6, order=4)
+
+
+def scipy_gram(basis):
+    """build_bspline's Gram quadrature, on scipy's design matrices."""
+    nodes, weights = np.polynomial.legendre.leggauss(basis.order)
+    breaks = np.unique(basis.knots)
+    gram = np.zeros((basis.dim, basis.dim))
+    for u0, u1 in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (u1 - u0)
+        w = half * weights
+        phi = BSpline.design_matrix(half * nodes + 0.5 * (u0 + u1), basis.knots,
+                                    basis.order - 1).toarray()
+        gram += phi.T @ (w[:, None] * phi)
+    return 0.5 * (gram + gram.T)
+
+
+class TestDeBoorMatchesScipy:
+    def test_design_and_gram_bitwise(self):
+        rng = np.random.default_rng(0)
+        points = [AGE_GRID, np.linspace(0.0, 95.0, 1001), np.sort(rng.uniform(0.0, 95.0, 500))]
+        for order in range(2, 7):
+            for dim in range(order, 16):  # dim == order: no interior knots
+                basis = build_bspline((0.0, 95.0), dim=dim, order=order)
+                for x in points:
+                    want = BSpline.design_matrix(x, basis.knots, order - 1).toarray()
+                    assert np.array_equal(basis.evaluate(x), want), (dim, order, x.size)
+                assert np.array_equal(basis.gram, scipy_gram(basis)), (dim, order)
 
 
 class TestProjectCurve:
@@ -273,3 +305,102 @@ class TestIngestErrors:
         recs = synth_records(rate_fn=lambda p, y, s, a: -1.0 if (p, a) in ((1, 60), (1, 70)) else 0.01)
         with pytest.raises(ValueError, match=r"\('F', '1', 2000\): nonpositive rate -1.0 at age 60"):
             ingest_mortality(recs, basis9)
+
+
+class TestIngestOldAgeMean:
+    def test_every_count_of_old_ages(self, basis9):
+        # curve p gives p + 1 of the ages 95..111, in shuffled order: the 95+ mean
+        # sums them in the order they first appear, for every count
+        rng = np.random.default_rng(11)
+        recs = []
+        for p in range(17):
+            for year in (2000, 2001):
+                recs += [(str(p), year, "F", age, 0.001 + 1e-4 * age) for age in range(GROUP_AGE)]
+                recs += [(str(p), year, "F", int(age), float(rng.uniform(0.1, 0.9)))
+                         for age in rng.permutation(np.arange(95, 112))[: p + 1]]
+        recs += [("16", 2000, "F", 100, 0.5), ("3", 2001, "F", 111, None)]  # repeats: the last wins
+        recs = [recs[i] for i in rng.permutation(len(recs))]
+        (log_rates, coeffs), = reference_ingest(recs, basis9).values()
+        got = ingest_mortality(recs, basis9)["F"]
+        assert np.array_equal(got.log_rates, log_rates)
+        assert np.array_equal(np.stack(got.panel.coeffs), coeffs)
+
+
+def assert_same_records(a, b):
+    assert (a.prefectures, a.sexes) == (b.prefectures, b.sexes)
+    for name in ("pref", "year", "sex", "age", "rate"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+
+
+def line_loader(path):
+    return fbasis._as_records(fbasis._read_csv_rows(path))
+
+
+HEADER = "prefecture_id,year,sex,age,rate"
+# 110+, empty rates, a repeated key (empty, then given) and ids sorting "10" < "9"
+ROWS = ["9,1975,F,0,0.0123", "9,1975,F,1,", "9,1975,F,110+,0.5", "9,1975,F,1,4e-3",
+        "10,1976,M,0,1E-3", "10,1975,M,2,.25", "01,1975,F,0,0.01"]
+LOADER_CORPUS = {  # name: (file text, read a column at a time)
+    "header": (HEADER + "\n" + "\n".join(ROWS) + "\n", True),
+    "no_header": ("\n".join(ROWS), True),
+    "crlf": (HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n", True),
+    "blank_lines": (HEADER + "\n\n" + "\n\n".join(ROWS) + "\n\n", True),
+    "comment_rows": ("# note\n" + HEADER + "\n#9,1975,F,3,0.1\n" + "\n".join(ROWS), False),
+    "padded_fields": (HEADER + "\n 9 , 1975 ,F, 3 , 0.01 \n" + "\n".join(ROWS), False),
+    "quoted_fields": (HEADER + '\n"9","1975","F","3","0.01"\n' + "\n".join(ROWS), False),
+    "extra_columns": (HEADER + ",note\n" + "\n".join(r + ",x" for r in ROWS), False),
+    "long_prefecture": ("a" * 20 + ",1975,F,0,0.01\n" + "\n".join(ROWS), False),
+    # the line reader skips any row whose first field is a header word
+    "header_word_row": ("\n".join(ROWS) + "\nPrefecture,1975,F,3,0.5\n", False),
+}
+
+
+class TestPlainLoader:
+    @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+    def test_matches_line_loader(self, tmp_path, name):
+        text, plain = LOADER_CORPUS[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert (fbasis._load_plain_csv(path) is not None) == plain
+        assert_same_records(load_mortality_csv(path), line_loader(path))
+
+    @pytest.mark.parametrize("row, message", [
+        ("01,1975,F,0,abc", "line 3: could not convert string to float: 'abc'"),
+        ("01,1975,F,0,inf", "line 3: rate must be finite, got 'inf'"),
+        ("01,1975,F,x5,0.01", "line 3: invalid literal for int() with base 10: 'x5'"),
+        ("01,19x5,F,0,0.01", "line 3: invalid literal for int() with base 10: '19x5'"),
+        ("01,1975,F,0", "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4"),
+        ("01,99999999999999999999,F,0,0.01", "year or age out of range"),
+    ])
+    def test_bad_field_named_either_way(self, tmp_path, row, message):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\n01,1975,F,1,0.01\n{row}\n01,1975,F,2,0.01\n")
+        assert fbasis._load_plain_csv(path) is None
+        for load in (load_mortality_csv, line_loader):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load(path)
+
+
+def load_perfbench_tables():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "mortality_csv.py")
+    spec = importlib.util.spec_from_file_location("perfbench_mortality_csv", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfbenchTables:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_loaders_and_ingest_match_references(self, tmp_path, basis9, seed):
+        # the benchmark's generator and seeds, 8 of its 47 prefectures
+        path = tmp_path / "m.csv"
+        load_perfbench_tables().write_csv(path, seed, n_pref=8)
+        records = fbasis._load_plain_csv(path)
+        rows = fbasis._read_csv_rows(path)
+        assert_same_records(records, fbasis._as_records(rows))
+        want = reference_ingest(rows, basis9)
+        got = ingest_mortality(records, basis9)
+        for sex, (log_rates, coeffs) in want.items():
+            assert np.array_equal(got[sex].log_rates, log_rates)
+            assert np.array_equal(np.stack(got[sex].panel.coeffs), coeffs)

@@ -23,6 +23,8 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
+from hdffm.forecast import _lag_matrices
+from hdffm.panel import lstsq_stack
 from conftest import random_mixed_panel, random_spd
 
 
@@ -276,3 +278,25 @@ class TestPersistence:
         p = load_scalar_csv(path)
         assert p.N == 2 and p.T == 3
         assert p.coeffs[1][2, 0] == 6.0
+
+
+class TestLstsqStack:
+    def test_broadcast_design(self, rng):
+        design = build_bspline((0.0, 95.0), dim=9).evaluate(np.arange(96.0))
+        curves = rng.standard_normal((40, 96))
+        x, rank = lstsq_stack(design, curves)
+        assert x.shape == (40, 9) and rank.shape == (40,)
+        for i, curve in enumerate(curves):
+            want, _, want_rank, _ = np.linalg.lstsq(design, curve, rcond=None)
+            assert np.array_equal(x[i], want) and rank[i] == want_rank
+
+    def test_ar_lag_stacks_of_every_order(self, rng):
+        Y = rng.standard_normal((60, 40)).cumsum(axis=1)
+        Y[7] = 2.5  # constant: its lag matrices have rank 1
+        A = _lag_matrices(Y, 5)
+        for p in range(6):
+            x, rank = lstsq_stack(A[:, :, : p + 1], A[:, :, -1])
+            assert rank[7] == 1 and (np.delete(rank, 7) == p + 1).all()
+            for i in range(len(Y)):
+                want, _, want_rank, _ = np.linalg.lstsq(A[i, :, : p + 1], A[i, :, -1], rcond=None)
+                assert np.array_equal(x[i], want) and rank[i] == want_rank, (p, i)
