@@ -59,6 +59,7 @@ from .fbasis import (
     BSplineBasis,
     GriddedCurve,
     MortalityData,
+    MortalityRecords,
     build_bspline,
     ingest_mortality,
     load_mortality_csv,
