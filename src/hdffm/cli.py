@@ -53,6 +53,7 @@ SELECT_DEFAULTS = {"method": "abc", "c": 1.0, "kind": IC2A, "k_max": 10, "P": 5,
 # documented defaults of forecast flags whose None default marks them as not given
 N_COMPONENTS = 6
 EVAL_AGE_MAX = 89
+SEED = 0
 
 
 def _manifest(command: str, args: dict) -> dict:
@@ -304,11 +305,14 @@ def cmd_forecast(args) -> int:
             ("--delta-min", args.delta_min, "--mortality", args.mortality),
             ("--eval-age-max", args.eval_age_max, "--mortality", args.mortality),
             ("--fixed-r", args.fixed_r, "--method tnh", args.method == "tnh"),
-            ("--n-components", args.n_components, "--method cf", args.method == "cf")]:
+            ("--n-components", args.n_components, "--method cf", args.method == "cf"),
+            ("--seed", args.seed, "--method tnh", args.method == "tnh")]:
         if value is not None and not applies:
             raise ValueError(f"{flag} applies only to {mode}")
     if args.method == "cf" and args.n_components is None:
         args.n_components = N_COMPONENTS
+    if args.method == "tnh" and args.seed is None:
+        args.seed = SEED
     if args.mortality and args.eval_age_max is None:
         args.eval_age_max = EVAL_AGE_MAX
     if args.mortality:
@@ -382,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-components", type=int, default=None,
                    help=f"score series per curve (cf; default {N_COMPONENTS})")
     p.add_argument("--p-max", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the tuned selection (tnh; default {SEED})")
     p.add_argument("--delta-min", type=int, default=None,
                    help="first rolling-origin training length (mortality mode)")
     p.add_argument("--eval-age-max", type=int, default=None,

@@ -142,12 +142,18 @@ def idiosyncratic_residual(panel: Panel, fit: FactorFit) -> Panel:
     return _minus(panel, fit.b_tilde @ fit.factors)
 
 
-def v_profile(eigenvalues: np.ndarray, trace: float, T: int, k_max: int) -> np.ndarray:
-    """V(k) for k = 0..k_max from Gram eigenvalues (negatives as 0): (trace - sum_{l<=k} lam_l)/T."""
-    if k_max > eigenvalues.size:
-        raise ValueError(f"k_max={k_max} exceeds number of eigenvalues {eigenvalues.size}")
-    csum = np.concatenate([[0.0], np.cumsum(np.clip(eigenvalues[:k_max], 0.0, None))])
-    return np.clip(trace - csum, 0.0, None) / T
+def v_profile(eigenvalues: np.ndarray, trace, T, k_max: int) -> np.ndarray:
+    """V(k) for k = 0..k_max from Gram eigenvalues (negatives as 0): (trace - sum_{l<=k} lam_l)/T.
+
+    ``eigenvalues`` (..., n) holds descending eigenvalues along its last axis;
+    ``trace`` and ``T`` broadcast against its leading axes.
+    """
+    eigenvalues = np.asarray(eigenvalues)
+    if k_max > eigenvalues.shape[-1]:
+        raise ValueError(f"k_max={k_max} exceeds number of eigenvalues {eigenvalues.shape[-1]}")
+    csum = np.zeros(eigenvalues.shape[:-1] + (k_max + 1,))
+    np.cumsum(np.clip(eigenvalues[..., :k_max], 0.0, None), axis=-1, out=csum[..., 1:])
+    return np.clip(np.asarray(trace)[..., None] - csum, 0.0, None) / np.asarray(T)[..., None]
 
 
 def goodness_of_fit(panel: Panel, k: int) -> float:

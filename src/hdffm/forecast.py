@@ -23,18 +23,25 @@ import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .metrics import mafe_msfe
-from .panel import Panel, center, lstsq_stack, split_stacked, whiten_stacked
+from .panel import (
+    _CHUNK_BYTES,
+    Panel,
+    center,
+    lstsq_stack,
+    split_stacked,
+    stack_runs,
+    whiten_stacked,
+)
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
 _RADIUS_TOL = 1e-8
-# The batched AR-BIC screen (``_screen_orders``) takes this many bytes of lag
+# The batched AR-BIC screen (``_screen_orders``) takes _CHUNK_BYTES of lag
 # matrices at a time.  It leaves a row to ``fit_ar_bic`` when rounding could
 # overturn its choice: an R-diagonal ratio at or below _RANK_RTOL (rank
 # deficient), a rival BIC within the rounding of the RSS values (_SCREEN_RTOL,
 # ~1e4 eps per unit of conditioning), a companion radius within _RADIUS_MARGIN
 # plus the square root of that rounding of 1 + _RADIUS_TOL, or an RSS within
 # _FLOOR_MARGIN times the exact-fit floor.
-_CHUNK_BYTES = 1 << 19
 _RANK_RTOL = 1e-8
 _SCREEN_RTOL = 1e-12
 _RADIUS_MARGIN = 1e-6
@@ -242,15 +249,22 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
                          "(the smallest series dimension)")
     centered, means = center(panel)
     white = centered.stacked_white()  # Euclidean geometry
-    bases, scores = [], []
-    for a, b in zip(panel.offsets[:-1], panel.offsets[1:]):
-        zw = white[a:b]  # (dim, T)
-        _, vecs = np.linalg.eigh(zw @ zw.T / panel.T)
-        vecs = vecs[:, ::-1][:, :n_components]
+    T, off, dims, nc = panel.T, panel.offsets, panel.dims, n_components
+    # each run of equal-dim series is one stack: (n, dim, T) coefficients,
+    # (n, dim, nc) leading eigenvectors, (n, nc, T) scores
+    runs = stack_runs(dims, [8 * d * d for d in dims])
+    bases, scores = [], np.empty((panel.N * nc, T))
+    for lo, hi in runs:
+        zw = white[off[lo] : off[hi]].reshape(hi - lo, dims[lo], T)
+        _, vecs = np.linalg.eigh(zw @ zw.transpose(0, 2, 1) / T)
+        vecs = vecs[..., ::-1][..., :nc]
         bases.append(vecs)
-        scores.append(vecs.T @ zw)
-    fc, orders = _ar_bic_forecasts(np.concatenate(scores), p_max, h)
-    z_fc = np.concatenate([vecs @ f for vecs, f in zip(bases, np.split(fc, panel.N))])
+        scores[lo * nc : hi * nc] = (vecs.transpose(0, 2, 1) @ zw).reshape(-1, T)
+    fc, orders = _ar_bic_forecasts(scores, p_max, h)
+    z_fc = np.empty((panel.total_dim, h))
+    for (lo, hi), vecs in zip(runs, bases):
+        steps = fc[lo * nc : hi * nc].reshape(hi - lo, nc, h)
+        z_fc[off[lo] : off[hi]] = (vecs @ steps).reshape(-1, h)
     stacked = np.concatenate(means)[:, None] + whiten_stacked(panel.spaces, z_fc, inverse=True)
     return ForecastResult(steps=split_stacked(panel.offsets, stacked), r=n_components, trace=None,
                           ar_orders=orders)

@@ -25,6 +25,10 @@ SCALAR = "scalar"
 FUNCTIONAL = "functional"
 
 _GRAM_SYM_RTOL = 1e-12
+# The byte budget of one stacked call: the selection's subpanel Grams, the AR
+# screen's lag matrices, the whitening and CF runs are cut into stacks of at
+# most this many bytes (``stack_runs``), so batching bounds the extra memory.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +114,39 @@ def whiten_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray, inverse: bo
     """Whiten (or, with ``inverse``, unwhiten) the rows of a stacked (total_dim, m) matrix.
 
     Series ``i``'s block a becomes L_i' a, where G_i = L_i L_i', so that H_N
-    inner products are Euclidean.  When every Gram is the identity the input
-    is returned unchanged, without a copy.
+    inner products are Euclidean.  Each run of consecutive series with
+    bitwise-equal Cholesky factors is one ``matmul`` (``solve``) over an
+    (n, dim, m) view, bitwise the per-series products.  When every Gram is the
+    identity the input is returned unchanged, without a copy; otherwise the
+    result is a new C-ordered array.
     """
     if all(s.is_identity_gram for s in spaces):
         return stacked
-    out = []
-    for spec, block in zip(spaces, split_stacked(block_offsets(spaces), stacked)):
-        rows = block.T  # (dim, m)
-        if not spec.is_identity_gram:
-            rows = np.linalg.solve(spec.chol.T, rows) if inverse else spec.chol.T @ rows
-        out.append(rows)
-    return np.concatenate(out, axis=0)
+    offsets, m = block_offsets(spaces), stacked.shape[1]
+    out = np.empty(stacked.shape)
+    for lo, hi in stack_runs([s.chol.tobytes() for s in spaces], [8 * s.dim * m for s in spaces]):
+        spec, a, b = spaces[lo], offsets[lo], offsets[hi]
+        rows = stacked[a:b].reshape(hi - lo, spec.dim, m)
+        if spec.is_identity_gram:
+            out[a:b] = stacked[a:b]
+        elif inverse:
+            out[a:b] = np.linalg.solve(spec.chol.T, rows).reshape(b - a, m)
+        else:
+            np.matmul(spec.chol.T, rows, out=out[a:b].reshape(rows.shape))
+    return out
+
+
+def stack_runs(keys: Sequence, item_bytes: Sequence[int]) -> list:
+    """(start, stop) of every run of equal consecutive ``keys``, cut so that a
+    stack of its items takes at most ``_CHUNK_BYTES`` (``item_bytes[i]`` each;
+    one item at least): the pieces one stacked LAPACK or BLAS call takes."""
+    runs, lo = [], 0
+    for i in range(1, len(keys) + 1):
+        if (i == len(keys) or keys[i] != keys[lo]
+                or i - lo == max(1, _CHUNK_BYTES // item_bytes[lo])):
+            runs.append((lo, i))
+            lo = i
+    return runs
 
 
 def _lstsq_failed(err, flag):
@@ -170,7 +195,13 @@ class Panel:
             if blocks and block.shape[0] != blocks[0].shape[0]:
                 raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
             blocks.append(block)
-        self._init_stacked(spaces, np.hstack(blocks).T if blocks else np.empty((0, 0)))
+        # the transpose of a C-ordered (T, total_dim) concatenation is the
+        # column-major stacked matrix: one copy, whatever the blocks' order
+        stacked = np.empty((0, 0))
+        if blocks:
+            out = np.empty((blocks[0].shape[0], sum(spec.dim for spec in spaces)))
+            stacked = np.concatenate(blocks, axis=1, out=out).T
+        self._init_stacked(spaces, stacked)
 
     @classmethod
     def from_stacked(cls, spaces: Sequence[SpaceSpec], stacked: np.ndarray) -> "Panel":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import goodness_of_fit, v_profile
-from .panel import Panel
+from .panel import Panel, stack_runs
 
 IC1A = "IC1a"
 IC2A = "IC2a"
@@ -53,11 +53,15 @@ def ic_value(panel: Panel, k: int, c: float, kind: str = IC2A) -> float:
     return goodness_of_fit(panel, k) + c * k * penalty(kind, panel.N, panel.T)
 
 
-def _r_hat_profile(v: np.ndarray, g: float, c_grid: np.ndarray, k_max: int) -> np.ndarray:
-    """argmin_k of V(k) + c*k*g for every c in the grid (ties -> smallest k)."""
+def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarray:
+    """argmin_k of V(k) + c*k*g for every c in the grid (ties -> smallest k).
+
+    ``v`` (..., k_max + 1) and ``g`` broadcast over their leading axes; the
+    result (..., len(c_grid)) runs over the grid along its last axis.
+    """
     ks = np.arange(1, k_max + 1)
-    ic = v[None, 1:] + np.outer(c_grid, ks * g)
-    return np.argmin(ic, axis=1) + 1
+    ic = v[..., None, 1:] + c_grid[:, None] * (ks * np.asarray(g)[..., None, None])
+    return np.argmin(ic, axis=-1) + 1
 
 
 def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
@@ -168,18 +172,13 @@ def _zero_variance_runs(r_common: np.ndarray, zero_var: np.ndarray) -> list:
     """Maximal runs of consecutive grid indices with zero variance across
     subpanels and a constant selected count.  Returns (start, end, value)
     triples with inclusive ends."""
-    runs = []
-    i, I = 0, zero_var.size
-    while i < I:
-        if not zero_var[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < I and zero_var[j + 1] and r_common[j + 1] == r_common[i]:
-            j += 1
-        runs.append((i, j, int(r_common[i])))
-        i = j + 1
-    return runs
+    idx = np.flatnonzero(zero_var)
+    if not idx.size:
+        return []
+    # a run ends before a gap in the indices or a change of the count
+    cut = np.flatnonzero((np.diff(idx) != 1) | (np.diff(r_common[idx]) != 0))
+    starts, ends = idx[np.concatenate([[0], cut + 1])], idx[np.concatenate([cut, [-1]])]
+    return [(int(a), int(b), int(r_common[a])) for a, b in zip(starts, ends)]
 
 
 def _second_plateau(runs: list, k_max: int) -> tuple | None:
@@ -196,6 +195,44 @@ def _second_plateau(runs: list, k_max: int) -> tuple | None:
         if start > first_end and end - start + 1 >= 2:
             return (start, end, value)
     return None
+
+
+def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
+                      t_sub: np.ndarray, k_max: int) -> tuple:
+    """The k_max largest eigenvalues (descending), (J - 1, k_max), and the
+    traces, (J - 1,), of the Grams of the subpanels j: the first n_sub[j]
+    series of ``perm`` over the first t_sub[j] periods of the whitened
+    (total_dim, T) matrix ``Z`` with series row ``offsets``.
+
+    Nested series sums S_n = sum_{i in perm[:n]} Z_i' Z_i are accumulated
+    checkpoint by checkpoint; the Gram is the leading t_j x t_j block of
+    S_n / n.  The Grams of consecutive subpanels of one t_j are solved by one
+    ``eigvalsh`` on their stack, cut to the byte budget of ``stack_runs``.
+    """
+    dims = np.diff(offsets)[perm]
+    off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
+    d_sub = off[n_sub]
+    bad = np.flatnonzero(k_max > np.minimum(d_sub, t_sub))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"k_max={k_max} exceeds the rank bound min({d_sub[j]}, {t_sub[j]}) "
+                         f"of subpanel {j + 1}")
+    rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
+    S = np.zeros((Z.shape[1], Z.shape[1]))
+    done = 0
+    top, traces = np.empty((n_sub.size, k_max)), np.empty(n_sub.size)
+    for lo, hi in stack_runs(t_sub.tolist(), [8 * t * t for t in t_sub.tolist()]):
+        t = t_sub[lo]
+        F = np.empty((hi - lo, t, t))
+        for j in range(lo, hi):
+            if n_sub[j] > done:
+                block = Z[rows[off[done] : off[n_sub[j]]]]
+                S += block.T @ block
+                done = n_sub[j]
+            np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
+        top[lo:hi] = np.linalg.eigvalsh(F)[:, ::-1][:, :k_max]
+        traces[lo:hi] = np.trace(F, axis1=1, axis2=2)
+    return top, traces
 
 
 def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
@@ -216,45 +253,27 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
             raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
     c_grid = C_GRID.copy()  # the trace keeps its own
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
-
-    Z = panel.stacked_white()
-    off = panel.offsets
-    dims = np.diff(off)
+    n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
+    t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
     r_table[:, -1, :] = _full_panel_profile(panel, c_grid, kind, k_max)[:, None]
-    permutations = []
-    for p in range(P):
-        rng = np.random.default_rng(cfg.rng_seed + p)
-        perm = rng.permutation(panel.N)
-        permutations.append(perm)
-        # Nested series sums: S_n = sum_{i in perm[:n]} Z_i' Z_i, checkpointed
-        # at each N_j; the T_j x T_j Gram is the leading block of S_n / n.
-        S = np.zeros((panel.T, panel.T))
-        done = 0
-        for j, (n_j, t_j) in enumerate(sizes[:-1]):
-            if n_j > done:
-                block = np.concatenate([Z[off[i] : off[i + 1]] for i in perm[done:n_j]], axis=0)
-                S += block.T @ block
-                done = n_j
-            D_j = int(dims[perm[:n_j]].sum())
-            if k_max > min(D_j, t_j):
-                raise ValueError(
-                    f"k_max={k_max} exceeds the rank bound min({D_j}, {t_j}) of subpanel {j + 1}"
-                )
-            F_j = S[:t_j, :t_j] / n_j
-            v = v_profile(np.linalg.eigvalsh(F_j)[::-1], float(np.trace(F_j)), t_j, k_max)
-            g = penalty(kind, n_j, t_j)
-            r_table[:, j, p] = _r_hat_profile(v, g, c_grid, k_max)
+    permutations = [np.random.default_rng(cfg.rng_seed + p).permutation(panel.N) for p in range(P)]
+    Z, off = panel.stacked_white(), panel.offsets
+    spectra = [_subpanel_spectra(Z, off, perm, n_sub, t_sub, k_max) for perm in permutations]
+    top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
+    v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
+    g = np.array([penalty(kind, n_j, t_j) for n_j, t_j in sizes[:-1]])
+    r_table[:, :-1, :] = _r_hat_profile(v, g, c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)
+    zero_var = np.all(r_table == r_table[:, :1], axis=1)  # (I, P)
     plateaus, chosen_idx, fallback, r_per_p = [], [], [], []
     for p in range(P):
-        zero_var = np.all(r_table[:, :, p] == r_table[:, :1, p], axis=1)
         r_common = r_table[:, -1, p]
-        runs = _zero_variance_runs(r_common, zero_var)
+        runs = _zero_variance_runs(r_common, zero_var[:, p])
         plateaus.append([list(r) for r in runs if r[1] - r[0] + 1 >= 2])
         second = _second_plateau(runs, k_max)
         if second is not None:

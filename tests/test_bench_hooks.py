@@ -3,14 +3,19 @@
 ``perfbench/spans.py`` swaps timing wrappers into the attributes listed in
 its ``SPANS`` table, and the workloads time ops at a few more entry points.
 A refactor that renames or moves one of them breaks the harness; this test
-catches that without running it.
+catches that without running it.  The kernel spans swap ``numpy.linalg``
+attributes, so the layers must call them through the module: a name bound at
+import time would bypass the wrapper and silently empty the kernel counts.
 """
 
 import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+
+from hdffm import AbcConfig, DgpConfig, abc_select_r, cf_forecast, gen_dgp
 
 SPANS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 OP_BOUNDARIES = [
@@ -37,3 +42,19 @@ def resolve(module_name, path):
 @pytest.mark.parametrize("module_name,path", [(m, p) for _, m, p in load_spans()] + OP_BOUNDARIES)
 def test_hook_resolves(module_name, path):
     assert callable(resolve(module_name, path))
+
+
+@pytest.mark.parametrize("kernel,run", [
+    ("eigvalsh", lambda panel: abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T, P=2))),
+    ("eigh", lambda panel: cf_forecast(panel, 1, n_components=2, p_max=2)),
+], ids=["abc_select_r-eigvalsh", "cf_forecast-eigh"])
+def test_kernels_called_through_numpy_linalg(monkeypatch, kernel, run):
+    original, calls = getattr(np.linalg, kernel), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, kernel, wrapper)
+    run(gen_dgp(DgpConfig(dgp=1, N=10, T=30, seed=1))[0])
+    assert calls

@@ -414,7 +414,10 @@ class TestForecastCommand:
         ("--panel", ["--n-components", "3"], "--n-components applies only to --method cf"),
         ("--mortality", ["--method", "cf", "--fixed-r", "2"],
          "--fixed-r applies only to --method tnh"),
-    ], ids=["mortality-flags", "default-value", "cf-fixed-r", "tnh-n-components", "mortality-cf"])
+        ("--panel", ["--method", "cf", "--seed", "3"], "--seed applies only to --method tnh"),
+        ("--mortality", ["--method", "cf", "--seed", "0"], "--seed applies only to --method tnh"),
+    ], ids=["mortality-flags", "default-value", "cf-fixed-r", "tnh-n-components", "mortality-cf",
+            "cf-seed", "mortality-cf-seed"])
     def test_flag_outside_its_mode_rejected(self, tmp_path, capsys, mode, flags, message):
         path = tmp_path / "input"
         if mode == "--panel":

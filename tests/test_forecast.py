@@ -7,6 +7,7 @@ from hdffm import (
     ForecastConfig,
     Panel,
     ar_forecast,
+    center,
     cf_forecast,
     fit_ar_bic,
     functional_space,
@@ -18,7 +19,7 @@ from hdffm import (
 from hdffm import forecast
 from hdffm.forecast import _ar_bic_forecasts, companion_radius
 from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
-from conftest import random_mixed_panel
+from conftest import random_mixed_panel, random_spd
 
 
 class TestArModel:
@@ -407,6 +408,27 @@ class TestTnhForecast:
         assert len(res.ar_orders) == 2 + panel.total_dim
 
 
+def per_series_cf_forecast(panel, h, n_components, p_max):
+    """Reference for ``cf_forecast``: one eigh, score product and recomposition
+    per series, through the same AR-BIC forecasts."""
+    centered, means = center(panel)
+    white = centered.stacked_white()
+    bases, scores = [], []
+    for a, b in zip(panel.offsets[:-1], panel.offsets[1:]):
+        zw = white[a:b]
+        vecs = np.linalg.eigh(zw @ zw.T / panel.T)[1][:, ::-1][:, :n_components]
+        bases.append(vecs)
+        scores.append(vecs.T @ zw)
+    fc, orders = _ar_bic_forecasts(np.concatenate(scores), p_max, h)
+    steps = []
+    for spec, mean, vecs, f in zip(panel.spaces, means, bases, np.split(fc, panel.N)):
+        z = vecs @ f
+        if not spec.is_identity_gram:
+            z = np.linalg.solve(spec.chol.T, z)
+        steps.append((mean[:, None] + z).T)
+    return steps, orders
+
+
 class TestCfForecast:
     def test_constant_series(self):
         spaces = [functional_space(2)]
@@ -442,6 +464,29 @@ class TestCfForecast:
         assert res.ar_orders.shape == (panel.N * k,) and res.ar_orders.dtype.kind == "i"
         assert set(res.ar_orders.tolist()) <= {0, 1, 2}
         assert persistence_forecast(panel, 2).ar_orders.shape == (0,)
+
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_mixed_dims_bitwise_per_series(self, rng, monkeypatch, h):
+        # runs of equal dim: [3 3] [5 5 5] [3] [4 4], identity and random Grams
+        dims = [3, 3, 5, 5, 5, 3, 4, 4]
+        spaces = [functional_space(d, None if i % 2 else random_spd(rng, d))
+                  for i, d in enumerate(dims)]
+        T = 40
+        U = np.cumsum(rng.standard_normal((2, T)), axis=1)
+        panel = Panel(spaces, [U.T @ rng.standard_normal((2, d)) + rng.standard_normal((T, d))
+                               for d in dims])
+        steps, orders = per_series_cf_forecast(panel, h, 2, 3)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        res = cf_forecast(panel, h, n_components=2, p_max=3)
+        assert calls == [(2, 3, 3), (3, 5, 5), (1, 3, 3), (2, 4, 4)]
+        assert [s.tobytes() for s in res.steps] == [s.tobytes() for s in steps]
+        assert res.ar_orders.tolist() == orders.tolist()
 
     def test_too_many_components(self, rng):
         panel = random_mixed_panel(rng, N=2, T=40, scalar_prob=0.0, max_dim=3)

@@ -24,7 +24,7 @@ from hdffm import (
     tnh_forecast,
 )
 from hdffm.forecast import _lag_matrices
-from hdffm.panel import lstsq_stack
+from hdffm.panel import block_offsets, lstsq_stack, split_stacked, whiten_stacked
 from conftest import random_mixed_panel, random_spd
 
 
@@ -229,6 +229,17 @@ class TestStackedLayout:
         want = Panel.from_stacked(spaces, C - fit.b_tilde @ fit.factors).stacked_coeffs()
         assert xi.strides == want.strides and xi.tobytes("A") == want.tobytes("A")
 
+    @pytest.mark.parametrize("kind", ["functional", "mixed"])
+    def test_fortran_blocks_copied_once(self, rng, kind):
+        T = 2000
+        spaces = mixed_spaces(rng, kind)
+        blocks = [np.asfortranarray(rng.standard_normal((T, s.dim))) for s in spaces]
+        panel, peak = peak_bytes(Panel, spaces, blocks)
+        X = panel.stacked_coeffs()
+        want = Panel(spaces, [np.ascontiguousarray(b) for b in blocks]).stacked_coeffs()
+        assert X.strides == want.strides and X.tobytes("A") == want.tobytes("A")
+        assert peak < 1.5 * X.nbytes  # the concatenation itself becomes the panel's matrix
+
     def test_forecasts_agree_bitwise_on_a_mortality_sized_panel(self):
         # 47 series, 40 years, a 9-dim B-spline basis on ages 0..95
         rng = np.random.default_rng(7)
@@ -245,6 +256,58 @@ class TestStackedLayout:
             assert same_bits(steps, tnh[0])
         for steps in cf[1:]:
             assert same_bits(steps, cf[0])
+
+
+def per_series_whiten(spaces, stacked, inverse=False):
+    """Reference: one product (solve) per series with a non-identity Gram."""
+    out = []
+    for spec, block in zip(spaces, split_stacked(block_offsets(spaces), stacked)):
+        rows = block.T
+        if not spec.is_identity_gram:
+            rows = np.linalg.solve(spec.chol.T, rows) if inverse else spec.chol.T @ rows
+        out.append(rows)
+    return np.concatenate(out, axis=0)
+
+
+class TestWhitenRuns:
+    def spaces(self, rng):
+        """Runs of one Gram broken by another Gram, by identity Grams and by a
+        dimension change; the Gram g3 is also held in a distinct equal spec."""
+        g3, g3b = random_spd(rng, 3), random_spd(rng, 3)
+        a, b = functional_space(3, g3), functional_space(3, g3b)
+        return [scalar_space(), scalar_space(), a, a, a, b, a, functional_space(3, g3.copy()), a,
+                functional_space(3), functional_space(3), scalar_space(), a,
+                functional_space(4, random_spd(rng, 4)), b, b]
+
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_per_series(self, rng, m, inverse, order):
+        spaces = self.spaces(rng)
+        stacked = np.asarray(rng.standard_normal((block_offsets(spaces)[-1], m)), order=order)
+        got = whiten_stacked(spaces, stacked, inverse=inverse)
+        want = per_series_whiten(spaces, stacked, inverse=inverse)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_one_solve_per_run(self, rng, monkeypatch):
+        # runs: [a a a] [b] [a a(equal, distinct) a] [b b], and the 4-dim series
+        spaces = self.spaces(rng)
+        solve, calls = np.linalg.solve, []
+
+        def counting(a, b):
+            calls.append(b.shape[:-2])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        whiten_stacked(spaces, rng.standard_normal((block_offsets(spaces)[-1], 5)), inverse=True)
+        assert calls == [(3,), (1,), (3,), (1,), (1,), (2,)]
+
+    def test_mixed_panel_whitened_bitwise(self, rng):
+        for _ in range(10):
+            panel = random_mixed_panel(rng, N=12, T=20, scalar_prob=0.4)
+            want = per_series_whiten(panel.spaces, panel.stacked_coeffs())
+            assert panel.stacked_white().tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestPersistence:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hdffm import (
     Panel,
     abc_select_r,
     build_bspline,
+    center,
     goodness_of_fit,
     ic_value,
     nested_subpanel_sizes,
@@ -16,6 +18,7 @@ from hdffm import (
     scalar_space,
     select_r_fixed,
 )
+from hdffm.panel import _CHUNK_BYTES
 from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, rank_k_panel
@@ -183,7 +186,8 @@ class TestAbcSelect:
     ], ids=["dgp1", "mixed_bspline"])
     def test_full_panel_column_is_the_fixed_c_selection(self, monkeypatch, make_panel):
         # the full-panel column reads the panel's own spectrum: only the J - 1
-        # proper subpanels of each permutation make an eigvalsh call
+        # proper subpanels of each permutation are solved by eigvalsh (stacked,
+        # so the matrices are counted, not the calls)
         panel = make_panel()
         cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=6, P=3)
         eigvalsh, calls = np.linalg.eigvalsh, []
@@ -195,7 +199,8 @@ class TestAbcSelect:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         _, trace = abc_select_r(panel, cfg, "IC2a")
         monkeypatch.undo()
-        assert len(calls) == cfg.P * (len(cfg.subpanel_sizes) - 1)
+        solved = sum(math.prod(shape[:-2]) for shape in calls)
+        assert solved == cfg.P * (len(cfg.subpanel_sizes) - 1)
         for i, c in enumerate(C_GRID):
             r = select_r_fixed(panel, float(c), "IC2a", cfg.k_max)
             assert trace.r_hat_table[i, -1].tolist() == [r] * cfg.P
@@ -234,3 +239,98 @@ class TestAbcSelect:
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "c,var_p1,var_p2"
         assert len(lines) == 1 + len(trace.c_grid)
+
+
+def per_subpanel_r_table(panel, cfg, kind="IC2a"):
+    """Reference for the proper-subpanel columns of the r-hat table: one
+    concatenation, eigvalsh, V profile and argmin per (permutation, subpanel)."""
+    Z, off = panel.stacked_white(), panel.offsets
+    sizes, ks = cfg.subpanel_sizes, np.arange(1, cfg.k_max + 1)
+    table = np.zeros((C_GRID.size, len(sizes) - 1, cfg.P), dtype=int)
+    for p in range(cfg.P):
+        perm = np.random.default_rng(cfg.rng_seed + p).permutation(panel.N)
+        S, done = np.zeros((panel.T, panel.T)), 0
+        for j, (n_j, t_j) in enumerate(sizes[:-1]):
+            if n_j > done:
+                block = np.concatenate([Z[off[i] : off[i + 1]] for i in perm[done:n_j]], axis=0)
+                S += block.T @ block
+                done = n_j
+            F = S[:t_j, :t_j] / n_j
+            lam = np.clip(np.linalg.eigvalsh(F)[::-1][: cfg.k_max], 0.0, None)
+            v = np.clip(float(np.trace(F)) - np.concatenate([[0.0], np.cumsum(lam)]), 0.0, None)
+            v /= t_j
+            ic = v[None, 1:] + np.outer(C_GRID, ks * penalty(kind, n_j, t_j))
+            table[:, j, p] = np.argmin(ic, axis=1) + 1
+    return table
+
+
+def mortality_windows():
+    """Centered 47-series, 9-dim B-spline panels over the first T = 24..39
+    periods of one 39-period panel, as in the mortality rolling origins."""
+    rng = np.random.default_rng(23)
+    N, T = 47, 39
+    space = build_bspline((0.0, 95.0), dim=9).space()
+    trend = np.cumsum(rng.standard_normal((2, T)), axis=1)
+    X = np.concatenate([rng.standard_normal((9, 2)) @ trend + 0.2 * rng.standard_normal((9, T))
+                        for _ in range(N)])
+    return [center(Panel.from_stacked([space] * N, X[:, :t]))[0] for t in range(24, T + 1)]
+
+
+class TestStackedSelection:
+    def assert_matches_reference(self, panel, cfg, kind="IC2a"):
+        _, trace = abc_select_r(panel, cfg, kind)
+        assert np.array_equal(trace.r_hat_table[:, :-1], per_subpanel_r_table(panel, cfg, kind))
+
+    @pytest.mark.parametrize("dgp", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["IC1a", "IC2a"])
+    def test_dgp_panels(self, dgp, kind):
+        for seed, (N, T) in enumerate([(20, 40), (30, 25), (15, 60)]):
+            panel, _ = gen_dgp(DgpConfig(dgp=dgp, N=N, T=T, seed=40 + seed))
+            self.assert_matches_reference(panel, AbcConfig.for_panel(N, T, rng_seed=seed), kind)
+
+    def test_mixed_bspline_panel(self):
+        panel = mixed_bspline_panel()
+        for seed in range(3):
+            cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed)
+            self.assert_matches_reference(panel, cfg)
+
+    def test_unequal_subpanel_lengths(self, rng):
+        # runs of equal t_j: (30, 30), (40), (45, 45), then the full panel
+        panel = center(random_mixed_panel(rng, N=24, T=50, max_dim=5, scalar_prob=0.4))[0]
+        sizes = ((18, 30), (19, 30), (20, 40), (21, 45), (22, 45), (24, 50))
+        for seed in range(3):
+            self.assert_matches_reference(panel, AbcConfig(k_max=6, P=4, subpanel_sizes=sizes,
+                                                           rng_seed=seed))
+
+    def test_mortality_windows(self):
+        for panel in mortality_windows():
+            self.assert_matches_reference(panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=1))
+
+    def test_one_eigvalsh_per_permutation_on_short_panels(self, monkeypatch):
+        panel = mortality_windows()[-1]
+        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=0)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        abc_select_r(panel, cfg)
+        assert calls == [(9, 39, 39)] * cfg.P
+
+    def test_memory_within_the_byte_budget(self):
+        # mc-grid's largest cell: one 200 x 200 Gram per stack, as before batching
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=100, T=200, seed=3))
+        cfg = AbcConfig.for_panel(100, 200, rng_seed=0)
+        panel.gram_spectrum()  # shared by both; not part of either peak
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(panel, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(abc_select_r) <= peak(per_subpanel_r_table) + _CHUNK_BYTES
