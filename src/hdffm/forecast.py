@@ -252,7 +252,7 @@ def cf_forecast(panel: Panel, h: int, n_components: int, p_max: int = 5) -> Fore
     T, off, dims, nc = panel.T, panel.offsets, panel.dims, n_components
     # each run of equal-dim series is one stack: (n, dim, T) coefficients,
     # (n, dim, nc) leading eigenvectors, (n, nc, T) scores
-    runs = stack_runs(dims, [8 * d * d for d in dims])
+    runs = stack_runs(dims, lambda d: 8 * d * d)
     bases, scores = [], np.empty((panel.N * nc, T))
     for lo, hi in runs:
         zw = white[off[lo] : off[hi]].reshape(hi - lo, dims[lo], T)

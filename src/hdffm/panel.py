@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -124,7 +124,8 @@ def whiten_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray, inverse: bo
         return stacked
     offsets, m = block_offsets(spaces), stacked.shape[1]
     out = np.empty(stacked.shape)
-    for lo, hi in stack_runs([s.chol.tobytes() for s in spaces], [8 * s.dim * m for s in spaces]):
+    keys = [(s.dim, s.chol.tobytes()) for s in spaces]
+    for lo, hi in stack_runs(keys, lambda key: 8 * key[0] * m):
         spec, a, b = spaces[lo], offsets[lo], offsets[hi]
         rows = stacked[a:b].reshape(hi - lo, spec.dim, m)
         if spec.is_identity_gram:
@@ -136,16 +137,19 @@ def whiten_stacked(spaces: Sequence[SpaceSpec], stacked: np.ndarray, inverse: bo
     return out
 
 
-def stack_runs(keys: Sequence, item_bytes: Sequence[int]) -> list:
+def stack_runs(keys: Sequence, nbytes: Callable) -> list:
     """(start, stop) of every run of equal consecutive ``keys``, cut so that a
-    stack of its items takes at most ``_CHUNK_BYTES`` (``item_bytes[i]`` each;
-    one item at least): the pieces one stacked LAPACK or BLAS call takes."""
+    stack of its items takes at most ``_CHUNK_BYTES``, ``nbytes(key)`` per item
+    (one item at least; items of no bytes are capped as if of one): the pieces
+    one stacked LAPACK or BLAS call takes."""
     runs, lo = [], 0
-    for i in range(1, len(keys) + 1):
-        if (i == len(keys) or keys[i] != keys[lo]
-                or i - lo == max(1, _CHUNK_BYTES // item_bytes[lo])):
-            runs.append((lo, i))
-            lo = i
+    while lo < len(keys):
+        cap = max(1, _CHUNK_BYTES // max(1, nbytes(keys[lo])))
+        hi = lo + 1
+        while hi < len(keys) and hi - lo < cap and keys[hi] == keys[lo]:
+            hi += 1
+        runs.append((lo, hi))
+        lo = hi
     return runs
 
 

@@ -221,7 +221,7 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
     S = np.zeros((Z.shape[1], Z.shape[1]))
     done = 0
     top, traces = np.empty((n_sub.size, k_max)), np.empty(n_sub.size)
-    for lo, hi in stack_runs(t_sub.tolist(), [8 * t * t for t in t_sub.tolist()]):
+    for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
         t = t_sub[lo]
         F = np.empty((hi - lo, t, t))
         for j in range(lo, hi):

@@ -5,7 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from hdffm import DgpConfig, fit_factors, gen_dgp, load_panel, persistence_forecast, save_panel
+from hdffm import (
+    DgpConfig,
+    Panel,
+    build_bspline,
+    fit_factors,
+    functional_space,
+    gen_dgp,
+    load_panel,
+    persistence_forecast,
+    save_panel,
+)
 from hdffm import cli
 from hdffm.cli import main
 from conftest import rank_k_panel
@@ -73,6 +83,16 @@ class TestEstimate:
         assert float(capsys.readouterr().out.split("V=")[1]) < 1e-10
         doc = json.loads(out.read_text())
         assert doc["k"] == 1
+
+    def test_k_zero_on_shared_gram_panel(self, tmp_path, rng):
+        # adjacent B-spline series share one Gram, so they unwhiten as a run
+        basis = build_bspline((0.0, 1.0), 5)
+        spaces = [functional_space(5, basis.gram) for _ in range(3)]
+        ppath = tmp_path / "p.json"
+        save_panel(Panel(spaces, [rng.standard_normal((10, 5)) for _ in spaces]), ppath)
+        out = tmp_path / "fit.json"
+        assert main(["estimate", "--panel", str(ppath), "--k", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["k"] == 0
 
     def test_rank_deficient_exit_3(self, tmp_path, rng):
         panel, _, _ = rank_k_panel(rng, N=5, T=12, k=2)

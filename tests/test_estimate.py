@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from hdffm import (
+    LoadingMatrix,
     Panel,
     RankDeficientError,
+    build_bspline,
     common_component,
     fit_factors,
     fit_from_dict,
     fit_to_dict,
     goodness_of_fit,
     gram_matrix,
+    functional_space,
     idiosyncratic_residual,
+    scalar_space,
 )
 from hdffm.simulate import DgpConfig, gen_dgp
-from conftest import random_mixed_panel, rank_k_panel
+from conftest import random_mixed_panel, random_spd, rank_k_panel
 
 
 def stacked_norm(panel):
@@ -93,10 +97,18 @@ class TestFitFactors:
         assert exc.value.level == 3
 
     def test_k_zero_empty_fit(self, rng):
-        panel = random_mixed_panel(rng)
-        fit = fit_factors(panel, 0)
-        chi = common_component(fit)
-        assert stacked_norm(chi) == 0.0
+        # adjacent series with one Gram (two scalars, a shared B-spline Gram)
+        # are unwhitened as one run, of zero columns here
+        mixed = random_mixed_panel(rng)
+        basis = build_bspline((0.0, 1.0), 5)
+        spaces = [scalar_space(), scalar_space(), functional_space(5, basis.gram),
+                  functional_space(5, basis.gram), functional_space(3, random_spd(rng, 3))]
+        shared = Panel(spaces, [rng.standard_normal((9, s.dim)) for s in spaces])
+        for panel in (mixed, shared):
+            fit = fit_factors(panel, 0)
+            chi = common_component(fit)
+            assert stacked_norm(chi) == 0.0
+            assert LoadingMatrix(panel.spaces, fit.e_hat).whitened().shape == (panel.total_dim, 0)
 
     def test_truncated_svd_optimality_small(self, rng):
         # no random rank-k candidate beats the fit in Frobenius norm

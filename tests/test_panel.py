@@ -24,7 +24,7 @@ from hdffm import (
     tnh_forecast,
 )
 from hdffm.forecast import _lag_matrices
-from hdffm.panel import block_offsets, lstsq_stack, split_stacked, whiten_stacked
+from hdffm.panel import _CHUNK_BYTES, block_offsets, lstsq_stack, split_stacked, stack_runs, whiten_stacked
 from conftest import random_mixed_panel, random_spd
 
 
@@ -269,6 +269,22 @@ def per_series_whiten(spaces, stacked, inverse=False):
     return np.concatenate(out, axis=0)
 
 
+class TestStackRuns:
+    def test_runs_of_equal_keys(self):
+        assert stack_runs([2, 2, 3, 2, 2, 2], lambda k: 8) == [(0, 2), (2, 3), (3, 6)]
+        assert stack_runs([], lambda k: 8) == []
+
+    def test_cut_to_the_byte_budget(self):
+        # 3 items of a third of the budget fit; a larger item goes alone
+        third = _CHUNK_BYTES // 3
+        assert stack_runs(["a"] * 7, lambda k: third) == [(0, 3), (3, 6), (6, 7)]
+        assert stack_runs(["a"] * 2, lambda k: 2 * _CHUNK_BYTES) == [(0, 1), (1, 2)]
+
+    def test_items_of_no_bytes(self):
+        n = _CHUNK_BYTES + 2
+        assert stack_runs(["a"] * n, lambda k: 0) == [(0, _CHUNK_BYTES), (_CHUNK_BYTES, n)]
+
+
 class TestWhitenRuns:
     def spaces(self, rng):
         """Runs of one Gram broken by another Gram, by identity Grams and by a
@@ -279,7 +295,7 @@ class TestWhitenRuns:
                 functional_space(3), functional_space(3), scalar_space(), a,
                 functional_space(4, random_spd(rng, 4)), b, b]
 
-    @pytest.mark.parametrize("m", [1, 3, 40])
+    @pytest.mark.parametrize("m", [0, 1, 3, 40])
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_bitwise_per_series(self, rng, m, inverse, order):
