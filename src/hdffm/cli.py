@@ -50,6 +50,8 @@ SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
 # the select-r flags' defaults, which a bench spec's "select" object shares
 SELECT_METHODS = ("abc", "fixed")
 SELECT_DEFAULTS = {"method": "abc", "c": 1.0, "kind": IC2A, "k_max": 10, "P": 5, "seed": 0}
+# the select settings that one method alone reads
+SELECT_METHOD_ONLY = {"c": "fixed", "P": "abc", "seed": "abc"}
 # documented defaults of forecast flags whose None default marks them as not given
 N_COMPONENTS = 6
 EVAL_AGE_MAX = 89
@@ -148,7 +150,23 @@ def _select_r(panel, method: str, c: float, kind: str, k_max: int, P: int, seed:
     return abc_select_r(panel, cfg, kind)
 
 
+def _select_settings(given: dict, name) -> dict:
+    """SELECT_DEFAULTS under the ``given`` settings (None: not given), once
+    each given setting is checked to apply to the method; ``name(key)`` is
+    how a message names a setting."""
+    settings = {**SELECT_DEFAULTS, **{k: v for k, v in given.items() if v is not None}}
+    method = settings["method"]
+    if method not in SELECT_METHODS:
+        raise ValueError(f"unknown {name('method')} {method!r}; allowed: {list(SELECT_METHODS)}")
+    for key, only in SELECT_METHOD_ONLY.items():
+        if given.get(key) is not None and method != only:
+            raise ValueError(f"{name(key)} applies only to {name('method')} {only}")
+    return settings
+
+
 def cmd_select_r(args) -> int:
+    given = {key: getattr(args, key) for key in SELECT_DEFAULTS}
+    vars(args).update(_select_settings(given, lambda key: "--" + key.replace("_", "-")))
     if args.method == "fixed" and (args.trace or args.variance_csv):
         raise ValueError("--trace and --variance-csv need --method abc")
     panel = _load_panel_arg(args.panel)
@@ -184,8 +202,8 @@ def _bench_replication(job: dict) -> tuple:
         rows.append([job["dgp"], job["N"], job["T"], k, job["rep"],
                      repr(d * d), repr(e * e), repr(p)])
     select_row = None
-    if job.get("select") is not None:
-        sel = {**SELECT_DEFAULTS, **job["select"]}
+    if job["select"] is not None:
+        sel = job["select"]
         r_hat, _ = _select_r(panel, sel["method"], float(sel["c"]), sel["kind"], int(sel["k_max"]),
                              int(sel["P"]), int(sel["seed"]) + job["rep"])
         select_row = [job["dgp"], job["N"], job["T"], job["rep"], r_hat]
@@ -212,13 +230,12 @@ def cmd_bench(args) -> int:
     unknown = sorted(set(select) - set(SELECT_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown bench select keys {unknown}; allowed: {sorted(SELECT_DEFAULTS)}")
-    method = {**SELECT_DEFAULTS, **select}["method"]
-    if method not in SELECT_METHODS:
-        raise ValueError(f"unknown select.method {method!r}; allowed: {list(SELECT_METHODS)}")
+    select = _select_settings(select, lambda key: "select." + key)
 
     # a job carries the spec's design keys (n_factors, basis_dim, ...) to gen_dgp
     jobs = [
-        {**spec, "dgp": dgp, "N": n, "T": t, "rep": rep, "seed": seed, "k_list": k_list}
+        {**spec, "dgp": dgp, "N": n, "T": t, "rep": rep, "seed": seed, "k_list": k_list,
+         "select": None if spec.get("select") is None else select}
         for dgp in dgps for n in n_list for t in t_list for rep in range(reps)
     ]
     n_factors = _dgp_config_from_dict(jobs[0]).n_factors  # bad design keys fail here
@@ -361,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="select the number of factors")
     p.add_argument("--panel", required=True)
+    # None marks a flag as not given; cmd_select_r fills SELECT_DEFAULTS in
     p.add_argument("--method", choices=SELECT_METHODS)
     p.add_argument("--c", type=float, help="tuning constant for --method fixed")
     p.add_argument("--kind", choices=PENALTY_KINDS)
@@ -369,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trace", default=None, help="write the selection trace JSON here")
     p.add_argument("--variance-csv", default=None)
-    p.set_defaults(func=cmd_select_r, **SELECT_DEFAULTS)
+    p.set_defaults(func=cmd_select_r)
 
     p = sub.add_parser("bench", help="run a Monte Carlo benchmark grid")
     p.add_argument("--spec", required=True, help="bench spec JSON")

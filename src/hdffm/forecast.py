@@ -23,28 +23,18 @@ import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .metrics import mafe_msfe
-from .panel import (
-    _CHUNK_BYTES,
-    Panel,
-    center,
-    lstsq_stack,
-    split_stacked,
-    stack_runs,
-    whiten_stacked,
-)
+from .panel import Panel, center, lstsq_stack, split_stacked, stack_runs, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
 _RADIUS_TOL = 1e-8
-# The batched AR-BIC screen (``_screen_orders``) takes _CHUNK_BYTES of lag
-# matrices at a time.  It leaves a row to ``fit_ar_bic`` when rounding could
-# overturn its choice: an R-diagonal ratio at or below _RANK_RTOL (rank
-# deficient), a rival BIC within the rounding of the RSS values (_SCREEN_RTOL,
-# ~1e4 eps per unit of conditioning), a companion radius within _RADIUS_MARGIN
-# plus the square root of that rounding of 1 + _RADIUS_TOL, or an RSS within
-# _FLOOR_MARGIN times the exact-fit floor.
+# The batched AR-BIC screen (``_screen_orders``) ranks the orders by BIC alone
+# and leaves a row to ``fit_ar_bic`` when rounding could overturn its choice:
+# an R-diagonal ratio at or below _RANK_RTOL (rank deficient), a rival BIC
+# within the rounding of the RSS values (_SCREEN_RTOL, ~1e4 eps per unit of
+# conditioning), or an RSS within _FLOOR_MARGIN times the exact-fit floor.
+# Explosiveness is checked after the screen, on the exact fit of the pick.
 _RANK_RTOL = 1e-8
 _SCREEN_RTOL = 1e-12
-_RADIUS_MARGIN = 1e-6
 _FLOOR_MARGIN = 1e3
 
 
@@ -275,31 +265,33 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
     those of ``fit_ar_bic`` and ``ar_forecast`` row by row.  A QR screen
-    (``_screen_orders``) picks each row's order; the rows of one order then
-    get ``fit_ar_bic``'s ``lstsq`` fit of that order from one ``lstsq_stack``
-    call.  Rows the screen cannot settle go through ``fit_ar_bic`` itself.
-    The forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on
-    one row) runs over all rows of one order at once.
+    (``_screen_orders``) picks each row's order by BIC; the rows of one order
+    then get ``fit_ar_bic``'s ``lstsq`` fit of that order from one
+    ``lstsq_stack`` call.  Rows the screen cannot settle, and rows whose pick
+    is explosive on that exact fit, go through ``fit_ar_bic`` itself.  The
+    forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on one
+    row) runs over all rows of one order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
     if T < _min_length(p_max):
         raise ValueError(f"series of length {T} too short for p_max={p_max}")
-    t_eff = T - p_max
     orders = np.empty(rows, dtype=int)
     beta = np.zeros((rows, p_max + 1))  # intercept, then coefficients
-    chunk = max(1, _CHUNK_BYTES // (8 * t_eff * (p_max + 2)))
-    for lo in range(0, rows, chunk):
-        A = _lag_matrices(Y[lo : lo + chunk], p_max)
-        screened = _screen_orders(A)
-        for i in np.flatnonzero(screened < 0) + lo:
+    for lo, hi in stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2)):
+        A = _lag_matrices(Y[lo:hi], p_max)
+        picked = _screen_orders(A)
+        for p in np.unique(picked[picked >= 0]):
+            group = np.flatnonzero(picked == p)
+            b = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])[0]
+            beta[lo + group, : p + 1], orders[lo + group] = b, p
+            # a non-explosive first BIC minimum over all orders is also
+            # fit_ar_bic's first minimum among the non-explosive orders
+            picked[group[_companion_radii(b[:, 1:]) >= 1.0 + _RADIUS_TOL]] = -1
+        for i in np.flatnonzero(picked < 0) + lo:
             model = fit_ar_bic(Y[i], p_max)
             orders[i] = p = model.order
             beta[i, 0], beta[i, 1 : p + 1] = model.intercept, model.coefficients
-        for p in np.unique(screened[screened >= 0]):
-            group = np.flatnonzero(screened == p)
-            beta[lo + group, : p + 1] = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])[0]
-            orders[lo + group] = p
     out = np.empty((rows, h))
     for p in np.unique(orders):
         group = orders == p
@@ -308,19 +300,16 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
 
 
 def _screen_orders(A: np.ndarray) -> np.ndarray:
-    """AR-BIC order of every row of a (rows, t_eff, p_max + 2) stack of
-    augmented lag matrices, or -1 where rounding could make ``fit_ar_bic``
-    choose differently.
+    """First BIC minimum over all AR orders of every row of a (rows, t_eff,
+    p_max + 2) stack of augmented lag matrices, or -1 where rounding could
+    make ``fit_ar_bic``'s BIC values rank the orders differently.
 
     One QR of the stack gives every order at once: order p regresses on the
     first p + 1 columns, so its RSS is the sum of squares of R's last column
-    below row p, and its coefficients solve the leading (p + 1) triangle.
-    The choice is ``fit_ar_bic``'s: the first BIC minimum among the orders
-    whose companion radius is below 1 + 1e-8.  A row is left unsettled when
-    its lag matrix is rank deficient, an RSS lies near the exact-fit floor
-    (where ``fit_ar_bic`` switches to -inf BIC), a radius lies near the
-    threshold, or another candidate's BIC lies within the rounding margin of
-    the winner's.
+    below row p.  A row is left unsettled when its lag matrix is rank
+    deficient, an RSS lies near the exact-fit floor (where ``fit_ar_bic``
+    switches to -inf BIC), or another order's BIC lies within the rounding
+    margin of the winner's.  Explosiveness is not checked here.
     """
     rows, t_eff, k = A.shape
     n_orders = k - 1
@@ -338,29 +327,12 @@ def _screen_orders(A: np.ndarray) -> np.ndarray:
     norm_a = np.sqrt((R**2).sum(axis=(1, 2)))
     rel = _SCREEN_RTOL * cond[:, None] * (norm_a[:, None] / np.sqrt(rss) + cond[:, None])
     margin = t_eff * rel
-    # these coefficients and fit_ar_bic's (lstsq) agree to about ``rel``, and a
-    # repeated root near 1 magnifies that to its square root in the radius
-    radius_margin = _RADIUS_MARGIN + np.sqrt(rel)
-
-    # coefficients of every order, with rank-deficient rows masked out of the solves
-    Rs = np.where(rank_deficient[:, None, None], np.eye(k), R)
-    near_radius = np.zeros(rows, dtype=bool)
-    for p in range(1, n_orders):
-        coefs = np.linalg.solve(Rs[:, : p + 1, : p + 1], Rs[:, : p + 1, -1:])[:, 1:, 0]
-        # sum |c| <= 0.99 keeps every root within 0.99**(1 / p) < 0.998 (Cauchy's
-        # bound), so only the other rows need their companion eigenvalues
-        radius = np.abs(coefs).sum(axis=1)
-        loose = radius > 0.99
-        if loose.any():
-            radius[loose] = _companion_radii(coefs[loose])
-        bic[radius >= 1.0 + _RADIUS_TOL, p] = np.inf
-        near_radius |= np.abs(radius - (1.0 + _RADIUS_TOL)) <= radius_margin[:, p]
 
     best = np.argmin(bic, axis=1)  # first minimum: ties go to the smaller order
     idx = np.arange(rows)
     rivals = np.abs(bic - bic[idx, best][:, None]) <= margin + margin[idx, best][:, None]
     rivals[idx, best] = False
-    unsettled = rank_deficient | near_floor | near_radius | rivals.any(axis=1)
+    unsettled = rank_deficient | near_floor | rivals.any(axis=1)
     return np.where(unsettled, -1, best)
 
 

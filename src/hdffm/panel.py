@@ -350,6 +350,14 @@ def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
 
 
 def panel_from_dict(d: dict) -> Panel:
+    if not isinstance(d, dict):
+        raise ValueError(f"a panel must be a JSON object, got {type(d).__name__}")
+    for key in ("spaces", "coeffs"):
+        if not isinstance(d[key], list):
+            raise ValueError(f"panel {key!r} must be a list, got {type(d[key]).__name__}")
+    for i, s in enumerate(d["spaces"]):
+        if not isinstance(s, dict):
+            raise ValueError(f"panel spaces[{i}] must be an object, got {type(s).__name__}")
     spaces = [space_from_dict(s) for s in d["spaces"]]
     panel = Panel(spaces, [np.asarray(c, dtype=float) for c in d["coeffs"]])
     if panel.N != d["N"] or panel.T != d["T"]:

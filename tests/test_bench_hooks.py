@@ -15,7 +15,15 @@ import os
 import numpy as np
 import pytest
 
-from hdffm import AbcConfig, DgpConfig, abc_select_r, cf_forecast, gen_dgp
+from hdffm import (
+    AbcConfig,
+    DgpConfig,
+    ForecastConfig,
+    abc_select_r,
+    cf_forecast,
+    gen_dgp,
+    tnh_forecast,
+)
 
 SPANS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 OP_BOUNDARIES = [
@@ -47,7 +55,9 @@ def test_hook_resolves(module_name, path):
 @pytest.mark.parametrize("kernel,run", [
     ("eigvalsh", lambda panel: abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T, P=2))),
     ("eigh", lambda panel: cf_forecast(panel, 1, n_components=2, p_max=2)),
-], ids=["abc_select_r-eigvalsh", "cf_forecast-eigh"])
+    # the AR-BIC explosiveness check on the exact fits of the picked orders
+    ("eigvals", lambda panel: tnh_forecast(panel, ForecastConfig(horizon=1))),
+], ids=["abc_select_r-eigvalsh", "cf_forecast-eigh", "tnh_forecast-eigvals"])
 def test_kernels_called_through_numpy_linalg(monkeypatch, kernel, run):
     original, calls = getattr(np.linalg, kernel), []
 

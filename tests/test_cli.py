@@ -180,6 +180,41 @@ class TestSelectR:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "abc", "--c", "9.5"], "--c applies only to --method fixed"),
+        (["--c", "1.0"], "--c applies only to --method fixed"),
+        (["--method", "fixed", "--P", "-3", "--seed", "9"], "--P applies only to --method abc"),
+        (["--method", "fixed", "--seed", "0"], "--seed applies only to --method abc"),
+    ], ids=["abc-c", "default-method-c", "fixed-P", "fixed-seed"])
+    def test_flag_outside_its_method_rejected(self, tmp_path, capsys, flags, message):
+        ppath = tmp_path / "p.json"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))[0], ppath)
+        assert main(["select-r", "--panel", str(ppath), *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_trace_manifest_fills_defaults(self, tmp_path):
+        ppath = tmp_path / "p.json"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))[0], ppath)
+        trace_path = tmp_path / "trace.json"
+        assert main(["select-r", "--panel", str(ppath), "--trace", str(trace_path)]) == 0
+        assert json.loads(trace_path.read_text())["manifest"]["args"] == {
+            "panel": str(ppath), "kind": "IC2a", "k_max": 10, "P": 5, "seed": 0}
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("p.json", "[1, 2]", "a panel must be a JSON object, got list"),
+        ("p.json", '{"N": 1, "T": 30, "spaces": 5, "coeffs": []}', "panel 'spaces' must be a list"),
+        ("p.json", '{"N": 1, "T": 2, "spaces": [null], "coeffs": [[[0.0], [1.0]]]}',
+         "panel spaces[0] must be an object"),
+        ("p.json", '{"N": 2, "T": ', "validation error"),
+        ("p.csv", "1.0\n2.0\n3.0\n", "panel needs T >= 2"),
+    ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv"])
+    def test_bad_panel_file_exit_2(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["select-r", "--panel", str(path), "--method", "fixed"]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestBench:
     def test_row_count_and_determinism(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDFFM_THREADS", "1")
@@ -278,6 +313,20 @@ class TestBench:
         err = capsys.readouterr().err
         assert "unknown bench select keys ['metod']" in err
         assert "'method'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("select, message", [
+        ({"method": "abc", "c": 0.0}, "select.c applies only to select.method fixed"),
+        ({"c": 0.0}, "select.c applies only to select.method fixed"),
+        ({"method": "fixed", "P": 2}, "select.P applies only to select.method abc"),
+        ({"method": "fixed", "c": 0.0, "seed": 9}, "select.seed applies only to select.method abc"),
+    ], ids=["abc-c", "default-method-c", "fixed-P", "fixed-seed"])
+    def test_select_key_outside_its_method_rejected(self, tmp_path, capsys, select, message):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], "select": select}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("select", [["method"], "fixed", []])

@@ -265,6 +265,33 @@ class TestBatchedArBic:
         assert {y.tobytes() for y in Y[: 4 if p_max else 2]} <= scalar_rows
         self.assert_agrees(Y, p_max, 3)
 
+    @staticmethod
+    def scalar_path_rows(monkeypatch, Y, p_max):
+        """Indices of the rows of Y that ``_ar_bic_forecasts`` hands to ``fit_ar_bic``."""
+        scalar_rows = set()
+
+        def recording_fit(y, p):
+            scalar_rows.add(y.tobytes())
+            return fit_ar_bic(y, p)
+
+        monkeypatch.setattr(forecast, "fit_ar_bic", recording_fit)
+        _ar_bic_forecasts(Y, p_max, 2)
+        monkeypatch.undo()
+        return [i for i, y in enumerate(Y) if y.tobytes() in scalar_rows]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_only_explosive_picks_take_the_scalar_path(self, monkeypatch, seed):
+        # every row's first BIC minimum is AR(1); where that fit is explosive,
+        # fit_ar_bic falls back to AR(0), and only those rows leave the batch
+        Y = radius_flip_rows(seed)
+        want = np.flatnonzero(scalar_ar_bic_forecasts(Y, 1, 2)[1] == 0).tolist()
+        assert 0 < len(want) < len(Y)
+        assert self.scalar_path_rows(monkeypatch, Y, 1) == want
+
+    def test_stationary_rows_stay_in_the_batch(self, monkeypatch):
+        Y = random_ar_rows(np.random.default_rng(1), 150, 300)
+        assert self.scalar_path_rows(monkeypatch, Y, 5) == []
+
     def test_near_tie(self):
         Y = near_tie_rows()
         assert len(set(scalar_ar_bic_forecasts(Y, 3, 2)[1])) == 2  # the rows straddle the flip
