@@ -201,9 +201,8 @@ def _bench_replication(job: dict) -> tuple:
         p = phi_nt(common_component(fit), truth.chi)
         rows.append([job["dgp"], job["N"], job["T"], k, job["rep"],
                      repr(d * d), repr(e * e), repr(p)])
-    select_row = None
-    if job["select"] is not None:
-        sel = job["select"]
+    select_row, sel = None, job["select"]
+    if sel is not None:
         r_hat, _ = _select_r(panel, sel["method"], float(sel["c"]), sel["kind"], int(sel["k_max"]),
                              int(sel["P"]), int(sel["seed"]) + job["rep"])
         select_row = [job["dgp"], job["N"], job["T"], job["rep"], r_hat]
