@@ -41,6 +41,7 @@ from .select import (
     nested_subpanel_sizes,
     penalty,
     select_r_fixed,
+    thread_cap,
 )
 from .simulate import DgpConfig, GroundTruth, ar_burn_in_draw, design_parameters, gen_dgp, noise_covariance
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, mafe_msfe, phi_nt

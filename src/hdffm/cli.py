@@ -2,9 +2,13 @@
 
 Every command is deterministic given its flags and seeds, and embeds a
 manifest (command, flags, seeds, package version) in its outputs.  The
-bench driver runs replications in a process pool capped by the
-``HDFFM_THREADS`` environment variable; rows are canonically sorted before
-writing so the output never depends on scheduling.
+``HDFFM_THREADS`` environment variable caps the cores one command uses
+(default: the CPUs the process may run on; anything but a positive integer
+exits 2).  ``bench`` runs replications in a pool of w = min(cap, jobs)
+worker processes, each of which gives the tuned selection cap // w threads;
+rows are canonically sorted before writing so the output never depends on
+scheduling.  Outputs do not depend on the cap: the forecast manifests
+record it, and bench prints its split.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error
 (rank-deficient panel), 4 I/O error.
@@ -34,7 +38,7 @@ from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_m
 from .forecast import ForecastConfig, _min_length, cf_forecast, rolling_origin_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
-from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed
+from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
 from .simulate import DgpConfig, gen_dgp
 
 EXIT_OK = 0
@@ -75,12 +79,6 @@ def _load_panel_arg(path) -> Panel:
     if str(path).lower().endswith(".csv"):
         return load_scalar_csv(path)
     return load_panel(path)
-
-
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("HDFFM_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +187,11 @@ def cmd_select_r(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap_threads(threads: int) -> None:
+    """Bench pool initializer: the selection threads of one worker."""
+    os.environ["HDFFM_THREADS"] = str(threads)
+
+
 def _bench_replication(job: dict) -> tuple:
     """Metrics rows and the selection row (or None) for one (dgp, N, T,
     replication); runs in a worker."""
@@ -238,11 +241,15 @@ def cmd_bench(args) -> int:
         for dgp in dgps for n in n_list for t in t_list for rep in range(reps)
     ]
     n_factors = _dgp_config_from_dict(jobs[0]).n_factors  # bad design keys fail here
-    workers = _worker_count(len(jobs))
+    cap = thread_cap()
+    # worker processes x selection threads stay within the cap
+    workers = min(cap, len(jobs))
+    threads = cap // workers
     if workers == 1:
         results = [_bench_replication(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_threads,
+                                 initargs=(threads,)) as pool:
             results = list(pool.map(_bench_replication, jobs, chunksize=4))
 
     metric_rows = sorted((row for rows, _ in results for row in rows),
@@ -257,7 +264,8 @@ def cmd_bench(args) -> int:
         under = sum(1 for r in select_rows if r[4] < n_factors)
         over = sum(1 for r in select_rows if r[4] > n_factors)
         print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={n_factors})")
-    print(f"wrote {len(metric_rows)} rows to {args.out}")
+    print(f"wrote {len(metric_rows)} rows to {args.out} "
+          f"({workers} workers x {threads} selection threads)")
     return EXIT_OK
 
 
@@ -306,7 +314,7 @@ def _mortality_rolling(args) -> int:
             "n_components": args.n_components, "p_max": args.p_max,
             "delta_min": args.delta_min, "eval_age_max": args.eval_age_max,
         })
-        manifest["numpy"] = np.__version__
+        manifest.update(numpy=np.__version__, threads=thread_cap())
         _write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows, manifest)
     return EXIT_OK
 
@@ -336,10 +344,10 @@ def cmd_forecast(args) -> int:
     panel = _load_panel_arg(args.panel)
     result = _forecast_panel(panel, args, args.horizon, rng_seed=args.seed)
     doc = {
-        "manifest": _manifest("forecast", {
+        "manifest": {**_manifest("forecast", {
             "panel": str(args.panel), "method": args.method,
             "horizon": args.horizon, "seed": args.seed, "fixed_r": args.fixed_r,
-        }),
+        }), "threads": thread_cap()},
         "r": result.r,
         "forecasts": [s.tolist() for s in result.steps],
     }
@@ -418,6 +426,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_cap()  # a bad HDFFM_THREADS fails every command before it starts
         return args.func(args)
     except RankDeficientError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -190,7 +190,7 @@ def fit_to_dict(fit: FactorFit, manifest: dict | None = None) -> dict:
 
 
 def fit_from_dict(d: dict) -> FactorFit:
-    spaces = tuple(space_from_dict(s) for s in d["spaces"])
+    spaces = tuple(space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(d["spaces"]))
     k = int(d["k"])
     lambda_hat = np.asarray(d["lambda_hat"], dtype=float)
     factors = np.asarray(d["factors"], dtype=float).reshape(k, -1)

@@ -28,7 +28,10 @@ _GRAM_SYM_RTOL = 1e-12
 # The byte budget of one stacked call: the selection's subpanel Grams, the AR
 # screen's lag matrices, the whitening and CF runs are cut into stacks of at
 # most this many bytes (``stack_runs``), so batching bounds the extra memory.
-_CHUNK_BYTES = 1 << 19
+# At 1 MiB a stack holds three 200 x 200 Grams: numpy's eigvalsh releases the
+# GIL only for a call of more than 500 output values, which lets the
+# selection's threads overlap their eigensolves.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,11 +333,22 @@ def space_to_dict(spec: SpaceSpec) -> dict:
     return out
 
 
-def space_from_dict(d: dict) -> SpaceSpec:
-    kind = d["kind"]
-    dim = int(d["dim"])
-    gram = np.asarray(d["gram"], dtype=float) if "gram" in d else np.eye(dim)
-    return SpaceSpec(kind, dim, gram)
+def space_from_dict(d: dict, name: str) -> SpaceSpec:
+    """The space a dict of ``space_to_dict`` describes; a ``dim`` that is not an
+    integer or a ``gram`` that is not a numeric dim x dim list raises a
+    ``ValueError`` that calls the space ``name``."""
+    dim = d["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"{name}.dim must be an integer, got {json.dumps(dim)}")
+    if "gram" not in d:
+        return SpaceSpec(d["kind"], dim, np.eye(dim))
+    gram = d["gram"]
+    if not (isinstance(gram, list) and len(gram) == dim and all(
+            isinstance(row, list) and len(row) == dim
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+            for row in gram)):
+        raise ValueError(f"{name}.gram must be a {dim} x {dim} list of numbers")
+    return SpaceSpec(d["kind"], dim, np.asarray(gram, dtype=float))
 
 
 def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
@@ -358,7 +372,7 @@ def panel_from_dict(d: dict) -> Panel:
     for i, s in enumerate(d["spaces"]):
         if not isinstance(s, dict):
             raise ValueError(f"panel spaces[{i}] must be an object, got {type(s).__name__}")
-    spaces = [space_from_dict(s) for s in d["spaces"]]
+    spaces = [space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(d["spaces"])]
     panel = Panel(spaces, [np.asarray(c, dtype=float) for c in d["coeffs"]])
     if panel.N != d["N"] or panel.T != d["T"]:
         raise ValueError("panel header does not match coefficient arrays")

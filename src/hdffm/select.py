@@ -5,7 +5,8 @@ the tuned information criterion IC(c, k) = V(k) + c*k*g(N, T), the plain
 argmin selector at fixed c, and the permutation/subpanel tuning procedure
 that scans a grid of c values, tracks the variance of the selected count
 across nested subpanels, and picks c in the middle of the second
-zero-variance plateau of that profile.
+zero-variance plateau of that profile.  The sweep's permutations run on
+threads under the one core cap of a command, ``thread_cap()``.
 """
 
 from __future__ import annotations
@@ -13,18 +14,38 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .estimate import goodness_of_fit, v_profile
-from .panel import Panel, stack_runs
+from .panel import _CHUNK_BYTES, Panel, stack_runs
 
 IC1A = "IC1a"
 IC2A = "IC2a"
 PENALTY_KINDS = (IC1A, IC2A)
 # the tuning sweep's grid of c values: 0, 0.05, ..., 10
 C_GRID = np.round(np.arange(0.0, 10.0 + 1e-9, 0.05), 10)
+
+
+def thread_cap() -> int:
+    """The cores one command may use: ``HDFFM_THREADS``, read at every call,
+    or by default the CPUs this process may run on."""
+    value = os.environ.get("HDFFM_THREADS")
+    if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"HDFFM_THREADS must be a positive integer, got {value!r}")
+    return cap
 
 
 def penalty(kind: str, N: int, T: int) -> float:
@@ -64,11 +85,15 @@ def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarr
     return np.argmin(ic, axis=-1) + 1
 
 
+def _check_k_max(panel: Panel, k_max: int) -> None:
+    if not 1 <= k_max <= min(panel.total_dim, panel.T):
+        raise ValueError(f"k_max={k_max} out of range for this panel")
+
+
 def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
     """argmin_k of IC(c, k) on the full panel for every c in the grid, read
     from the panel's cached Gram spectrum."""
-    if not 1 <= k_max <= min(panel.total_dim, panel.T):
-        raise ValueError(f"k_max={k_max} out of range for this panel")
+    _check_k_max(panel, k_max)
     vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
     return _r_hat_profile(v, penalty(kind, panel.N, panel.T), c_grid, k_max)
@@ -221,18 +246,38 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
     S = np.zeros((Z.shape[1], Z.shape[1]))
     done = 0
     top, traces = np.empty((n_sub.size, k_max)), np.empty(n_sub.size)
+
+    def add_series(n):
+        """S += Z_i' Z_i over the permuted series done..n - 1."""
+        nonlocal done
+        if n > done:
+            block = Z[rows[off[done] : off[n]]]
+            np.add(S, block.T @ block, out=S)
+            done = n
+
     for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
         t = t_sub[lo]
+        # the first checkpoint's block, the largest, is freed before the stack
+        # is allocated, and the stack before the next one is
+        add_series(n_sub[lo])
         F = np.empty((hi - lo, t, t))
         for j in range(lo, hi):
-            if n_sub[j] > done:
-                block = Z[rows[off[done] : off[n_sub[j]]]]
-                S += block.T @ block
-                done = n_sub[j]
+            add_series(n_sub[j])
             np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
         top[lo:hi] = np.linalg.eigvalsh(F)[:, ::-1][:, :k_max]
         traces[lo:hi] = np.trace(F, axis1=1, axis2=2)
+        del F
     return top, traces
+
+
+def _run_in_order(tasks: list, threads: int) -> list:
+    """The results of ``tasks``, in order, on ``threads`` threads of a pool that
+    lives for this call (none for one): the first failing task in order raises."""
+    if threads == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
@@ -243,7 +288,9 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     Gram spectrum for every p), locates the second zero-variance plateau of
     the variance-over-subpanels profile, evaluates r at the plateau's middle
     c on the full panel, and returns the lower median across permutations
-    together with the full trace.
+    together with the full trace.  The permutations' spectra and the panel's
+    own are computed on up to ``thread_cap()`` threads where the Grams are
+    large; the results, gathered in order, do not depend on the thread count.
     """
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
     if sizes[-1] != (panel.N, panel.T):
@@ -256,13 +303,22 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
     t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
+    _check_k_max(panel, k_max)  # before any task runs, as in the serial order
+    permutations = [np.random.default_rng(cfg.rng_seed + p).permutation(panel.N) for p in range(P)]
+    Z = panel.stacked_white()  # materialised once, before the tasks share it
+    tasks = [panel.gram_spectrum] + [
+        partial(_subpanel_spectra, Z, panel.offsets, perm, n_sub, t_sub, k_max)
+        for perm in permutations]
+    # threads pay only when one permutation's Grams fill a stack budget: its
+    # eigvalsh stacks then hold several Grams, and numpy releases the GIL there
+    cap = thread_cap()
+    threads = min(cap, P + 1) if 8 * int(np.square(t_sub).sum()) >= _CHUNK_BYTES else 1
+    spectra = _run_in_order(tasks, threads)[1:]
+
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
     r_table[:, -1, :] = _full_panel_profile(panel, c_grid, kind, k_max)[:, None]
-    permutations = [np.random.default_rng(cfg.rng_seed + p).permutation(panel.N) for p in range(P)]
-    Z, off = panel.stacked_white(), panel.offsets
-    spectra = [_subpanel_spectra(Z, off, perm, n_sub, t_sub, k_max) for perm in permutations]
     top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
     v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
     g = np.array([penalty(kind, n_j, t_j) for n_j, t_j in sizes[:-1]])

@@ -207,7 +207,19 @@ class TestSelectR:
          "panel spaces[0] must be an object"),
         ("p.json", '{"N": 2, "T": ', "validation error"),
         ("p.csv", "1.0\n2.0\n3.0\n", "panel needs T >= 2"),
-    ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv"])
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "scalar", "dim": null}], '
+                   '"coeffs": [[[0.0], [1.0]]]}', "spaces[0].dim must be an integer, got null"),
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "scalar", "dim": [1]}], '
+                   '"coeffs": [[[0.0], [1.0]]]}', "spaces[0].dim must be an integer, got [1]"),
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "functional", "dim": 2.5}], '
+                   '"coeffs": [[[0.0, 1.0], [1.0, 0.0]]]}',
+         "spaces[0].dim must be an integer, got 2.5"),
+        ("p.json", '{"N": 2, "T": 2, "spaces": [{"kind": "scalar", "dim": 1}, '
+                   '{"kind": "functional", "dim": 2, "gram": [[1.0, 0.0], [0.0]]}], '
+                   '"coeffs": [[[0.0], [1.0]], [[0.0, 1.0], [1.0, 0.0]]]}',
+         "spaces[1].gram must be a 2 x 2 list of numbers"),
+    ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv",
+            "null-dim", "list-dim", "fractional-dim", "ragged-gram"])
     def test_bad_panel_file_exit_2(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -288,6 +300,31 @@ class TestBench:
         r_hats = [int(r[4]) for r in read_csv_rows(tmp_path / "m.selection.csv")[1:]]
         under, over = sum(r < 2 for r in r_hats), sum(r > 2 for r in r_hats)
         assert f"{under} under, {over} over (r=2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-1"])
+    def test_bad_thread_cap_exit_2(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1]}))
+        assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"HDFFM_THREADS must be a positive integer, got {cap!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_threaded_selection_matches_serial(self, tmp_path, monkeypatch, capsys):
+        # one job: no pool, and the whole cap goes to the selection's threads
+        spec = {"dgps": [2], "N": [20], "T": [130], "replications": 1, "k": [2], "seed": 8,
+                "select": {"method": "abc"}}
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        outputs = []
+        for cap in ("1", "2"):
+            monkeypatch.setenv("HDFFM_THREADS", cap)
+            out = tmp_path / f"cap{cap}.csv"
+            assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 0
+            assert f"(1 workers x {cap} selection threads)" in capsys.readouterr().out
+            outputs.append([out.read_bytes(), (tmp_path / f"cap{cap}.selection.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         spath = tmp_path / "spec.json"
@@ -380,6 +417,25 @@ class TestForecastCommand:
         assert doc["r"] == 3
         assert np.asarray(doc["forecasts"][0]).shape == (2, 7)
         assert doc["manifest"]["command"] == "forecast"
+
+    def test_manifests_record_the_thread_cap(self, tmp_path, monkeypatch):
+        ppath, mpath = tmp_path / "p.json", tmp_path / "mort.csv"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=12))[0], ppath)
+        write_synthetic_mortality(mpath, n_pref=2, n_years=20)
+        bodies = []
+        for cap in (1, 2):
+            monkeypatch.setenv("HDFFM_THREADS", str(cap))
+            fc, table = tmp_path / f"fc{cap}.json", tmp_path / f"table{cap}.csv"
+            assert main(["forecast", "--panel", str(ppath), "--horizon", "1",
+                         "--out", str(fc)]) == 0
+            assert main(["forecast", "--mortality", str(mpath), "--sex", "F", "--horizon", "1",
+                         "--p-max", "2", "--fixed-r", "1", "--out", str(table)]) == 0
+            doc = json.loads(fc.read_text())
+            header, body = table.read_text().split("\n", 1)
+            assert doc.pop("manifest")["threads"] == cap
+            assert json.loads(header.removeprefix("# manifest: "))["threads"] == cap
+            bodies.append((doc, body))
+        assert bodies[0] == bodies[1]
 
     def test_mortality_smoke_and_method_difference(self, tmp_path, capsys):
         mpath = tmp_path / "mort.csv"

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,28 +10,32 @@ import pytest
 
 from hdffm import (
     AbcConfig,
+    ForecastConfig,
     Panel,
     abc_select_r,
     build_bspline,
     center,
+    functional_space,
     goodness_of_fit,
     ic_value,
     nested_subpanel_sizes,
     penalty,
     scalar_space,
     select_r_fixed,
+    tnh_forecast,
 )
+from hdffm import select
 from hdffm.panel import _CHUNK_BYTES
 from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, rank_k_panel
 
 
-def mixed_bspline_panel():
+def mixed_bspline_panel(T=50):
     """Two factors loaded on scalar series and on 6-dim B-spline series
     (non-identity Gram), plus noise."""
     rng = np.random.default_rng(17)
-    N, T, d = 16, 50, 6
+    N, d = 16, 6
     U = rng.standard_normal((2, T))
     bspline = build_bspline((0.0, 1.0), dim=d).space()
     spaces = [scalar_space() if i % 3 == 0 else bspline for i in range(N)]
@@ -319,8 +326,9 @@ class TestStackedSelection:
         abc_select_r(panel, cfg)
         assert calls == [(9, 39, 39)] * cfg.P
 
-    def test_memory_within_the_byte_budget(self):
-        # mc-grid's largest cell: one 200 x 200 Gram per stack, as before batching
+    def test_memory_within_the_byte_budget(self, monkeypatch):
+        # mc-grid's largest cell, serial as in its bench workers
+        monkeypatch.setenv("HDFFM_THREADS", "1")
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=100, T=200, seed=3))
         cfg = AbcConfig.for_panel(100, 200, rng_seed=0)
         panel.gram_spectrum()  # shared by both; not part of either peak
@@ -334,3 +342,129 @@ class TestStackedSelection:
                 tracemalloc.stop()
 
         assert peak(abc_select_r) <= peak(per_subpanel_r_table) + _CHUNK_BYTES
+
+    def test_memory_within_two_budgets_on_two_threads(self, monkeypatch):
+        # each of two threads holds one permutation's running sum and one stack
+        monkeypatch.setenv("HDFFM_THREADS", "2")
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=100, T=200, seed=3))
+        cfg = AbcConfig.for_panel(100, 200, rng_seed=0)
+        panel.gram_spectrum()
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(panel, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = peak(per_subpanel_r_table) + 2 * (_CHUNK_BYTES + 8 * panel.T**2)
+        assert peak(abc_select_r) <= bound
+
+
+def record_threads(monkeypatch):
+    """Wrap ``_subpanel_spectra`` to record the thread each permutation runs on."""
+    spectra, idents = select._subpanel_spectra, []
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        return spectra(*args)
+
+    monkeypatch.setattr(select, "_subpanel_spectra", recording)
+    return idents
+
+
+class TestThreadedSelection:
+    """The permutations run on threads where the Grams fill a stack budget
+    (T >= 121 at the reference sizes); nothing a caller sees depends on it."""
+
+    @staticmethod
+    def outputs(make_panel, cap, monkeypatch):
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        panel = make_panel()  # a fresh panel: its own spectrum is a task too
+        r, trace = abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=2))
+        result = tnh_forecast(make_panel(), ForecastConfig(horizon=2, rng_seed=2))
+        return [r, trace.r_hat_table.tobytes(), trace.variance_profile.tobytes(),
+                trace.plateaus, trace.chosen_c, trace.fallback, trace.r_hat_per_p,
+                result.r, [step.tobytes() for step in result.steps], result.ar_orders.tolist()]
+
+    @pytest.mark.parametrize("make_panel", [
+        *[lambda dgp=dgp: gen_dgp(DgpConfig(dgp=dgp, N=50, T=200, seed=60 + dgp))[0]
+          for dgp in (1, 2, 3, 4)],
+        lambda: mixed_bspline_panel(T=130),
+    ], ids=["dgp1", "dgp2", "dgp3", "dgp4", "mixed-bspline-T130"])
+    def test_bitwise_at_one_and_two_threads(self, monkeypatch, make_panel):
+        assert self.outputs(make_panel, "1", monkeypatch) == self.outputs(make_panel, "2",
+                                                                          monkeypatch)
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # six workers switching every microsecond give the serial trace
+        make_panel = lambda: gen_dgp(DgpConfig(dgp=3, N=50, T=200, seed=9))[0]  # noqa: E731
+        serial = self.outputs(make_panel, "1", monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self.outputs(make_panel, "6", monkeypatch) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_at_t200(self, monkeypatch):
+        monkeypatch.setenv("HDFFM_THREADS", "2")
+        idents = record_threads(monkeypatch)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
+        abc_select_r(panel, AbcConfig.for_panel(50, 200))
+        assert len(idents) == 5 and threading.get_ident() not in idents
+
+    def test_serial_on_mortality_windows(self, monkeypatch):
+        monkeypatch.setenv("HDFFM_THREADS", "2")
+        idents = record_threads(monkeypatch)
+        for panel in mortality_windows():
+            abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T))
+        assert idents and set(idents) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_k_max_checked_before_any_task(self, monkeypatch, cap):
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        idents = record_threads(monkeypatch)
+        panel = Panel([scalar_space()] * 5, np.random.default_rng(0).standard_normal((5, 130, 1)))
+        with pytest.raises(ValueError, match="k_max=6 out of range"):
+            abc_select_r(panel, AbcConfig.for_panel(5, 130, k_max=6))
+        assert idents == [] and panel._spectrum is None
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_first_failing_permutation_raises(self, monkeypatch, cap):
+        # permutation 1 fails after permutation 3 does, but is raised first
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
+        cfg = AbcConfig.for_panel(50, 200, rng_seed=0)
+        perms = [np.random.default_rng(p).permutation(50) for p in range(cfg.P)]
+        spectra = select._subpanel_spectra
+
+        def failing(Z, offsets, perm, *args):
+            p = next(i for i, q in enumerate(perms) if np.array_equal(q, perm))
+            if p == 1:
+                time.sleep(0.2)
+            if p in (1, 3):
+                raise ValueError(f"permutation {p} failed")
+            return spectra(Z, offsets, perm, *args)
+
+        monkeypatch.setattr(select, "_subpanel_spectra", failing)
+        with pytest.raises(ValueError, match="permutation 1 failed"):
+            abc_select_r(panel, cfg)
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_first_rank_bound_error_raises(self, monkeypatch, cap):
+        # a 20-dim and a 3-dim series among ten scalars, k_max = 14: of the four
+        # permutations, 2 fails with its first subpanel's rank bound 10 and 3
+        # with 12 (the 3-dim series among its first ten series)
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        idents = record_threads(monkeypatch)
+        rng = np.random.default_rng(4)
+        spaces = [functional_space(20), functional_space(3)] + [scalar_space()] * 10
+        panel = Panel(spaces, [rng.standard_normal((260, s.dim)) for s in spaces])
+        cfg = AbcConfig(k_max=14, P=4, subpanel_sizes=((10, 260), (11, 260), (12, 260)),
+                        rng_seed=7)
+        with pytest.raises(ValueError, match=r"min\(10, 260\) of subpanel 1"):
+            abc_select_r(panel, cfg)
+        main = threading.get_ident()
+        assert set(idents) == {main} if cap == "1" else main not in idents
