@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -46,20 +47,80 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-DGP_KEYS = {f.name for f in fields(DgpConfig)}
 BENCH_HEADER = ["dgp", "N", "T", "k", "replication", "delta_sq", "epsilon_sq", "phi"]
-# a bench spec sets every DgpConfig field but dgp, which comes from its "dgps" list
-BENCH_SPEC_KEYS = {"dgps", "k", "replications", "select"} | DGP_KEYS - {"dgp"}
 SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
-# the select-r flags' defaults, which a bench spec's "select" object shares
-SELECT_METHODS = ("abc", "fixed")
-SELECT_DEFAULTS = {"method": "abc", "c": 1.0, "kind": IC2A, "k_max": 10, "P": 5, "seed": 0}
-# the select settings that one method alone reads
-SELECT_METHOD_ONLY = {"c": "fixed", "P": "abc", "seed": "abc"}
-# documented defaults of forecast flags whose None default marks them as not given
-N_COMPONENTS = 6
-EVAL_AGE_MAX = 89
-SEED = 0
+
+# A command's settings table maps each flag or JSON key to (default, JSON type,
+# mode); MISSING marks a required key.  Types: int, float (a finite number), str,
+# [int] (a list of integers) or a tuple of allowed strings.  Mode (key, value)
+# limits a setting to where key, an earlier setting or a caller's mode, has that value.
+DGP = {f.name: (f.default, int if f.default is MISSING else type(f.default), None)
+       for f in fields(DgpConfig)}
+# a bench spec lists dgp, N and T as a grid and sets every other DgpConfig field
+BENCH = {**{key: (MISSING, [int], None) for key in ("dgps", "N", "T", "k")},
+         "replications": (MISSING, int, None), "seed": (0, int, None),
+         **{key: v for key, v in DGP.items() if key not in ("dgp", "N", "T", "seed")}}
+# select-r's flags, which a bench spec's "select" object shares
+SELECT = {"method": ("abc", ("abc", "fixed"), None), "c": (1.0, float, ("method", "fixed")),
+          "kind": (IC2A, PENALTY_KINDS, None), "k_max": (10, int, None),
+          "P": (5, int, ("method", "abc")), "seed": (0, int, ("method", "abc"))}
+FORECAST = {"method": ("tnh", ("tnh", "cf"), None), "p_max": (5, int, None),
+            "fixed_r": (None, int, ("method", "tnh")),
+            "n_components": (6, int, ("method", "cf")), "seed": (0, int, ("method", "tnh")),
+            "sex": (None, str, ("mortality", True)), "delta_min": (None, int, ("mortality", True)),
+            "eval_age_max": (89, int, ("mortality", True))}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``; JSON true and false are no numbers."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_a(v, kind[0]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    return kind is not float or math.isfinite(value)
+
+
+def _settings(given: dict, table: dict, modes: dict, name) -> dict:
+    """Every setting of ``table`` under the ``given`` ones (a key left out is not
+    given), in table order.  A setting that applies is type-checked, or takes
+    its default; one that does not is None, and giving it is an error.
+    ``name(key)`` is how a message names a setting."""
+    settings = {}
+    for key, (default, kind, mode) in table.items():
+        if mode is not None and (modes | settings).get(mode[0]) != mode[1]:
+            if key in given:
+                where = name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
+                raise ValueError(f"{name(key)} applies only to {where}")
+            settings[key] = None
+        elif key in given and not _is_a(given[key], kind):
+            what = (f"one of {list(kind)}" if isinstance(kind, tuple)
+                    else "a list of integers" if isinstance(kind, list) else _TYPE_NAMES[kind])
+            raise ValueError(f"{name(key)} must be {what}, got {json.dumps(given[key])}")
+        elif key in given or default is not MISSING:
+            settings[key] = given.get(key, default)
+        else:
+            raise KeyError(key)
+    return settings
+
+
+def _json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
+    """``table``'s settings from the JSON object ``doc``, which may hold no key
+    outside the table but the ``extra`` ones."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
+    unknown = sorted(set(doc) - set(table) - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted([*table, *extra])}")
+    return _settings(doc, table, {}, name)
+
+
+def _resolve_flags(args, table: dict, modes: dict) -> None:
+    """Replace ``table``'s flags in ``args`` (None: not given) by their settings."""
+    given = {key: getattr(args, key) for key in table if getattr(args, key) is not None}
+    vars(args).update(_settings(given, table, modes, lambda key: "--" + key.replace("_", "-")))
 
 
 def _manifest(command: str, args: dict) -> dict:
@@ -86,21 +147,10 @@ def _load_panel_arg(path) -> Panel:
 # ---------------------------------------------------------------------------
 
 
-def _dgp_config_from_dict(d: dict) -> DgpConfig:
-    """Required fields are ints; an optional field, when given, takes its default's type."""
-    return DgpConfig(**{
-        f.name: (int if f.default is MISSING else type(f.default))(d[f.name])
-        for f in fields(DgpConfig) if f.default is MISSING or f.name in d
-    })
-
-
 def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
-    unknown = sorted(set(cfg_dict) - DGP_KEYS)
-    if unknown:
-        raise ValueError(f"unknown simulate config keys {unknown}; allowed: {sorted(DGP_KEYS)}")
-    cfg = _dgp_config_from_dict(cfg_dict)
+    cfg = DgpConfig(**_json_settings(cfg_dict, DGP, "simulate config"))
     panel, truth = gen_dgp(cfg)
     manifest = _manifest("simulate", cfg_dict)
     save_panel(panel, args.out_panel, manifest=manifest)
@@ -148,33 +198,15 @@ def _select_r(panel, method: str, c: float, kind: str, k_max: int, P: int, seed:
     return abc_select_r(panel, cfg, kind)
 
 
-def _select_settings(given: dict, name) -> dict:
-    """SELECT_DEFAULTS under the ``given`` settings (None: not given), once
-    each given setting is checked to apply to the method; ``name(key)`` is
-    how a message names a setting."""
-    settings = {**SELECT_DEFAULTS, **{k: v for k, v in given.items() if v is not None}}
-    method = settings["method"]
-    if method not in SELECT_METHODS:
-        raise ValueError(f"unknown {name('method')} {method!r}; allowed: {list(SELECT_METHODS)}")
-    for key, only in SELECT_METHOD_ONLY.items():
-        if given.get(key) is not None and method != only:
-            raise ValueError(f"{name(key)} applies only to {name('method')} {only}")
-    return settings
-
-
 def cmd_select_r(args) -> int:
-    given = {key: getattr(args, key) for key in SELECT_DEFAULTS}
-    vars(args).update(_select_settings(given, lambda key: "--" + key.replace("_", "-")))
+    _resolve_flags(args, SELECT, {})
     if args.method == "fixed" and (args.trace or args.variance_csv):
         raise ValueError("--trace and --variance-csv need --method abc")
     panel = _load_panel_arg(args.panel)
     r, trace = _select_r(panel, args.method, args.c, args.kind, args.k_max, args.P, args.seed)
     if args.trace:
-        manifest = _manifest(
-            "select-r",
-            {"panel": str(args.panel), "kind": args.kind, "k_max": args.k_max,
-             "P": args.P, "seed": args.seed},
-        )
+        manifest = _manifest("select-r", {"panel": str(args.panel), "kind": args.kind,
+                                          "k_max": args.k_max, "P": args.P, "seed": args.seed})
         trace.save(args.trace, manifest=manifest)
     if args.variance_csv:
         trace.save_variance_csv(args.variance_csv)
@@ -192,55 +224,40 @@ def _cap_threads(threads: int) -> None:
     os.environ["HDFFM_THREADS"] = str(threads)
 
 
-def _bench_replication(job: dict) -> tuple:
-    """Metrics rows and the selection row (or None) for one (dgp, N, T,
-    replication); runs in a worker."""
-    panel, truth = gen_dgp(_dgp_config_from_dict({**job, "seed": job["seed"] + job["rep"]}))
+def _bench_replication(job: tuple) -> tuple:
+    """Metrics rows and the selection row (or None) of one (config, replication,
+    k list, select settings) job; runs in a worker."""
+    cfg, rep, k_list, select = job
+    panel, truth = gen_dgp(cfg)
     rows = []
-    for k in job["k_list"]:
+    for k in k_list:
         fit = fit_factors(panel, k)
         d = delta_nt(fit.factors, truth.U)
         e = epsilon_nt(LoadingMatrix.from_fit(fit), LoadingMatrix.from_ground_truth(truth))
         p = phi_nt(common_component(fit), truth.chi)
-        rows.append([job["dgp"], job["N"], job["T"], k, job["rep"],
-                     repr(d * d), repr(e * e), repr(p)])
-    select_row, sel = None, job["select"]
-    if sel is not None:
-        r_hat, _ = _select_r(panel, sel["method"], float(sel["c"]), sel["kind"], int(sel["k_max"]),
-                             int(sel["P"]), int(sel["seed"]) + job["rep"])
-        select_row = [job["dgp"], job["N"], job["T"], job["rep"], r_hat]
-    return rows, select_row
+        rows.append([cfg.dgp, cfg.N, cfg.T, k, rep, repr(d * d), repr(e * e), repr(p)])
+    if select is None:
+        return rows, None
+    return rows, [cfg.dgp, cfg.N, cfg.T, rep, _select_r(panel, **select)[0]]
 
 
 def cmd_bench(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    unknown = sorted(set(spec) - BENCH_SPEC_KEYS)
-    if unknown:
-        raise ValueError(f"unknown bench spec keys {unknown}; allowed: {sorted(BENCH_SPEC_KEYS)}")
-    dgps = [int(d) for d in spec["dgps"]]
-    n_list = [int(n) for n in spec["N"]]
-    t_list = [int(t) for t in spec["T"]]
-    k_list = [int(k) for k in spec["k"]]
-    reps = int(spec["replications"])
+    grid = _json_settings(spec, BENCH, "bench spec", extra=["select"])
+    select = (_json_settings(spec["select"], SELECT, "bench select", lambda key: "select." + key)
+              if "select" in spec else None)
+    dgps, n_list, t_list, k_list, reps = map(grid.pop, ["dgps", "N", "T", "k", "replications"])
     if not (dgps and n_list and t_list and k_list) or reps < 1:
         raise ValueError("bench spec lists must be nonempty and replications >= 1")
-    seed = int(spec.get("seed", 0))
-    select = {} if spec.get("select") is None else spec["select"]
-    if not isinstance(select, dict):
-        raise ValueError(f"bench select must be a JSON object, got {json.dumps(select)}")
-    unknown = sorted(set(select) - set(SELECT_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown bench select keys {unknown}; allowed: {sorted(SELECT_DEFAULTS)}")
-    select = _select_settings(select, lambda key: "select." + key)
-
-    # a job carries the spec's design keys (n_factors, basis_dim, ...) to gen_dgp
-    jobs = [
-        {**spec, "dgp": dgp, "N": n, "T": t, "rep": rep, "seed": seed, "k_list": k_list,
-         "select": None if spec.get("select") is None else select}
-        for dgp in dgps for n in n_list for t in t_list for rep in range(reps)
-    ]
-    n_factors = _dgp_config_from_dict(jobs[0]).n_factors  # bad design keys fail here
+    # the rest of the grid is the seed and the design keys (n_factors, basis_dim, ...);
+    # every replication's config is checked here, before any runs
+    base = DgpConfig(dgps[0], n_list[0], t_list[0], **grid)
+    # replication rep draws its panel, and its tuned selection, from the seeds + rep
+    rep_selects = [select if select is None or select["seed"] is None
+                   else {**select, "seed": select["seed"] + rep} for rep in range(reps)]
+    jobs = [(replace(base, dgp=dgp, N=n, T=t, seed=base.seed + rep), rep, k_list, rep_selects[rep])
+            for dgp in dgps for n in n_list for t in t_list for rep in range(reps)]
     cap = thread_cap()
     # worker processes x selection threads stay within the cap
     workers = min(cap, len(jobs))
@@ -261,9 +278,9 @@ def cmd_bench(args) -> int:
     if select_rows:
         sel_path = os.path.splitext(str(args.out))[0] + ".selection.csv"
         _write_csv(sel_path, SELECTION_HEADER, select_rows, manifest)
-        under = sum(1 for r in select_rows if r[4] < n_factors)
-        over = sum(1 for r in select_rows if r[4] > n_factors)
-        print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={n_factors})")
+        r = base.n_factors
+        under, over = sum(row[4] < r for row in select_rows), sum(row[4] > r for row in select_rows)
+        print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={r})")
     print(f"wrote {len(metric_rows)} rows to {args.out} "
           f"({workers} workers x {threads} selection threads)")
     return EXIT_OK
@@ -274,13 +291,11 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forecast_panel(panel, args, horizon: int, rng_seed: int = 0):
+def _forecast_panel(panel, args, horizon: int):
     if args.method == "cf":
         return cf_forecast(panel, horizon, args.n_components, p_max=args.p_max)
-    cfg = ForecastConfig(
-        horizon=horizon, p_max=args.p_max, fixed_r=args.fixed_r, rng_seed=rng_seed
-    )
-    return tnh_forecast(panel, cfg)
+    return tnh_forecast(panel, ForecastConfig(horizon=horizon, p_max=args.p_max,
+                                              fixed_r=args.fixed_r, rng_seed=args.seed))
 
 
 def _mortality_rolling(args) -> int:
@@ -289,18 +304,18 @@ def _mortality_rolling(args) -> int:
     records = load_mortality_csv(args.mortality)
     basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
     data = ingest_mortality(records, basis)
-    if args.sex and args.sex not in data:
+    if args.sex is not None and args.sex not in data:
         raise ValueError(f"no rows for --sex {args.sex!r}; the data has sexes {sorted(data)}")
     design = basis.evaluate(AGE_GRID[: args.eval_age_max + 1])
     table_rows = []
-    for sex in [args.sex] if args.sex else sorted(data):
+    for sex in sorted(data) if args.sex is None else [args.sex]:
         md = data[sex]
         delta_min = (max(md.panel.T - 16, _min_length(args.p_max)) if args.delta_min is None
                      else args.delta_min)
         # _forecast_panel is looked up per call: one call per origin is one op
         rows = rolling_origin_eval(
             md.panel, md.log_rates[:, :, : args.eval_age_max + 1], design,
-            lambda train, steps: _forecast_panel(train, args, steps, rng_seed=args.seed),
+            lambda train, steps: _forecast_panel(train, args, steps),
             args.horizon, delta_min,
         )
         for h, mafe, msfe in rows:
@@ -308,12 +323,8 @@ def _mortality_rolling(args) -> int:
             print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
         # every flag that can change the table (delta_min null: the per-sex default)
-        manifest = _manifest("forecast", {
-            "mortality": str(args.mortality), "sex": args.sex, "method": args.method,
-            "horizon": args.horizon, "seed": args.seed, "fixed_r": args.fixed_r,
-            "n_components": args.n_components, "p_max": args.p_max,
-            "delta_min": args.delta_min, "eval_age_max": args.eval_age_max,
-        })
+        manifest = _manifest("forecast", {"mortality": str(args.mortality), "horizon": args.horizon,
+                                          **{key: getattr(args, key) for key in FORECAST}})
         manifest.update(numpy=np.__version__, threads=thread_cap())
         _write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows, manifest)
     return EXIT_OK
@@ -322,27 +333,13 @@ def _mortality_rolling(args) -> int:
 def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if bool(args.mortality) == bool(args.panel):
+    if (args.mortality is None) == (args.panel is None):
         raise ValueError("provide exactly one of --panel or --mortality")
-    for flag, value, mode, applies in [
-            ("--sex", args.sex, "--mortality", args.mortality),
-            ("--delta-min", args.delta_min, "--mortality", args.mortality),
-            ("--eval-age-max", args.eval_age_max, "--mortality", args.mortality),
-            ("--fixed-r", args.fixed_r, "--method tnh", args.method == "tnh"),
-            ("--n-components", args.n_components, "--method cf", args.method == "cf"),
-            ("--seed", args.seed, "--method tnh", args.method == "tnh")]:
-        if value is not None and not applies:
-            raise ValueError(f"{flag} applies only to {mode}")
-    if args.method == "cf" and args.n_components is None:
-        args.n_components = N_COMPONENTS
-    if args.method == "tnh" and args.seed is None:
-        args.seed = SEED
-    if args.mortality and args.eval_age_max is None:
-        args.eval_age_max = EVAL_AGE_MAX
-    if args.mortality:
+    _resolve_flags(args, FORECAST, {"mortality": args.mortality is not None})
+    if args.mortality is not None:
         return _mortality_rolling(args)
     panel = _load_panel_arg(args.panel)
-    result = _forecast_panel(panel, args, args.horizon, rng_seed=args.seed)
+    result = _forecast_panel(panel, args, args.horizon)
     doc = {
         "manifest": {**_manifest("forecast", {
             "panel": str(args.panel), "method": args.method,
@@ -385,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="select the number of factors")
     p.add_argument("--panel", required=True)
-    # None marks a flag as not given; cmd_select_r fills SELECT_DEFAULTS in
-    p.add_argument("--method", choices=SELECT_METHODS)
+    # None marks a flag as not given; cmd_select_r resolves them in SELECT
+    p.add_argument("--method", choices=SELECT["method"][1])
     p.add_argument("--c", type=float, help="tuning constant for --method fixed")
     p.add_argument("--kind", choices=PENALTY_KINDS)
     p.add_argument("--k-max", type=int)
@@ -406,17 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mortality", default=None, help="mortality-rate CSV")
     p.add_argument("--sex", default=None, help="one sex's rows (mortality mode; default: all)")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--method", choices=["tnh", "cf"], default="tnh")
+    # None marks a flag as not given; cmd_forecast resolves them in FORECAST
+    p.add_argument("--method", choices=FORECAST["method"][1])
     p.add_argument("--fixed-r", type=int, default=None, help="factor count (tnh; default: tuned)")
     p.add_argument("--n-components", type=int, default=None,
-                   help=f"score series per curve (cf; default {N_COMPONENTS})")
-    p.add_argument("--p-max", type=int, default=5)
+                   help=f"score series per curve (cf; default {FORECAST['n_components'][0]})")
+    p.add_argument("--p-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
-                   help=f"seed of the tuned selection (tnh; default {SEED})")
+                   help=f"seed of the tuned selection (tnh; default {FORECAST['seed'][0]})")
     p.add_argument("--delta-min", type=int, default=None,
                    help="first rolling-origin training length (mortality mode)")
-    p.add_argument("--eval-age-max", type=int, default=None,
-                   help=f"oldest age scored (mortality mode; default {EVAL_AGE_MAX})")
+    p.add_argument("--eval-age-max", type=int, help="oldest age scored (mortality mode; "
+                   f"default {FORECAST['eval_age_max'][0]})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_forecast)
     return parser
@@ -431,8 +429,9 @@ def main(argv=None) -> int:
     except RankDeficientError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        missing = "missing key " if isinstance(exc, KeyError) else ""
+        print(f"validation error: {missing}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ class DgpConfig:
 
     def __post_init__(self):
         if self.dgp not in (1, 2, 3, 4):
-            raise ValueError("dgp must be in {1, 2, 3, 4}")
+            raise ValueError(f"dgp must be in {{1, 2, 3, 4}}, got {self.dgp}")
         if self.N < 1 or self.T < 2:
             raise ValueError("need N >= 1 and T >= 2")
         if self.basis_dim < self.n_factors:

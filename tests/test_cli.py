@@ -68,6 +68,28 @@ class TestSimulate:
         assert "n_factor" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("N", None, "N must be an integer, got null"),
+        ("N", 5.7, "N must be an integer, got 5.7"),
+        ("N", "6", 'N must be an integer, got "6"'),
+        ("dgp", True, "dgp must be an integer, got true"),
+    ], ids=["null-N", "fractional-N", "string-N", "bool-dgp"])
+    def test_wrongly_typed_key_exit_2(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_dgp_config(cfg_path, **{key: value})
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--config", str(cfg_path), "--out-panel", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_key_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dgp": 1, "N": 10, "seed": 4}))
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--config", str(cfg_path), "--out-panel", str(out)]) == 2
+        assert "validation error: missing key 'T'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out-panel", str(tmp_path / "x.json")]) == 4
@@ -375,11 +397,99 @@ class TestBench:
         assert "bench select must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"N": 5}, "N must be a list of integers, got 5"),
+        ({"T": [30.9]}, "T must be a list of integers, got [30.9]"),
+        ({"seed": None}, "seed must be an integer, got null"),
+        ({"select": {"method": "fixed", "c": [1]}}, "select.c must be a number, got [1]"),
+        ({"select": {"k_max": "3"}}, 'select.k_max must be an integer, got "3"'),
+    ], ids=["int-N", "fractional-T", "null-seed", "list-c", "string-k_max"])
+    def test_wrongly_typed_key_rejected(self, tmp_path, capsys, change, message):
+        spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], **change}))
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_dgp_rejected_before_any_replication(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDFFM_THREADS", "1")
+        calls = []
+        original = cli._bench_replication
+
+        def counting(job):
+            calls.append(job)
+            return original(job)
+
+        monkeypatch.setattr(cli, "_bench_replication", counting)
+        spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spath.write_text(json.dumps({"dgps": [1, 5], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1]}))
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
+        assert "dgp must be in {1, 2, 3, 4}, got 5" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_missing_key_named(self, tmp_path, capsys):
+        spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spath.write_text(json.dumps({"N": [8], "T": [30], "replications": 1, "k": [1]}))
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
+        assert "validation error: missing key 'dgps'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         spath = tmp_path / "spec.json"
         spath.write_text(json.dumps({"dgps": [], "N": [5], "T": [30],
                                      "replications": 1, "k": [1]}))
         assert main(["bench", "--spec", str(spath), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# valid JSON inputs with every key set; a select object is run in a bench spec
+BENCH_GRID = {"dgps": [1], "N": [8], "T": [30], "k": [1], "replications": 1}
+DESIGN = {"fixed_design_seed": 3, "basis_dim": 7, "n_factors": 3, "target_opnorm": 0.8}
+VALID_INPUTS = {
+    "simulate": {"dgp": 1, "N": 6, "T": 30, "seed": 1, **DESIGN},
+    "bench": {**BENCH_GRID, "seed": 1, **DESIGN, "select": {"method": "fixed"}},
+    "select-fixed": {"method": "fixed", "c": 0.5, "kind": "IC2a", "k_max": 4},
+    "select-abc": {"method": "abc", "kind": "IC1a", "k_max": 4, "P": 2, "seed": 1},
+}
+
+
+def wrongly_typed(value):
+    """JSON values of another type than ``value`` (for a string, one it cannot be)."""
+    bad = [None, True, "2", [2], {}] + ([2.5] if type(value) is int else [])
+    return [b for b in bad if type(b) is not type(value) or type(b) is str]
+
+
+def run_input(tmp_path, name, doc):
+    """``main``'s exit code on ``doc`` as input ``name``, and its output file."""
+    path = tmp_path / "input.json"
+    if name == "simulate":
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "panel.json"
+        return main(["simulate", "--config", str(path), "--out-panel", str(out)]), out
+    path.write_text(json.dumps(doc if name == "bench" else {**BENCH_GRID, "select": doc}))
+    out = tmp_path / "bench.csv"
+    return main(["bench", "--spec", str(path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("name", sorted(VALID_INPUTS))
+def test_valid_inputs_run(tmp_path, monkeypatch, name):
+    monkeypatch.setenv("HDFFM_THREADS", "1")
+    code, out = run_input(tmp_path, name, VALID_INPUTS[name])
+    assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    pytest.param(name, key, bad, id=f"{name}-{key}-{json.dumps(bad)}")
+    for name, doc in sorted(VALID_INPUTS.items()) for key in doc for bad in wrongly_typed(doc[key])
+])
+def test_wrongly_typed_value_exit_2(tmp_path, monkeypatch, capsys, name, key, value):
+    monkeypatch.setenv("HDFFM_THREADS", "1")
+    code, out = run_input(tmp_path, name, {**VALID_INPUTS[name], key: value})
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_synthetic_mortality(path, n_pref=4, n_years=30, seed=0):
