@@ -37,13 +37,12 @@ from .select import (
     AbcConfig,
     SelectionTrace,
     abc_select_r,
-    ic_value,
     nested_subpanel_sizes,
     penalty,
     select_r_fixed,
     thread_cap,
 )
-from .simulate import DgpConfig, GroundTruth, ar_burn_in_draw, design_parameters, gen_dgp, noise_covariance
+from .simulate import DgpConfig, GroundTruth, design_parameters, gen_dgp, noise_covariance
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, mafe_msfe, phi_nt
 from .forecast import (
     ArModel,

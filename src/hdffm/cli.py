@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .estimate import (
     RankDeficientError,
+    _check_k,
     common_component,
     fit_factors,
     fit_to_dict,
@@ -39,7 +40,8 @@ from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_m
 from .forecast import ForecastConfig, _min_length, cf_forecast, rolling_origin_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
-from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
+from .select import (IC2A, PENALTY_KINDS, AbcConfig, _check_k_max, abc_select_r, select_r_fixed,
+                     thread_cap)
 from .simulate import DgpConfig, gen_dgp
 
 EXIT_OK = 0
@@ -258,6 +260,12 @@ def cmd_bench(args) -> int:
                    else {**select, "seed": select["seed"] + rep} for rep in range(reps)]
     jobs = [(replace(base, dgp=dgp, N=n, T=t, seed=base.seed + rep), rep, k_list, rep_selects[rep])
             for dgp in dgps for n in n_list for t in t_list for rep in range(reps)]
+    # each cell's k range, in the order the replications would check it
+    for bound in (min(n * base.basis_dim, t) for n in n_list for t in t_list):
+        for k in k_list:
+            _check_k(k, bound)
+        if select is not None:
+            _check_k_max(select["k_max"], bound)
     cap = thread_cap()
     # worker processes x selection threads stay within the cap
     workers = min(cap, len(jobs))

@@ -90,6 +90,12 @@ class FactorFit:
         return self.factors.shape[1]
 
 
+def _check_k(k: int, bound: int) -> None:
+    """Reject a factor count outside 0..bound, the rank bound min(D, T) of a panel."""
+    if not 0 <= k <= bound:
+        raise ValueError(f"k={k} out of range [0, {bound}]")
+
+
 def fit_factors(panel: Panel, k: int) -> FactorFit:
     """Fit ``k`` factors by least squares on the panel Gram matrix.
 
@@ -102,9 +108,7 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
         If some requested eigenvalue is below ``1e-12 * trace(F)``,
         i.e. the panel has numerical rank < k.
     """
-    max_k = min(panel.total_dim, panel.T)
-    if not 0 <= k <= max_k:
-        raise ValueError(f"k={k} out of range [0, {max_k}]")
+    _check_k(k, min(panel.total_dim, panel.T))
     lam_all, vecs_all, trace_F = panel.gram_spectrum()
     lam_tilde = lam_all[:k]
     vecs = _oriented(vecs_all[:, :k])
@@ -158,9 +162,7 @@ def v_profile(eigenvalues: np.ndarray, trace, T, k_max: int) -> np.ndarray:
 
 def goodness_of_fit(panel: Panel, k: int) -> float:
     """Minimized average squared residual V(k) after regressing on k factors."""
-    max_k = min(panel.total_dim, panel.T)
-    if not 0 <= k <= max_k:
-        raise ValueError(f"k={k} out of range [0, {max_k}]")
+    _check_k(k, min(panel.total_dim, panel.T))
     vals, _, trace = panel.gram_spectrum()
     return float(v_profile(vals, trace, panel.T, k)[k])
 

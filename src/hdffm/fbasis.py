@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import FUNCTIONAL, Panel, SpaceSpec, lstsq_stack
+from .panel import FUNCTIONAL, Panel, SpaceSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +118,22 @@ class GriddedCurve:
         object.__setattr__(self, "values", values)
 
 
+def _project(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients in the columns of the (m, n) ``design`` of
+    each curve in the (..., m) ``values``: one thin SVD of the design, rank
+    judged by gelsd's rule, and one product by its pseudo-inverse."""
+    m, n = design.shape
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s.size < n or s[-1] <= np.finfo(float).eps * max(m, n) * s[0]:
+        raise ValueError("projection design matrix is rank deficient (grid too coarse)")
+    return values @ ((u / s) @ vt)
+
+
 def project_curve(basis: BSplineBasis, curve: GriddedCurve) -> np.ndarray:
     """Least-squares coefficients of a gridded curve in the basis."""
     if curve.grid.size < basis.dim:
         raise ValueError(f"need at least {basis.dim} grid points, got {curve.grid.size}")
-    design = basis.evaluate(curve.grid)
-    coef, _, rank, _ = np.linalg.lstsq(design, curve.values, rcond=None)
-    if rank < basis.dim:
-        raise ValueError("projection design matrix is rank deficient (grid too coarse)")
-    return coef
+    return _project(basis.evaluate(curve.grid), curve.values)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +334,8 @@ def ingest_mortality(records, basis: BSplineBasis) -> dict:
     (prefecture_id, year, sex, age, rate-or-None) tuples.  Rates for ages
     >= 95 are grouped by averaging, missing rates are filled with the
     previous age group's value, the log transform is applied, and every
-    (prefecture, year) curve is projected onto ``basis``.  Of repeated
-    records for one age, the last wins.
+    (prefecture, year) curve is projected onto ``basis`` by one factorisation
+    of the design.  Of repeated records for one age, the last wins.
     """
     cols = records if isinstance(records, MortalityRecords) else _as_records(records)
     design = basis.evaluate(AGE_GRID)
@@ -342,9 +349,6 @@ def ingest_mortality(records, basis: BSplineBasis) -> dict:
         N, T = len(prefs), len(years)
         log_rates = _log_rate_curves(p * T + y, cols.age[rows], cols.rate[rows], N * T,
                                      lambda c: (sex, prefs[c // T], years[c % T]))
-        coeffs, rank = lstsq_stack(design, log_rates)
-        if (rank < basis.dim).any():
-            raise ValueError("projection design matrix is rank deficient (grid too coarse)")
-        panel = Panel([space] * N, coeffs.reshape(N, T, basis.dim))
+        panel = Panel([space] * N, _project(design, log_rates).reshape(N, T, basis.dim))
         out[sex] = MortalityData(panel, prefs, years, log_rates.reshape(N, T, GROUP_AGE + 1))
     return out

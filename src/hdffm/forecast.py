@@ -283,7 +283,7 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
         picked = _screen_orders(A)
         for p in np.unique(picked[picked >= 0]):
             group = np.flatnonzero(picked == p)
-            b = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])[0]
+            b = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])
             beta[lo + group, : p + 1], orders[lo + group] = b, p
             # a non-explosive first BIC minimum over all orders is also
             # fit_ar_bic's first minimum among the non-explosive orders

@@ -160,8 +160,8 @@ def _lstsq_failed(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Least-squares solutions and ranks of the problems a[i] x = b[i] of a
+def lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of the problems a[i] x = b[i] of a
     (..., m, n) and a (..., m) stack, which broadcast: bitwise those of
     ``np.linalg.lstsq(a[i], b[i], rcond=None)`` one at a time (one LAPACK
     ``gelsd`` per slice), without its per-call cost."""
@@ -171,9 +171,8 @@ def lstsq_stack(a: np.ndarray, b: np.ndarray) -> tuple:
         _umath_linalg, "lstsq_m" if m <= n else "lstsq_n")
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        x, _, rank, _ = gufunc(a, b[..., None], np.finfo(float).eps * max(m, n),
-                               signature="ddd->ddid")
-    return x[..., 0], rank
+        x = gufunc(a, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")[0]
+    return x[..., 0]
 
 
 class Panel:

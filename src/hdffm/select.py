@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimate import goodness_of_fit, v_profile
+from .estimate import v_profile
 from .panel import _CHUNK_BYTES, Panel, stack_runs
 
 IC1A = "IC1a"
@@ -67,13 +67,6 @@ def penalty(kind: str, N: int, T: int) -> float:
     return rate * math.log(min(N, T))
 
 
-def ic_value(panel: Panel, k: int, c: float, kind: str = IC2A) -> float:
-    """Tuned information criterion V(k) + c * k * g(N, T)."""
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    return goodness_of_fit(panel, k) + c * k * penalty(kind, panel.N, panel.T)
-
-
 def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarray:
     """argmin_k of V(k) + c*k*g for every c in the grid (ties -> smallest k).
 
@@ -85,15 +78,16 @@ def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarr
     return np.argmin(ic, axis=-1) + 1
 
 
-def _check_k_max(panel: Panel, k_max: int) -> None:
-    if not 1 <= k_max <= min(panel.total_dim, panel.T):
+def _check_k_max(k_max: int, bound: int) -> None:
+    """Reject a k_max outside 1..bound, the rank bound min(D, T) of a panel."""
+    if not 1 <= k_max <= bound:
         raise ValueError(f"k_max={k_max} out of range for this panel")
 
 
 def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
     """argmin_k of IC(c, k) on the full panel for every c in the grid, read
     from the panel's cached Gram spectrum."""
-    _check_k_max(panel, k_max)
+    _check_k_max(k_max, min(panel.total_dim, panel.T))
     vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
     return _r_hat_profile(v, penalty(kind, panel.N, panel.T), c_grid, k_max)
@@ -303,7 +297,8 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
     t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
-    _check_k_max(panel, k_max)  # before any task runs, as in the serial order
+    # before any task runs, as in the serial order
+    _check_k_max(k_max, min(panel.total_dim, panel.T))
     permutations = [np.random.default_rng(cfg.rng_seed + p).permutation(panel.N) for p in range(P)]
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = [panel.gram_spectrum] + [

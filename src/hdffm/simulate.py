@@ -83,21 +83,6 @@ def _ar1_path(a, z: np.ndarray, innov_sd, u0) -> np.ndarray:
     return x
 
 
-def ar_burn_in_draw(a: float, innov_sd: float, T: int, seed: int) -> np.ndarray:
-    """Sample a stationary Gaussian AR(1) path of length T.
-
-    The initial value is drawn from the exact stationary law
-    N(0, innov_sd^2 / (1 - a^2)); subsequent values follow
-    u_t = a u_{t-1} + eps_t.  No pipeline path calls it; it stays public as
-    the seeded AR(1) generator that the AR-BIC and forecast tests draw from,
-    sharing its recursion with ``gen_dgp``'s factor paths.
-    """
-    if not abs(a) < 1:
-        raise ValueError("|a| must be < 1 for a stationary AR(1)")
-    z = np.random.default_rng(seed).standard_normal(T)
-    return _ar1_path(a, z, innov_sd, z[0] * innov_sd / np.sqrt(1.0 - a * a))
-
-
 def design_parameters(cfg: DgpConfig) -> tuple:
     """AR coefficients and loading matrix held fixed across replications.
 

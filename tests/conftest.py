@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hdffm import Panel, functional_space, scalar_space
+from hdffm import Panel, functional_space, goodness_of_fit, penalty, scalar_space
+from hdffm.simulate import _ar1_path
 
 
 def random_spd(rng, d, scale=1.0):
@@ -31,6 +32,22 @@ def rank_k_panel(rng, N, T, k, dim=4):
     spaces = [functional_space(dim) for _ in range(N)]
     coeffs = [U.T @ B[i] for i in range(N)]
     return Panel(spaces, coeffs), U, B
+
+
+def ic(panel, k, c, kind):
+    """The tuned criterion IC(c, k) = V(k) + c k g(N, T), term by term: the
+    brute-force reference of fixed-c selection."""
+    return goodness_of_fit(panel, k) + c * k * penalty(kind, panel.N, panel.T)
+
+
+def ar_burn_in_draw(a, innov_sd, T, seed):
+    """A seeded stationary Gaussian AR(1) path of length T: u_0 from the exact
+    stationary law N(0, innov_sd^2 / (1 - a^2)), then u_t = a u_{t-1} + eps_t,
+    on the recursion of ``gen_dgp``'s factor paths."""
+    if not abs(a) < 1:
+        raise ValueError("|a| must be < 1 for a stationary AR(1)")
+    z = np.random.default_rng(seed).standard_normal(T)
+    return _ar1_path(a, z, innov_sd, z[0] * innov_sd / np.sqrt(1.0 - a * a))
 
 
 @pytest.fixture

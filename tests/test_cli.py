@@ -430,6 +430,32 @@ class TestBench:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("change, message", [
+        ({"k": [1, 99]}, "k=99 out of range [0, 30]"),
+        ({"k": [-1]}, "k=-1 out of range [0, 30]"),
+        ({"N": [2], "k": [15]}, "k=15 out of range [0, 14]"),  # N x basis_dim
+        ({"T": [30, 12], "k": [20]}, "k=20 out of range [0, 12]"),  # the second cell
+        ({"select": {"method": "fixed", "k_max": 99}}, "k_max=99 out of range for this panel"),
+        ({"select": {"k_max": 31}}, "k_max=31 out of range for this panel"),
+        ({"select": {"k_max": 0}}, "k_max=0 out of range for this panel"),
+    ], ids=["k-over-T", "k-negative", "k-over-ND", "second-cell", "fixed-k_max", "abc-k_max",
+            "zero-k_max"])
+    def test_k_out_of_range_before_any_replication(self, tmp_path, monkeypatch, capsys, threads,
+                                                   change, message):
+        monkeypatch.setenv("HDFFM_THREADS", threads)
+        calls = []
+        monkeypatch.setattr(cli, "_bench_replication", calls.append)
+        # no worker pool may start either
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kwargs: calls.append("pool"))
+        spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spath.write_text(json.dumps({"dgps": [1, 2], "N": [8], "T": [30], "replications": 2,
+                                     "k": [1], **change}))
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_missing_key_named(self, tmp_path, capsys):
         spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
         spath.write_text(json.dumps({"N": [8], "T": [30], "replications": 1, "k": [1]}))

@@ -144,6 +144,34 @@ class TestProjectCurve:
         with pytest.raises(ValueError, match="rank"):
             project_curve(basis9, GriddedCurve(grid, np.ones(9)))
 
+    def test_one_curve_and_batched_match_lstsq(self, basis9, rng):
+        grid = np.arange(96.0)
+        design = basis9.evaluate(grid)
+        curves = rng.standard_normal((5, 96)).cumsum(axis=1)
+        batched = fbasis._project(design, curves)
+        for curve, row in zip(curves, batched):
+            coef = project_curve(basis9, GriddedCurve(grid, curve))
+            want = np.linalg.lstsq(design, curve, rcond=None)[0]
+            scale = np.abs(want).max()
+            assert np.abs(coef - want).max() <= 1e-13 * scale
+            assert np.abs(row - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_rank_rule_is_gelsd(self, rng, factor):
+        # the smallest singular value just under or over gelsd's cut-off
+        m, n = 30, 4
+        u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.array([1.0, 0.5, 0.25, factor * np.finfo(float).eps * m])
+        design = (u * s) @ v.T
+        rank = np.linalg.lstsq(design, np.ones(m), rcond=None)[2]
+        assert rank == (n if factor > 1 else n - 1)
+        if rank < n:
+            with pytest.raises(ValueError, match="rank deficient"):
+                fbasis._project(design, np.ones((3, m)))
+        else:
+            assert fbasis._project(design, np.ones((3, m))).shape == (3, n)
+
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             GriddedCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
@@ -199,6 +227,12 @@ class TestIngestMortality:
         with pytest.raises(ValueError, match="nonpositive"):
             ingest_mortality(recs, basis9)
 
+    def test_rank_deficient_design(self):
+        # ages 0..95 meet only the first knot spans of a basis on 0..950
+        wide = build_bspline((0.0, 950.0), dim=20, order=4)
+        with pytest.raises(ValueError, match="rank deficient"):
+            ingest_mortality(synth_records(), wide)
+
     def test_csv_round_trip(self, basis9, tmp_path):
         path = tmp_path / "mort.csv"
         lines = ["prefecture_id,year,sex,age,rate"]
@@ -232,10 +266,11 @@ def _preprocess_curve(rates: dict, key) -> np.ndarray:
 
 
 def reference_ingest(records, basis) -> dict:
-    """(log_rates, coefficients) per sex, one curve and one projection at a time."""
+    """(log_rates, coefficients) per sex, one curve and one ``np.linalg.lstsq`` at a time."""
     by_key = defaultdict(dict)
     for pref, year, sex, age, rate in records:
         by_key[(sex, pref, year)][age] = rate
+    design = basis.evaluate(AGE_GRID)
     out = {}
     for sex in sorted({sex for sex, _, _ in by_key}):
         prefs = sorted({p for s, p, _ in by_key if s == sex})
@@ -246,9 +281,23 @@ def reference_ingest(records, basis) -> dict:
             for t, year in enumerate(years):
                 key = (sex, pref, year)
                 log_rates[i, t] = _preprocess_curve(by_key[key], key)
-                coeffs[i, t] = project_curve(basis, GriddedCurve(AGE_GRID, log_rates[i, t]))
+                coeffs[i, t] = np.linalg.lstsq(design, log_rates[i, t], rcond=None)[0]
         out[sex] = log_rates, coeffs
     return out
+
+
+def assert_ingest_matches(got, want, basis):
+    """Log rates bitwise; coefficients bitwise those of one batched projection of
+    all the reference log rates, and within 1e-13 of each curve's own lstsq,
+    relative to that curve's largest coefficient."""
+    assert set(got) == set(want)
+    for sex, (log_rates, coeffs) in want.items():
+        assert np.array_equal(got[sex].log_rates, log_rates)
+        batched = fbasis._project(basis.evaluate(AGE_GRID), log_rates.reshape(-1, GROUP_AGE + 1))
+        stacked = np.stack(got[sex].panel.coeffs)
+        assert np.array_equal(stacked, batched.reshape(coeffs.shape))
+        scale = np.abs(coeffs).max(axis=-1, keepdims=True)
+        assert (np.abs(stacked - coeffs) <= 1e-13 * scale).all()
 
 
 class TestIngestMatchesPerCurveReference:
@@ -273,14 +322,12 @@ class TestIngestMatchesPerCurveReference:
     def test_bitwise_equal(self, basis9, records):
         want = reference_ingest(records, basis9)
         got = ingest_mortality(records, basis9)
-        assert set(got) == set(want) == {"F", "M"}
-        for sex, (log_rates, coeffs) in want.items():
-            assert np.array_equal(got[sex].log_rates, log_rates)
-            ref = Panel([basis9.space()] * len(coeffs), list(coeffs))
-            stacked = got[sex].panel.stacked_coeffs()
-            assert np.array_equal(stacked, ref.stacked_coeffs())
+        assert set(got) == {"F", "M"}
+        assert_ingest_matches(got, want, basis9)
+        for sex, md in got.items():
+            ref = Panel([basis9.space()] * md.panel.N, list(md.panel.coeffs))
             # the layout sets the summation order of every later reduction
-            assert stacked.strides == ref.stacked_coeffs().strides
+            assert md.panel.stacked_coeffs().strides == ref.stacked_coeffs().strides
 
 
 class TestIngestErrors:
@@ -320,10 +367,8 @@ class TestIngestOldAgeMean:
                          for age in rng.permutation(np.arange(95, 112))[: p + 1]]
         recs += [("16", 2000, "F", 100, 0.5), ("3", 2001, "F", 111, None)]  # repeats: the last wins
         recs = [recs[i] for i in rng.permutation(len(recs))]
-        (log_rates, coeffs), = reference_ingest(recs, basis9).values()
-        got = ingest_mortality(recs, basis9)["F"]
-        assert np.array_equal(got.log_rates, log_rates)
-        assert np.array_equal(np.stack(got.panel.coeffs), coeffs)
+        want = reference_ingest(recs, basis9)
+        assert_ingest_matches(ingest_mortality(recs, basis9), want, basis9)
 
 
 def assert_same_records(a, b):
@@ -400,7 +445,4 @@ class TestPerfbenchTables:
         rows = fbasis._read_csv_rows(path)
         assert_same_records(records, fbasis._as_records(rows))
         want = reference_ingest(rows, basis9)
-        got = ingest_mortality(records, basis9)
-        for sex, (log_rates, coeffs) in want.items():
-            assert np.array_equal(got[sex].log_rates, log_rates)
-            assert np.array_equal(np.stack(got[sex].panel.coeffs), coeffs)
+        assert_ingest_matches(ingest_mortality(records, basis9), want, basis9)

@@ -18,8 +18,8 @@ from hdffm import (
 )
 from hdffm import forecast
 from hdffm.forecast import _ar_bic_forecasts, companion_radius
-from hdffm.simulate import DgpConfig, ar_burn_in_draw, gen_dgp
-from conftest import random_mixed_panel, random_spd
+from hdffm.simulate import DgpConfig, gen_dgp
+from conftest import ar_burn_in_draw, random_mixed_panel, random_spd
 
 
 class TestArModel:

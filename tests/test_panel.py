@@ -363,19 +363,17 @@ class TestLstsqStack:
     def test_broadcast_design(self, rng):
         design = build_bspline((0.0, 95.0), dim=9).evaluate(np.arange(96.0))
         curves = rng.standard_normal((40, 96))
-        x, rank = lstsq_stack(design, curves)
-        assert x.shape == (40, 9) and rank.shape == (40,)
+        x = lstsq_stack(design, curves)
+        assert x.shape == (40, 9)
         for i, curve in enumerate(curves):
-            want, _, want_rank, _ = np.linalg.lstsq(design, curve, rcond=None)
-            assert np.array_equal(x[i], want) and rank[i] == want_rank
+            assert np.array_equal(x[i], np.linalg.lstsq(design, curve, rcond=None)[0])
 
     def test_ar_lag_stacks_of_every_order(self, rng):
         Y = rng.standard_normal((60, 40)).cumsum(axis=1)
         Y[7] = 2.5  # constant: its lag matrices have rank 1
         A = _lag_matrices(Y, 5)
         for p in range(6):
-            x, rank = lstsq_stack(A[:, :, : p + 1], A[:, :, -1])
-            assert rank[7] == 1 and (np.delete(rank, 7) == p + 1).all()
+            x = lstsq_stack(A[:, :, : p + 1], A[:, :, -1])
             for i in range(len(Y)):
-                want, _, want_rank, _ = np.linalg.lstsq(A[i, :, : p + 1], A[i, :, -1], rcond=None)
-                assert np.array_equal(x[i], want) and rank[i] == want_rank, (p, i)
+                want = np.linalg.lstsq(A[i, :, : p + 1], A[i, :, -1], rcond=None)[0]
+                assert np.array_equal(x[i], want), (p, i)

@@ -16,8 +16,6 @@ from hdffm import (
     build_bspline,
     center,
     functional_space,
-    goodness_of_fit,
-    ic_value,
     nested_subpanel_sizes,
     penalty,
     scalar_space,
@@ -28,7 +26,7 @@ from hdffm import select
 from hdffm.panel import _CHUNK_BYTES
 from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
-from conftest import random_mixed_panel, rank_k_panel
+from conftest import ic, random_mixed_panel, rank_k_panel
 
 
 def mixed_bspline_panel(T=50):
@@ -81,26 +79,6 @@ class TestPenalty:
             penalty("IC3", 10, 10)
 
 
-class TestIcValue:
-    def test_c_zero_is_v(self, rng):
-        panel = random_mixed_panel(rng, N=4, T=6)
-        for k in (1, 2, 3):
-            assert ic_value(panel, k, 0.0, "IC2a") == pytest.approx(
-                goodness_of_fit(panel, k), rel=1e-12
-            )
-
-    def test_recompose(self, rng):
-        panel = random_mixed_panel(rng, N=5, T=7)
-        for kind in ("IC1a", "IC2a"):
-            for k, c in [(1, 0.5), (3, 1.0), (2, 7.25)]:
-                expect = goodness_of_fit(panel, k) + c * k * penalty(kind, panel.N, panel.T)
-                assert ic_value(panel, k, c, kind) == pytest.approx(expect, abs=1e-12)
-
-    def test_negative_c_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ic_value(random_mixed_panel(rng), 1, -0.1)
-
-
 class TestSelectRFixed:
     def test_noiseless_rank3(self, rng):
         panel, _, _ = rank_k_panel(rng, N=6, T=12, k=3)
@@ -114,7 +92,7 @@ class TestSelectRFixed:
             panel = random_mixed_panel(rng, N=5, T=8)
             k_max = 5
             c = float(rng.uniform(0, 2))
-            ics = [ic_value(panel, k, c, "IC1a") for k in range(1, k_max + 1)]
+            ics = [ic(panel, k, c, "IC1a") for k in range(1, k_max + 1)]
             expect = int(np.argmin(ics)) + 1
             assert select_r_fixed(panel, c, "IC1a", k_max) == expect
 
@@ -126,6 +104,10 @@ class TestSelectRFixed:
         panel = random_mixed_panel(rng, N=3, T=4)
         with pytest.raises(ValueError):
             select_r_fixed(panel, 1.0, "IC2a", k_max=50)
+
+    def test_negative_c_rejected(self, rng):
+        with pytest.raises(ValueError, match="c must be nonnegative"):
+            select_r_fixed(random_mixed_panel(rng), -0.1)
 
 
 class TestAbcConfig:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hdffm import DgpConfig, ar_burn_in_draw, design_parameters, gen_dgp, noise_covariance
+from hdffm import DgpConfig, design_parameters, gen_dgp, noise_covariance
+from conftest import ar_burn_in_draw
 
 
 class TestNoiseCovariance:
