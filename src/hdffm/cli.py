@@ -40,8 +40,8 @@ from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_m
 from .forecast import ForecastConfig, _min_length, cf_forecast, rolling_origin_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
-from .select import (IC2A, PENALTY_KINDS, AbcConfig, _check_k_max, abc_select_r, select_r_fixed,
-                     thread_cap)
+from .select import (IC2A, PENALTY_KINDS, AbcConfig, _check_k_max, _check_subpanel_k_max,
+                     abc_select_r, select_r_fixed, thread_cap)
 from .simulate import DgpConfig, gen_dgp
 
 EXIT_OK = 0
@@ -261,11 +261,19 @@ def cmd_bench(args) -> int:
     jobs = [(replace(base, dgp=dgp, N=n, T=t, seed=base.seed + rep), rep, k_list, rep_selects[rep])
             for dgp in dgps for n in n_list for t in t_list for rep in range(reps)]
     # each cell's k range, in the order the replications would check it
-    for bound in (min(n * base.basis_dim, t) for n in n_list for t in t_list):
-        for k in k_list:
-            _check_k(k, bound)
-        if select is not None:
-            _check_k_max(select["k_max"], bound)
+    for n in n_list:
+        for t in t_list:
+            bound = min(n * base.basis_dim, t)
+            for k in k_list:
+                _check_k(k, bound)
+            if select is not None:
+                _check_k_max(select["k_max"], bound)
+                if select["method"] == "abc":
+                    # the tuned selection's subpanels (_select_r); the last one is the cell
+                    sizes = AbcConfig.for_panel(n, t).subpanel_sizes[:-1]
+                    _check_subpanel_k_max(select["k_max"],
+                                          [n_j * base.basis_dim for n_j, _ in sizes],
+                                          [t_j for _, t_j in sizes])
     cap = thread_cap()
     # worker processes x selection threads stay within the cap
     workers = min(cap, len(jobs))
@@ -306,6 +314,13 @@ def _forecast_panel(panel, args, horizon: int):
                                               fixed_r=args.fixed_r, rng_seed=args.seed))
 
 
+def _forecast_manifest(args, source: str) -> dict:
+    """The manifest of a forecast from the ``source`` flag's file: every flag that
+    can change its output, each ``FORECAST`` setting null where it does not apply."""
+    return _manifest("forecast", {source: str(getattr(args, source)), "horizon": args.horizon,
+                                  **{key: getattr(args, key) for key in FORECAST}})
+
+
 def _mortality_rolling(args) -> int:
     if not 0 <= args.eval_age_max <= GROUP_AGE:
         raise ValueError(f"--eval-age-max must lie in 0..{GROUP_AGE}, got {args.eval_age_max}")
@@ -330,10 +345,9 @@ def _mortality_rolling(args) -> int:
             table_rows.append([sex, h, args.method, repr(mafe), repr(msfe)])
             print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
-        # every flag that can change the table (delta_min null: the per-sex default)
-        manifest = _manifest("forecast", {"mortality": str(args.mortality), "horizon": args.horizon,
-                                          **{key: getattr(args, key) for key in FORECAST}})
-        manifest.update(numpy=np.__version__, threads=thread_cap())
+        # delta_min null: the per-sex default
+        manifest = {**_forecast_manifest(args, "mortality"), "numpy": np.__version__,
+                    "threads": thread_cap()}
         _write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows, manifest)
     return EXIT_OK
 
@@ -349,10 +363,7 @@ def cmd_forecast(args) -> int:
     panel = _load_panel_arg(args.panel)
     result = _forecast_panel(panel, args, args.horizon)
     doc = {
-        "manifest": {**_manifest("forecast", {
-            "panel": str(args.panel), "method": args.method,
-            "horizon": args.horizon, "seed": args.seed, "fixed_r": args.fixed_r,
-        }), "threads": thread_cap()},
+        "manifest": {**_forecast_manifest(args, "panel"), "threads": thread_cap()},
         "r": result.r,
         "forecasts": [s.tolist() for s in result.steps],
     }

@@ -44,14 +44,10 @@ class RankDeficientError(ValueError):
 
 
 def _oriented(vecs: np.ndarray) -> np.ndarray:
-    """Copy of ``vecs`` with each column's first coordinate of magnitude > 1e-12 positive."""
-    vecs = vecs.copy()
-    for l in range(vecs.shape[1]):
-        v = vecs[:, l]
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            vecs[:, l] = -v
-    return vecs
+    """Copy of ``vecs`` with each column's largest-magnitude coordinate (the
+    first of equal ones) positive."""
+    lead = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,8 @@ forecaster over expanding training windows (Hyndman & Ullah, 2007).
 
 The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
-``fit_ar_bic`` defines the fit of one series; the pipelines fit all their
+One QR of each series' lag matrix fits every order (``_ar_bic_fits``);
+``fit_ar_bic`` is its one-series case, and the pipelines fit all their
 series at once with ``_ar_bic_forecasts``, which gives bitwise the same
 orders and forecasts.
 """
@@ -23,19 +24,16 @@ import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .metrics import mafe_msfe
-from .panel import Panel, center, lstsq_stack, split_stacked, stack_runs, whiten_stacked
+from .panel import Panel, center, split_stacked, stack_runs, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
 
+# An AR fit is explosive when its companion radius is at least 1 + _RADIUS_TOL.
+# An AR order is rank deficient when, in the QR of its lag matrix, some column's
+# diagonal entry of R is at most _RANK_RTOL * t_eff times that column's norm.
+# The ratio is the sine of the column's angle to the earlier ones, so the rule
+# ignores the data's scale; the cutoff is lstsq's default rcond, eps * max(m, n).
 _RADIUS_TOL = 1e-8
-# The batched AR-BIC screen (``_screen_orders``) ranks the orders by BIC alone
-# and leaves a row to ``fit_ar_bic`` when rounding could overturn its choice:
-# an R-diagonal ratio at or below _RANK_RTOL (rank deficient), a rival BIC
-# within the rounding of the RSS values (_SCREEN_RTOL, ~1e4 eps per unit of
-# conditioning), or an RSS within _FLOOR_MARGIN times the exact-fit floor.
-# Explosiveness is checked after the screen, on the exact fit of the pick.
-_RANK_RTOL = 1e-8
-_SCREEN_RTOL = 1e-12
-_FLOOR_MARGIN = 1e3
+_RANK_RTOL = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,39 +100,64 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
     All orders are fitted by conditional least squares on the common
     effective sample of the last ``T - p_max`` observations, with
     BIC = T_eff * log(RSS / T_eff) + (p + 2) * log(T_eff).  Ties go to the
-    smaller order.  Candidates whose companion matrix is explosive beyond
-    the 1e-8 tolerance are discarded; the intercept-only model always
-    remains available, so an exactly constant series yields AR(0) with zero
-    innovation variance.
+    smaller order.  Rank-deficient orders, and candidates whose companion
+    matrix is explosive beyond the 1e-8 tolerance, are discarded; the
+    intercept-only model always remains available, so an exactly constant
+    series yields AR(0) with zero innovation variance.  The one-series case
+    of ``_ar_bic_fits``.
     """
     y = np.asarray(series, dtype=float).ravel()
-    T = y.size
-    if T < _min_length(p_max):
-        raise ValueError(f"series of length {T} too short for p_max={p_max}")
-    t_eff = T - p_max
-    lags = _lag_matrices(y[None], p_max)[0]
-    target = lags[:, -1]
-    # below this, residual sums of squares are pure roundoff (exact fits)
-    rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
-    best = None
-    for p in range(p_max + 1):
-        X = lags[:, : p + 1]
-        beta, _, _, _ = np.linalg.lstsq(X, target, rcond=None)
-        resid = target - X @ beta
-        rss = float(resid @ resid)
-        if rss <= rss_floor:
-            bic, sigma2 = -np.inf, 0.0
-        else:
-            bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
-        # only a candidate that would win needs the (eigvals) explosiveness check
-        if best is not None and not bic < best[0]:
-            continue
-        coefs = beta[1:]
-        if companion_radius(coefs) >= 1.0 + _RADIUS_TOL:
-            continue
-        best = (bic, p, float(beta[0]), coefs, sigma2)
-    _, p, intercept, coefs, sigma2 = best
-    return ArModel(order=p, intercept=intercept, coefficients=coefs, innovation_variance=sigma2)
+    if y.size < _min_length(p_max):
+        raise ValueError(f"series of length {y.size} too short for p_max={p_max}")
+    orders, beta, sigma2 = _ar_bic_fits(_lag_matrices(y[None], p_max))
+    p = int(orders[0])
+    return ArModel(order=p, intercept=float(beta[0, 0]), coefficients=beta[0, 1 : p + 1],
+                   innovation_variance=float(sigma2[0]))
+
+
+def _ar_bic_fits(A: np.ndarray) -> tuple:
+    """AR-BIC fits of the rows of a (rows, t_eff, p_max + 2) stack of augmented
+    lag matrices (``_lag_matrices``): the (rows,) orders, the (rows, p_max + 1)
+    intercepts then coefficients (zero past a row's order) and the (rows,)
+    innovation variances.
+
+    One QR of the stack fits every order: order p regresses the last column
+    on the first p + 1, so its RSS is the sum of squares of R's last column
+    below row p, and its coefficients solve R's leading (p + 1) block against
+    that column.  An RSS at most 1e-24 times the target's sum of squares is
+    an exact fit, with BIC -inf and zero variance.  A row takes its first
+    BIC minimum among its full-rank orders (``_RANK_RTOL``); a pick whose fit
+    is explosive is dropped for the row's next BIC order.  AR(0) has full
+    rank and is never explosive, so every row gets an order.
+    """
+    rows, t_eff, k = A.shape
+    R = np.linalg.qr(A, mode="r")
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))[:, :-1]
+    col_norm = np.linalg.norm(R[:, :, :-1], axis=1)  # the norms of A's columns
+    full_rank = np.logical_and.accumulate(diag > _RANK_RTOL * t_eff * col_norm, axis=1)
+    tail = np.cumsum(R[:, ::-1, -1] ** 2, axis=1)[:, ::-1]  # tail[:, i] = sum_{l >= i} R[l, -1]^2
+    rss = tail[:, 1:]  # (rows, p_max + 1): order p leaves rows p + 1.. of R's last column
+    floor = 1e-24 * np.maximum(tail[:, :1], 1e-30 * t_eff)
+    exact = rss <= floor
+    bic = t_eff * np.log(np.maximum(rss, floor) / t_eff) + np.arange(2, k + 1) * np.log(t_eff)
+    bic[exact] = -np.inf
+    bic[~full_rank] = np.inf
+    orders = np.full(rows, -1)
+    beta = np.zeros((rows, k - 1))
+    todo = np.arange(rows)
+    while todo.size:
+        picked = np.argmin(bic[todo], axis=1)  # first minimum: ties go to the smaller order
+        for p in np.unique(picked):
+            group = todo[picked == p]
+            # the right-hand side as (..., p + 1, 1): NumPy 1 and 2 broadcast it alike
+            b = np.linalg.solve(R[group, : p + 1, : p + 1], R[group, : p + 1, -1:])[..., 0]
+            stable = _companion_radii(b[:, 1:]) < 1.0 + _RADIUS_TOL
+            beta[group[stable], : p + 1], orders[group[stable]] = b[stable], p
+            bic[group[~stable], p] = np.inf
+        todo = np.flatnonzero(orders < 0)
+    idx = np.arange(rows)
+    sigma2 = np.where(exact[idx, orders], 0.0, rss[idx, orders] / t_eff)
+    return orders, beta, sigma2
 
 
 def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
@@ -264,76 +287,24 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     """AR-BIC forecasts for steps 1..h of every row of a (rows, T) matrix.
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
-    those of ``fit_ar_bic`` and ``ar_forecast`` row by row.  A QR screen
-    (``_screen_orders``) picks each row's order by BIC; the rows of one order
-    then get ``fit_ar_bic``'s ``lstsq`` fit of that order from one
-    ``lstsq_stack`` call.  Rows the screen cannot settle, and rows whose pick
-    is explosive on that exact fit, go through ``fit_ar_bic`` itself.  The
-    forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on one
-    row) runs over all rows of one order at once.
+    those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are fitted
+    by ``_ar_bic_fits`` in stacks cut to the byte budget of ``stack_runs``,
+    and the forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on
+    one row) runs over all rows of one order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
     if T < _min_length(p_max):
         raise ValueError(f"series of length {T} too short for p_max={p_max}")
     orders = np.empty(rows, dtype=int)
-    beta = np.zeros((rows, p_max + 1))  # intercept, then coefficients
+    beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
     for lo, hi in stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2)):
-        A = _lag_matrices(Y[lo:hi], p_max)
-        picked = _screen_orders(A)
-        for p in np.unique(picked[picked >= 0]):
-            group = np.flatnonzero(picked == p)
-            b = lstsq_stack(A[group, :, : p + 1], A[group, :, -1])
-            beta[lo + group, : p + 1], orders[lo + group] = b, p
-            # a non-explosive first BIC minimum over all orders is also
-            # fit_ar_bic's first minimum among the non-explosive orders
-            picked[group[_companion_radii(b[:, 1:]) >= 1.0 + _RADIUS_TOL]] = -1
-        for i in np.flatnonzero(picked < 0) + lo:
-            model = fit_ar_bic(Y[i], p_max)
-            orders[i] = p = model.order
-            beta[i, 0], beta[i, 1 : p + 1] = model.intercept, model.coefficients
+        orders[lo:hi], beta[lo:hi], _ = _ar_bic_fits(_lag_matrices(Y[lo:hi], p_max))
     out = np.empty((rows, h))
     for p in np.unique(orders):
         group = orders == p
         out[group] = _iterate_ar(beta[group, : p + 1], Y[group, T - p :], h)
     return out, orders
-
-
-def _screen_orders(A: np.ndarray) -> np.ndarray:
-    """First BIC minimum over all AR orders of every row of a (rows, t_eff,
-    p_max + 2) stack of augmented lag matrices, or -1 where rounding could
-    make ``fit_ar_bic``'s BIC values rank the orders differently.
-
-    One QR of the stack gives every order at once: order p regresses on the
-    first p + 1 columns, so its RSS is the sum of squares of R's last column
-    below row p.  A row is left unsettled when its lag matrix is rank
-    deficient, an RSS lies near the exact-fit floor (where ``fit_ar_bic``
-    switches to -inf BIC), or another order's BIC lies within the rounding
-    margin of the winner's.  Explosiveness is not checked here.
-    """
-    rows, t_eff, k = A.shape
-    n_orders = k - 1
-    R = np.linalg.qr(A, mode="r")
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))[:, :n_orders]
-    dmin, dmax = diag.min(axis=1), diag.max(axis=1)
-    rank_deficient = dmin <= _RANK_RTOL * dmax
-    cond = dmax / np.maximum(dmin, _RANK_RTOL * dmax)
-    tail = np.cumsum(R[:, ::-1, -1] ** 2, axis=1)[:, ::-1]  # tail[:, i] = sum_{l >= i} R[l, -1]^2
-    rss = tail[:, 1:]  # (rows, n_orders): order p leaves rows p + 1.. of R's last column
-    floor = 1e-24 * np.maximum(tail[:, 0], 1e-30 * t_eff)  # fit_ar_bic's rss_floor
-    near_floor = (rss <= _FLOOR_MARGIN * floor[:, None]).any(axis=1)
-    rss = np.maximum(rss, floor[:, None])
-    bic = t_eff * np.log(rss / t_eff) + np.arange(2, k + 1) * np.log(t_eff)
-    norm_a = np.sqrt((R**2).sum(axis=(1, 2)))
-    rel = _SCREEN_RTOL * cond[:, None] * (norm_a[:, None] / np.sqrt(rss) + cond[:, None])
-    margin = t_eff * rel
-
-    best = np.argmin(bic, axis=1)  # first minimum: ties go to the smaller order
-    idx = np.arange(rows)
-    rivals = np.abs(bic - bic[idx, best][:, None]) <= margin + margin[idx, best][:, None]
-    rivals[idx, best] = False
-    unsettled = rank_deficient | near_floor | rivals.any(axis=1)
-    return np.where(unsettled, -1, best)
 
 
 def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, forecaster,

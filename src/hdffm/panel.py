@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 SCALAR = "scalar"
 FUNCTIONAL = "functional"
 
 _GRAM_SYM_RTOL = 1e-12
 # The byte budget of one stacked call: the selection's subpanel Grams, the AR
-# screen's lag matrices, the whitening and CF runs are cut into stacks of at
+# fits' lag matrices, the whitening and CF runs are cut into stacks of at
 # most this many bytes (``stack_runs``), so batching bounds the extra memory.
 # At 1 MiB a stack holds three 200 x 200 Grams: numpy's eigvalsh releases the
 # GIL only for a call of more than 500 output values, which lets the
@@ -154,25 +153,6 @@ def stack_runs(keys: Sequence, nbytes: Callable) -> list:
         runs.append((lo, hi))
         lo = hi
     return runs
-
-
-def _lstsq_failed(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solutions of the problems a[i] x = b[i] of a
-    (..., m, n) and a (..., m) stack, which broadcast: bitwise those of
-    ``np.linalg.lstsq(a[i], b[i], rcond=None)`` one at a time (one LAPACK
-    ``gelsd`` per slice), without its per-call cost."""
-    m, n = a.shape[-2:]
-    # numpy 2 has one gufunc; numpy 1.x splits it into lstsq_m (m <= n) and lstsq_n
-    gufunc = getattr(_umath_linalg, "lstsq", None) or getattr(
-        _umath_linalg, "lstsq_m" if m <= n else "lstsq_n")
-    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        x = gufunc(a, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")[0]
-    return x[..., 0]
 
 
 class Panel:

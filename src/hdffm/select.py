@@ -84,6 +84,16 @@ def _check_k_max(k_max: int, bound: int) -> None:
         raise ValueError(f"k_max={k_max} out of range for this panel")
 
 
+def _check_subpanel_k_max(k_max: int, d_sub, t_sub) -> None:
+    """Reject a k_max above the rank bound min(D_j, T_j) of a subpanel j of
+    stacked dimensions ``d_sub`` and lengths ``t_sub``."""
+    bad = np.flatnonzero(k_max > np.minimum(d_sub, t_sub))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"k_max={k_max} exceeds the rank bound min({d_sub[j]}, {t_sub[j]}) "
+                         f"of subpanel {j + 1}")
+
+
 def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
     """argmin_k of IC(c, k) on the full panel for every c in the grid, read
     from the panel's cached Gram spectrum."""
@@ -231,11 +241,7 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
     d_sub = off[n_sub]
-    bad = np.flatnonzero(k_max > np.minimum(d_sub, t_sub))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(f"k_max={k_max} exceeds the rank bound min({d_sub[j]}, {t_sub[j]}) "
-                         f"of subpanel {j + 1}")
+    _check_subpanel_k_max(k_max, d_sub, t_sub)
     rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
     S = np.zeros((Z.shape[1], Z.shape[1]))
     done = 0

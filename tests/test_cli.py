@@ -439,8 +439,9 @@ class TestBench:
         ({"select": {"method": "fixed", "k_max": 99}}, "k_max=99 out of range for this panel"),
         ({"select": {"k_max": 31}}, "k_max=31 out of range for this panel"),
         ({"select": {"k_max": 0}}, "k_max=0 out of range for this panel"),
+        ({"N": [2], "select": {}}, "k_max=10 exceeds the rank bound min(7, 30) of subpanel 1"),
     ], ids=["k-over-T", "k-negative", "k-over-ND", "second-cell", "fixed-k_max", "abc-k_max",
-            "zero-k_max"])
+            "zero-k_max", "abc-subpanel"])
     def test_k_out_of_range_before_any_replication(self, tmp_path, monkeypatch, capsys, threads,
                                                    change, message):
         monkeypatch.setenv("HDFFM_THREADS", threads)
@@ -572,6 +573,22 @@ class TestForecastCommand:
             assert json.loads(header.removeprefix("# manifest: "))["threads"] == cap
             bodies.append((doc, body))
         assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("flags, key, values", [
+        (["--method", "cf", "--n-components"], "n_components", (2, 3)),
+        (["--p-max"], "p_max", (1, 4)),
+    ], ids=["n-components", "p-max"])
+    def test_panel_manifest_names_every_flag(self, tmp_path, flags, key, values):
+        ppath = tmp_path / "p.json"
+        save_panel(gen_dgp(DgpConfig(dgp=2, N=20, T=80, seed=3))[0], ppath)
+        manifests = []
+        for value in values:
+            out = tmp_path / f"fc{value}.json"
+            assert main(["forecast", "--panel", str(ppath), "--horizon", "2", *flags, str(value),
+                         "--out", str(out)]) == 0
+            manifests.append(json.loads(out.read_text())["manifest"])
+        assert [m["args"][key] for m in manifests] == list(values)
+        assert manifests[0] != manifests[1]
 
     def test_mortality_smoke_and_method_difference(self, tmp_path, capsys):
         mpath = tmp_path / "mort.csv"

@@ -16,6 +16,7 @@ from hdffm import (
     idiosyncratic_residual,
     scalar_space,
 )
+from hdffm.estimate import _oriented
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, random_spd, rank_k_panel
 
@@ -26,16 +27,17 @@ def stacked_norm(panel):
 
 class TestFitFactors:
     def test_sign_rule_and_determinism(self, rng):
-        # x_0 = 0, so coordinate 0 of every factor is roundoff and the rule skips it
+        # each factor's largest-magnitude coordinate is positive
         p = random_mixed_panel(rng, N=5, T=9)
-        X = p.stacked_coeffs().copy()
-        X[:, 0] = 0.0
-        fit = fit_factors(Panel.from_stacked(p.spaces, X), 4)
-        for v in fit.factors / np.sqrt(p.T):
-            first = np.flatnonzero(np.abs(v) > 1e-12)[0]
-            assert first == 1 and v[first] > 0
+        X = p.stacked_coeffs()
+        fit = fit_factors(p, 4)
+        for v in fit.factors:
+            assert v[np.abs(v).argmax()] > 0
         again = fit_factors(Panel.from_stacked(p.spaces, X.copy()), 4)
         assert np.array_equal(again.factors, fit.factors)
+        # of equal magnitudes the first decides; a zero column stays as it is
+        vecs = np.array([[0.5, -1.0, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.25, 0.0]])
+        assert _oriented(vecs).tolist() == [[0.5, 1.0, 0.0], [-0.5, -1.0, 0.0], [0.0, -0.25, 0.0]]
 
     def test_rank_one_exact(self, rng):
         panel, U, _ = rank_k_panel(rng, N=5, T=8, k=1)

@@ -16,8 +16,7 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm import forecast
-from hdffm.forecast import _ar_bic_forecasts, companion_radius
+from hdffm.forecast import _ar_bic_forecasts, _lag_matrices, companion_radius
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import ar_burn_in_draw, random_mixed_panel, random_spd
 
@@ -62,14 +61,13 @@ class TestFitArBic:
             fit_ar_bic(np.zeros(10), p_max=5)
 
 
-def brute_force_ar_bic(y, p_max):
-    """(bic, order, intercept, coefficients, variance) of AR-BIC written out
-    directly: a fresh lag matrix and lstsq per order, the companion radius of
-    every candidate, ties to the smaller order."""
+def brute_force_fits(y, p_max):
+    """(bic, order, intercept, coefficients, variance, radius) of every AR
+    order, written out directly: a fresh lag matrix and lstsq per order."""
     T = y.size
     t_eff, target = T - p_max, y[p_max:]
     rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
-    candidates = []
+    fits = []
     for p in range(p_max + 1):
         X = np.ones((t_eff, p + 1))
         for j in range(1, p + 1):
@@ -81,9 +79,15 @@ def brute_force_ar_bic(y, p_max):
             bic, sigma2 = -np.inf, 0.0
         else:
             bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
-        if companion_radius(beta[1:]) < 1.0 + 1e-8:
-            candidates.append((bic, p, float(beta[0]), beta[1:], sigma2))
-    return min(candidates, key=lambda c: c[:2])
+        fits.append((bic, p, float(beta[0]), beta[1:], sigma2, companion_radius(beta[1:])))
+    return fits
+
+
+def brute_force_ar_bic(y, p_max):
+    """(bic, order, intercept, coefficients, variance) of AR-BIC: the first BIC
+    minimum among the orders whose companion radius is below 1 + 1e-8."""
+    return min((f[:5] for f in brute_force_fits(y, p_max) if f[5] < 1.0 + 1e-8),
+               key=lambda c: c[:2])
 
 
 def stationary_ar3(seed):
@@ -94,8 +98,24 @@ def stationary_ar3(seed):
 
 
 class TestFitArBicOracle:
+    """``fit_ar_bic`` (one QR) against ``brute_force_ar_bic`` (lstsq per order)."""
+
+    @staticmethod
+    def assert_matches(y, p_max):
+        m = fit_ar_bic(y, p_max)
+        _, p, intercept, coefs, sigma2 = brute_force_ar_bic(y, p_max)
+        assert m.order == p
+        # the QR solve and lstsq agree to 1e-12 relative, or, on ill-conditioned
+        # lags (trends), to a few eps * cond, which bounds either solver's error
+        cond = np.linalg.cond(_lag_matrices(y[None], p_max)[0, :, : p + 1])
+        tol = max(1e-12, 32 * np.finfo(float).eps * cond)
+        got = np.concatenate([[m.intercept], m.coefficients, [m.innovation_variance]])
+        want = np.concatenate([[intercept], coefs, [sigma2]])
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        return m
+
     @pytest.mark.parametrize("p_max", [3, 5])
-    @pytest.mark.parametrize("kind", ["ar3", "iid", "constant", "geometric"])
+    @pytest.mark.parametrize("kind", ["ar3", "iid", "constant", "geometric", "trending"])
     def test_bitwise_equal_to_brute_force(self, kind, p_max):
         rng = np.random.default_rng(7)
         series = {
@@ -104,14 +124,42 @@ class TestFitArBicOracle:
             "constant": [np.full(n, -1.5) for n in (30, 60)],
             # the exact AR(1) fit has -inf BIC but is explosive: AR(0) remains
             "geometric": [1.05 ** np.arange(60)],
+            # lags within 1e-8 of collinear: full rank for lstsq and for the QR
+            "trending": [y for seed in range(5)
+                         for y in trending_rows(np.random.default_rng(seed), 120)],
         }[kind]
         for y in series:
-            m = fit_ar_bic(y, p_max)
-            _, p, intercept, coefs, sigma2 = brute_force_ar_bic(y, p_max)
-            assert (m.order, m.intercept, m.innovation_variance) == (p, intercept, sigma2)
-            assert np.array_equal(m.coefficients, coefs)
+            m = self.assert_matches(y, p_max)
             if kind in ("constant", "geometric"):
                 assert m.order == 0
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_scale_invariant(self, scale):
+        for seed in range(30):
+            y = stationary_ar3(seed)
+            for p_max in (3, 5):
+                assert self.assert_matches(scale * y, p_max).order == fit_ar_bic(y, p_max).order
+
+    @pytest.mark.parametrize("rows", ["near_tie", "radius_flip_0", "radius_flip_1"])
+    def test_flips_within_rounding(self, rows):
+        # rows straddling an order flip, one float apart: the two fits may put
+        # the flip a few floats apart, and only where the two orders' BIC
+        # values tie or a companion radius meets 1 + 1e-8 to rounding
+        Y, p_max = {"near_tie": (near_tie_rows(), 3), "radius_flip_0": (radius_flip_rows(0), 1),
+                    "radius_flip_1": (radius_flip_rows(1), 1)}[rows]
+        flips = 0
+        for y in Y:
+            p = fit_ar_bic(y, p_max).order
+            want = brute_force_ar_bic(y, p_max)
+            if p == want[1]:
+                self.assert_matches(y, p_max)
+                continue
+            flips += 1
+            fits = brute_force_fits(y, p_max)
+            bic_tie = abs(fits[p][0] - want[0]) <= 1e-13 * abs(want[0])
+            radius_tie = any(abs(f[5] - (1.0 + 1e-8)) <= 1e-14 for f in fits)
+            assert bic_tie or radius_tie
+        assert flips <= len(Y) // 2
 
 
 def scalar_ar_bic_forecasts(Y, p_max, h):
@@ -221,7 +269,7 @@ class TestBatchedArBic:
             self.assert_agrees(random_ar_rows(rng, 25, T), p_max, int(rng.integers(1, 6)))
 
     def test_several_chunks(self, rng):
-        # 150 rows of T=300 span more than one screening chunk
+        # 150 rows of T=300 span more than one stack of the byte budget
         self.assert_agrees(random_ar_rows(rng, 150, 300), 5, 3)
 
     def test_near_unit_root_rows(self, rng):
@@ -249,48 +297,20 @@ class TestBatchedArBic:
             self.assert_agrees(Y, p_max, 3)
 
     @pytest.mark.parametrize("p_max", [0, 2, 5])
-    def test_degenerate_rows_take_the_scalar_path(self, rng, monkeypatch, p_max):
+    def test_degenerate_rows(self, rng, p_max):
         T = 60
         Y = np.concatenate([degenerate_rows(T), random_ar_rows(rng, 3, T)])
-        scalar_rows = set()
-
-        def recording_fit(y, p):
-            scalar_rows.add(y.tobytes())
-            return fit_ar_bic(y, p)
-
-        monkeypatch.setattr(forecast, "fit_ar_bic", recording_fit)
-        _ar_bic_forecasts(Y, p_max, 3)
-        monkeypatch.undo()
-        # exact fits; with p_max=0 only the constant and zero rows are exact
-        assert {y.tobytes() for y in Y[: 4 if p_max else 2]} <= scalar_rows
+        models = [fit_ar_bic(y, p_max) for y in Y]
+        # constant and zero rows: exact AR(0); 1.05**t: its exact AR(1) is explosive
+        assert [m.order for m in models[:3]] == [0, 0, 0]
+        assert models[0].innovation_variance == models[1].innovation_variance == 0.0
+        # 3 - 0.5t: the exact AR(1); its higher orders are rank deficient
+        assert models[3].order == min(p_max, 1)
+        assert (models[3].innovation_variance == 0.0) == (p_max > 0)
+        for m, y in zip(models, Y):
+            lags = _lag_matrices(y[None], p_max)[0, :, : m.order + 1]
+            assert np.linalg.matrix_rank(lags) == m.order + 1
         self.assert_agrees(Y, p_max, 3)
-
-    @staticmethod
-    def scalar_path_rows(monkeypatch, Y, p_max):
-        """Indices of the rows of Y that ``_ar_bic_forecasts`` hands to ``fit_ar_bic``."""
-        scalar_rows = set()
-
-        def recording_fit(y, p):
-            scalar_rows.add(y.tobytes())
-            return fit_ar_bic(y, p)
-
-        monkeypatch.setattr(forecast, "fit_ar_bic", recording_fit)
-        _ar_bic_forecasts(Y, p_max, 2)
-        monkeypatch.undo()
-        return [i for i, y in enumerate(Y) if y.tobytes() in scalar_rows]
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_only_explosive_picks_take_the_scalar_path(self, monkeypatch, seed):
-        # every row's first BIC minimum is AR(1); where that fit is explosive,
-        # fit_ar_bic falls back to AR(0), and only those rows leave the batch
-        Y = radius_flip_rows(seed)
-        want = np.flatnonzero(scalar_ar_bic_forecasts(Y, 1, 2)[1] == 0).tolist()
-        assert 0 < len(want) < len(Y)
-        assert self.scalar_path_rows(monkeypatch, Y, 1) == want
-
-    def test_stationary_rows_stay_in_the_batch(self, monkeypatch):
-        Y = random_ar_rows(np.random.default_rng(1), 150, 300)
-        assert self.scalar_path_rows(monkeypatch, Y, 5) == []
 
     def test_near_tie(self):
         Y = near_tie_rows()

@@ -23,8 +23,7 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.forecast import _lag_matrices
-from hdffm.panel import _CHUNK_BYTES, block_offsets, lstsq_stack, split_stacked, stack_runs, whiten_stacked
+from hdffm.panel import _CHUNK_BYTES, block_offsets, split_stacked, stack_runs, whiten_stacked
 from conftest import random_mixed_panel, random_spd
 
 
@@ -357,23 +356,3 @@ class TestPersistence:
         p = load_scalar_csv(path)
         assert p.N == 2 and p.T == 3
         assert p.coeffs[1][2, 0] == 6.0
-
-
-class TestLstsqStack:
-    def test_broadcast_design(self, rng):
-        design = build_bspline((0.0, 95.0), dim=9).evaluate(np.arange(96.0))
-        curves = rng.standard_normal((40, 96))
-        x = lstsq_stack(design, curves)
-        assert x.shape == (40, 9)
-        for i, curve in enumerate(curves):
-            assert np.array_equal(x[i], np.linalg.lstsq(design, curve, rcond=None)[0])
-
-    def test_ar_lag_stacks_of_every_order(self, rng):
-        Y = rng.standard_normal((60, 40)).cumsum(axis=1)
-        Y[7] = 2.5  # constant: its lag matrices have rank 1
-        A = _lag_matrices(Y, 5)
-        for p in range(6):
-            x = lstsq_stack(A[:, :, : p + 1], A[:, :, -1])
-            for i in range(len(Y)):
-                want = np.linalg.lstsq(A[i, :, : p + 1], A[i, :, -1], rcond=None)[0]
-                assert np.array_equal(x[i], want), (p, i)
