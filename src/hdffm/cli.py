@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -281,9 +280,12 @@ def cmd_bench(args) -> int:
     if workers == 1:
         results = [_bench_replication(job) for job in jobs]
     else:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_cap_threads,
                                  initargs=(threads,)) as pool:
-            results = list(pool.map(_bench_replication, jobs, chunksize=4))
+            results = list(pool.map(_bench_replication, jobs))
 
     metric_rows = sorted((row for rows, _ in results for row in rows),
                          key=lambda r: (r[0], r[1], r[2], r[4], r[3]))
@@ -327,6 +329,7 @@ def _mortality_rolling(args) -> int:
     records = load_mortality_csv(args.mortality)
     basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
     data = ingest_mortality(records, basis)
+    del records  # the panels hold what the forecasts need
     if args.sex is not None and args.sex not in data:
         raise ValueError(f"no rows for --sex {args.sex!r}; the data has sexes {sorted(data)}")
     design = basis.evaluate(AGE_GRID[: args.eval_age_max + 1])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import FUNCTIONAL, Panel, SpaceSpec
+from .panel import _CHUNK_BYTES, FUNCTIONAL, Panel, SpaceSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,23 +222,30 @@ def _load_plain_csv(path) -> MortalityRecords | None:
         return None
     if not (data.partition(b"\n")[2] if header else data).strip(b"\r\n"):
         return None  # no data rows
+    del data, low  # the parse below holds the table; the raw bytes are not needed
     try:
         table = np.loadtxt(path, dtype=_PLAIN_FIELDS, delimiter=",", comments=None,
                            skiprows=int(header), encoding="ascii", ndmin=1)
-        pref, year, sex, age, text = (np.ascontiguousarray(table[n]) for n in table.dtype.names)
-        fields = (pref, sex, age, text)
-        if any(f.view(np.uint8)[f.itemsize - 1 :: f.itemsize].any() for f in fields):
+        # the fields are strided views of the table; the records copy what they keep
+        rows = table.view(np.uint8).reshape(table.size, table.itemsize)
+        if any(rows[:, offset + dtype.itemsize - 1].any()
+               for dtype, offset in table.dtype.fields.values() if dtype.kind == "S"):
             return None  # a value that fills its field may have been cut short
-        ages, age = np.unique(age.view(np.uint64), return_inverse=True)
+        ages, age = np.unique(table["age"].view(np.uint64), return_inverse=True)
         age = np.array([_age(a.decode()) for a in ages.view("S8")], dtype=np.int64)[age]
-        given = text != b""
-        rate = np.full(text.size, np.nan)
-        rate[given] = text[given].astype(float)
+        rate = np.full(table.size, np.nan)
+        step = _CHUNK_BYTES // table.dtype["rate"].itemsize  # rows of rate text per slice
+        for lo in range(0, table.size, step):
+            text = table["rate"][lo : lo + step]
+            given = text != b""
+            values = text[given].astype(float)
+            if not np.isfinite(values).all():
+                return None
+            rate[lo : lo + step][given] = values
     except (ValueError, OverflowError):
         return None
-    if not np.isfinite(rate[given]).all():
-        return None
-    return MortalityRecords(*_factorize(pref), year, *_factorize(sex), age, rate)
+    return MortalityRecords(*_factorize(table["pref"]), table["year"].copy(),
+                            *_factorize(table["sex"]), age, rate)
 
 
 def load_mortality_csv(path) -> MortalityRecords:

@@ -216,9 +216,8 @@ class Panel:
                              f"expected ({offsets[-1]}, T)")
         if stacked.shape[1] < 2:
             raise ValueError("panel needs T >= 2")
-        bad = np.argwhere(~np.isfinite(stacked))
-        if bad.size:
-            row, t = bad[0]
+        if not np.isfinite(stacked).all():
+            row, t = np.argwhere(~np.isfinite(stacked))[0]
             i = int(np.searchsorted(offsets, row, side="right")) - 1
             raise ValueError(f"series {i}: non-finite coefficient at time {t}")
         stacked.flags.writeable = False

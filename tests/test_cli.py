@@ -448,7 +448,8 @@ class TestBench:
         calls = []
         monkeypatch.setattr(cli, "_bench_replication", calls.append)
         # no worker pool may start either
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kwargs: calls.append("pool"))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda **kwargs: calls.append("pool"))
         spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
         spath.write_text(json.dumps({"dgps": [1, 2], "N": [8], "T": [30], "replications": 2,
                                      "k": [1], **change}))

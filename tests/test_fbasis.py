@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -413,6 +414,9 @@ class TestPlainLoader:
     @pytest.mark.parametrize("row, message", [
         ("01,1975,F,0,abc", "line 3: could not convert string to float: 'abc'"),
         ("01,1975,F,0,inf", "line 3: rate must be finite, got 'inf'"),
+        ("01,1975,F,0,-inf", "line 3: rate must be finite, got '-inf'"),
+        ("01,1975,F,0,nan", "line 3: rate must be finite, got 'nan'"),  # not a missing rate
+        ("01,1975,F,0,1e999", "line 3: rate must be finite, got '1e999'"),
         ("01,1975,F,x5,0.01", "line 3: invalid literal for int() with base 10: 'x5'"),
         ("01,19x5,F,0,0.01", "line 3: invalid literal for int() with base 10: '19x5'"),
         ("01,1975,F,0", "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4"),
@@ -446,3 +450,18 @@ class TestPerfbenchTables:
         assert_same_records(records, fbasis._as_records(rows))
         want = reference_ingest(rows, basis9)
         assert_ingest_matches(ingest_mortality(records, basis9), want, basis9)
+
+    def test_load_memory_is_linear_in_records(self, tmp_path):
+        # no whole-table copy of the parsed text outlives its use, and the
+        # records own their arrays, so the parsed table is freed on return
+        path = tmp_path / "m.csv"
+        load_perfbench_tables().write_csv(path, 1, n_pref=8)
+        tracemalloc.start()
+        try:
+            records = load_mortality_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(records, name) for name in ("pref", "year", "sex", "age", "rate")]
+        assert all(a.flags.owndata for a in arrays)
+        assert peak <= 4 * sum(a.nbytes for a in arrays)

@@ -34,7 +34,8 @@ def test_mortality_forecast_loads_no_scipy(tmp_path):
     write_synthetic_mortality(path, n_pref=2, n_years=20)
     argv = ["forecast", "--mortality", str(path), "--horizon", "1", "--p-max", "2",
             "--fixed-r", "1", "--out", str(tmp_path / "table.csv")]
+    # the process pool, and with it multiprocessing, belongs to bench alone
     proc = run_python(f"import sys\nfrom hdffm.cli import main\nassert main({argv!r}) == 0\n"
-                      + NO_SCIPY)
+                      + NO_SCIPY + "assert 'multiprocessing' not in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "table.csv").exists()
