@@ -105,8 +105,8 @@ def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int)
 
 def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
     """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be nonnegative and finite, got {c!r}")
     return int(_full_panel_profile(panel, np.asarray([c], dtype=float), kind, k_max)[0])
 
 
@@ -193,37 +193,35 @@ class SelectionTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["c"] + [f"var_p{p + 1}" for p in range(P)])
-            for i, c in enumerate(self.c_grid):
-                writer.writerow([c] + [repr(v) for v in self.variance_profile[i]])
+            for c, row in zip(self.c_grid.tolist(), self.variance_profile.tolist()):
+                writer.writerow([c, *row])
 
 
-def _zero_variance_runs(r_common: np.ndarray, zero_var: np.ndarray) -> list:
-    """Maximal runs of consecutive grid indices with zero variance across
-    subpanels and a constant selected count.  Returns (start, end, value)
-    triples with inclusive ends."""
-    idx = np.flatnonzero(zero_var)
-    if not idx.size:
-        return []
-    # a run ends before a gap in the indices or a change of the count
-    cut = np.flatnonzero((np.diff(idx) != 1) | (np.diff(r_common[idx]) != 0))
-    starts, ends = idx[np.concatenate([[0], cut + 1])], idx[np.concatenate([cut, [-1]])]
-    return [(int(a), int(b), int(r_common[a])) for a, b in zip(starts, ends)]
+def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:
+    """Where one permutation reads r-hat off the grid, from the full-panel
+    r-hat ``r_full`` and the variance over subpanels ``variance``, both (I,).
 
-
-def _second_plateau(runs: list, k_max: int) -> tuple | None:
-    """The plateau to read r off: normally the first run (length >= 2) after
-    the run containing c=0, where the criterion degenerates to r = k_max.
-    On exact low-rank panels the c=0 run already sits below k_max (V ties are
-    broken toward the smallest k); that run then is the stability plateau
-    itself.  Returns None if no qualifying plateau exists."""
-    run0 = next((r for r in runs if r[0] == 0), None)
-    if run0 is not None and run0[2] != k_max and run0[1] - run0[0] + 1 >= 2:
-        return run0
-    first_end = run0[1] if run0 is not None else -1
-    for start, end, value in runs:
-        if start > first_end and end - start + 1 >= 2:
-            return (start, end, value)
-    return None
+    The plateaus are the maximal runs of >= 2 consecutive c of zero variance
+    and one count, as [start, end, r] with inclusive ends.  The chosen index
+    is the middle of the first plateau, skipping the run at c = 0 where it
+    selects k_max (there the criterion degenerates; on an exact low-rank
+    panel that run lies below k_max and is the plateau itself).  Without one,
+    it is the least-variance c where the full panel selects fewer than k_max
+    ("min_variance"), and without such a c None ("fixed_c1": every c selects
+    k_max).  Returns (plateaus, chosen index, fallback label).
+    """
+    key = np.where(variance == 0, r_full, 0)  # 0 marks nonzero variance; r >= 1
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], key.size) - 1
+    plateaus = [[int(a), int(b), int(key[a])] for a, b in zip(starts, ends) if key[a] and b > a]
+    readable = [(a, b) for a, b, r in plateaus if a > 0 or r != k_max]
+    if readable:
+        start, end = readable[0]
+        return plateaus, (start + end) // 2, None
+    below = np.flatnonzero(r_full < k_max)
+    if below.size:
+        return plateaus, int(below[np.argmin(variance[below])]), "min_variance"
+    return plateaus, None, "fixed_c1"
 
 
 def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
@@ -285,12 +283,13 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
 
     For each permutation p, selects r on every (c, subpanel) pair (the last
     subpanel, the full panel, is the fixed-c selection on the panel's own
-    Gram spectrum for every p), locates the second zero-variance plateau of
-    the variance-over-subpanels profile, evaluates r at the plateau's middle
-    c on the full panel, and returns the lower median across permutations
-    together with the full trace.  The permutations' spectra and the panel's
-    own are computed on up to ``thread_cap()`` threads where the Grams are
-    large; the results, gathered in order, do not depend on the thread count.
+    Gram spectrum for every p), reads r on the full panel at the middle c of
+    the second zero-variance plateau of the variance-over-subpanels profile
+    or at a fallback (``_read_c``), and returns the lower median across
+    permutations together with the full trace.  The permutations' spectra
+    and the panel's own are computed on up to ``thread_cap()`` threads where
+    the Grams are large; the results, gathered in order, do not depend on
+    the thread count.
     """
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
     if sizes[-1] != (panel.N, panel.T):
@@ -319,40 +318,20 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
-    r_table[:, -1, :] = _full_panel_profile(panel, c_grid, kind, k_max)[:, None]
+    r_full = _full_panel_profile(panel, c_grid, kind, k_max)
+    r_table[:, -1, :] = r_full[:, None]
     top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
     v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
     g = np.array([penalty(kind, n_j, t_j) for n_j, t_j in sizes[:-1]])
     r_table[:, :-1, :] = _r_hat_profile(v, g, c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)
-    zero_var = np.all(r_table == r_table[:, :1], axis=1)  # (I, P)
-    plateaus, chosen_idx, fallback, r_per_p = [], [], [], []
-    for p in range(P):
-        r_common = r_table[:, -1, p]
-        runs = _zero_variance_runs(r_common, zero_var[:, p])
-        plateaus.append([list(r) for r in runs if r[1] - r[0] + 1 >= 2])
-        second = _second_plateau(runs, k_max)
-        if second is not None:
-            start, end, _ = second
-            idx = (start + end) // 2
-            chosen_idx.append(int(idx))
-            fallback.append(None)
-            r_per_p.append(int(r_table[idx, -1, p]))
-        else:
-            candidates = np.nonzero(r_table[:, -1, p] < k_max)[0]
-            if candidates.size:
-                best = candidates[np.argmin(variance[candidates, p])]
-                chosen_idx.append(int(best))
-                fallback.append("min_variance")
-                r_per_p.append(int(r_table[best, -1, p]))
-            else:
-                chosen_idx.append(None)
-                fallback.append("fixed_c1")
-                r_per_p.append(select_r_fixed(panel, 1.0, kind, k_max))
+    plateaus, chosen_idx, fallback = (list(a) for a in zip(
+        *(_read_c(r_full, variance[:, p], k_max) for p in range(P))))
+    # "fixed_c1": every c, c = 1 among them, selects k_max on the full panel
+    r_per_p = [k_max if i is None else int(r_full[i]) for i in chosen_idx]
 
-    r_sorted = sorted(r_per_p)
-    r_final = int(r_sorted[(P - 1) // 2])
+    r_final = sorted(r_per_p)[(P - 1) // 2]
     trace = SelectionTrace(
         c_grid=c_grid,
         subpanel_sizes=tuple(sizes),

@@ -189,6 +189,20 @@ class TestSelectR:
         moved = sorted(per_p)[(len(per_p) - 1) // 2]
         assert moved == doc["r_hat_final"] == printed
 
+    def test_variance_csv_matches_the_trace(self, tmp_path):
+        ppath = tmp_path / "p.json"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))[0], ppath)
+        trace_path, csv_path = tmp_path / "trace.json", tmp_path / "profile.csv"
+        assert main(["select-r", "--panel", str(ppath), "--trace", str(trace_path),
+                     "--variance-csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 202
+        assert lines[0] == "c,var_p1,var_p2,var_p3,var_p4,var_p5"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        doc = json.loads(trace_path.read_text())
+        assert [row[0] for row in rows] == doc["c_grid"]
+        assert [row[1:] for row in rows] == doc["variance_profile"]
+
 
     @pytest.mark.parametrize("flag", ["--trace", "--variance-csv"])
     def test_fixed_with_trace_output_exit_2(self, tmp_path, capsys, flag):

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import sys
@@ -106,8 +107,10 @@ class TestSelectRFixed:
             select_r_fixed(panel, 1.0, "IC2a", k_max=50)
 
     def test_negative_c_rejected(self, rng):
-        with pytest.raises(ValueError, match="c must be nonnegative"):
-            select_r_fixed(random_mixed_panel(rng), -0.1)
+        # NaN passes a c < 0 test and used to select 1, as did inf
+        for c in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="c must be nonnegative"):
+                select_r_fixed(random_mixed_panel(rng), c)
 
 
 class TestAbcConfig:
@@ -228,6 +231,132 @@ class TestAbcSelect:
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "c,var_p1,var_p2"
         assert len(lines) == 1 + len(trace.c_grid)
+
+
+def noise_panel(seed):
+    """A factor-free panel of 6..12 scalar and 2-dim series over 12..24 periods,
+    scaled by 10^u, u ~ U(0, 2): on large scales every c of the grid selects
+    k_max = 4, on small ones r-hat settles on plateaus, and a few in between
+    settle on none."""
+    rng = np.random.default_rng(seed)
+    N, T = int(rng.integers(6, 13)), int(rng.integers(12, 25))
+    panel = random_mixed_panel(rng, N=N, T=T, max_dim=2)
+    scale = 10 ** rng.uniform(0, 2)
+    return Panel(panel.spaces, [scale * c for c in panel.coeffs])
+
+
+def reference_choice(r_table, variance, k_max):
+    """The documented reading of r-hat off an (I, J, P) r-hat table, in plain
+    loops: per permutation, the plateaus (maximal runs of >= 2 consecutive c
+    on which every subpanel selects one count), the middle c of the first
+    plateau not starting at c = 0 on k_max, else the least-variance c of those
+    where the full panel selects < k_max ("min_variance"), else k_max
+    ("fixed_c1"); then the lower median over permutations."""
+    table, variance = r_table.tolist(), variance.tolist()
+    I, P = len(table), len(table[0][0])
+    out = {"plateaus": [], "chosen_c_index": [], "fallback": [], "r_hat_per_p": []}
+    for p in range(P):
+        full = [row[-1][p] for row in table]
+        stable = [all(r[p] == full[i] for r in table[i]) for i in range(I)]
+        plateaus, i = [], 0
+        while i < I:
+            end = i
+            while stable[i] and end + 1 < I and stable[end + 1] and full[end + 1] == full[i]:
+                end += 1
+            if end > i:
+                plateaus.append([i, end, full[i]])
+            i = end + 1
+        chosen, fallback = None, None
+        for start, end, r in plateaus:
+            if not (start == 0 and r == k_max):
+                chosen = (start + end) // 2
+                break
+        if chosen is None:
+            for i in range(I):
+                if full[i] < k_max and (chosen is None or variance[i][p] < variance[chosen][p]):
+                    chosen = i
+            fallback = "fixed_c1" if chosen is None else "min_variance"
+        out["plateaus"].append(plateaus)
+        out["chosen_c_index"].append(chosen)
+        out["fallback"].append(fallback)
+        out["r_hat_per_p"].append(k_max if chosen is None else full[chosen])
+    out["r_hat_final"] = sorted(out["r_hat_per_p"])[(P - 1) // 2]
+    return out
+
+
+def exact_variance(r_table):
+    """The population variance over subpanels of every (c, permutation) cell,
+    (J sum r^2 - (sum r)^2) / J^2 in integers, rounded once by the division."""
+    J = r_table.shape[1]
+    s1, s2 = r_table.sum(axis=1).tolist(), np.square(r_table).sum(axis=1).tolist()
+    return [[(J * b - a * a) / (J * J) for a, b in zip(row1, row2)] for row1, row2 in zip(s1, s2)]
+
+
+class TestReadingC:
+    """How r-hat is read off the r-hat table: a plateau, or one of the two
+    fallbacks."""
+
+    def assert_matches_reference(self, panel, cfg):
+        r, trace = abc_select_r(panel, cfg, "IC2a")
+        expect = reference_choice(trace.r_hat_table, trace.variance_profile, cfg.k_max)
+        assert np.allclose(trace.variance_profile, exact_variance(trace.r_hat_table),
+                           rtol=1e-12, atol=0)
+        assert {key: getattr(trace, key) for key in expect} == expect
+        assert r == expect["r_hat_final"]
+        return trace
+
+    def test_plateaus_and_fallbacks_match_the_reference(self):
+        picks = collections.Counter()
+        for seed in range(300):
+            panel = noise_panel(seed)
+            trace = self.assert_matches_reference(
+                panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed, k_max=4))
+            picks.update(trace.fallback)
+        assert picks[None] and picks["min_variance"] and picks["fixed_c1"]
+
+    def test_exact_low_rank_reads_the_run_at_c0(self, rng):
+        # V(k) is 0 up to rounding for every k >= 3: where c = 0 selects 3 on
+        # every subpanel, that run itself is the plateau read
+        at_c0 = 0
+        for seed in range(5):
+            panel, _, _ = rank_k_panel(rng, N=8, T=24, k=3)
+            cfg = AbcConfig.for_panel(8, 24, rng_seed=seed, k_max=6)
+            trace = self.assert_matches_reference(panel, cfg)
+            assert trace.fallback == [None] * cfg.P and trace.r_hat_final == 3
+            for plateaus, idx in zip(trace.plateaus, trace.chosen_c_index):
+                start, end, r = plateaus[0]
+                if start == 0 and r == 3:
+                    assert idx == end // 2
+                    at_c0 += 1
+        assert at_c0
+
+    def test_fixed_c1_fallback_gives_k_max(self):
+        # at 1e4 times DGP 1 every c of the grid selects k_max on the full panel,
+        # c = 1 (C_GRID[20]) included, so no c can be read off the table
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=3))
+        panel = Panel(panel.spaces, [1e4 * c for c in panel.coeffs])
+        cfg = AbcConfig.for_panel(20, 60, rng_seed=0)
+        r, trace = abc_select_r(panel, cfg, "IC2a")
+        assert trace.fallback == ["fixed_c1"] * 5
+        assert trace.chosen_c_index == [None] * 5 and trace.chosen_c == [None] * 5
+        assert trace.r_hat_per_p == [10] * 5 and r == 10
+        assert np.all(trace.r_hat_table[:, -1] == 10)
+        assert C_GRID[20] == 1.0 and select_r_fixed(panel, 1.0, "IC2a", 10) == 10
+
+    def test_min_variance_fallback(self):
+        # no plateau off c = 0 in any permutation: each reads the least-variance
+        # c among those where the full panel selects fewer than k_max = 4
+        panel = noise_panel(66)
+        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=66, k_max=4)
+        r, trace = abc_select_r(panel, cfg, "IC2a")
+        assert trace.fallback == ["min_variance"] * 5
+        assert trace.chosen_c_index == [192, 192, 192, 192, 197]
+        below = np.flatnonzero(trace.r_hat_table[:, -1, 0] < cfg.k_max)
+        for p, idx in enumerate(trace.chosen_c_index):
+            variance = trace.variance_profile[below, p]
+            assert idx == below[np.flatnonzero(variance == variance.min())[0]]
+            assert trace.r_hat_per_p[p] == trace.r_hat_table[idx, -1, p]
+        assert r == sorted(trace.r_hat_per_p)[2]
 
 
 def per_subpanel_r_table(panel, cfg, kind="IC2a"):
