@@ -42,7 +42,8 @@ from .select import (
     select_r_fixed,
     thread_cap,
 )
-from .simulate import DgpConfig, GroundTruth, design_parameters, gen_dgp, noise_covariance
+from .simulate import (DgpConfig, GroundTruth, design_parameters, gen_dgp, noise_covariance,
+                       run_grid)
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, mafe_msfe, phi_nt
 from .forecast import (
     ArModel,
@@ -51,6 +52,7 @@ from .forecast import (
     ar_forecast,
     cf_forecast,
     fit_ar_bic,
+    mortality_rolling_eval,
     persistence_forecast,
     rolling_origin_eval,
     tnh_forecast,

@@ -1,14 +1,13 @@
 """Command-line surface: simulate, estimate, select-r, bench, forecast.
 
-Every command is deterministic given its flags and seeds, and embeds a
-manifest (command, flags, seeds, package version) in its outputs.  The
-``HDFFM_THREADS`` environment variable caps the cores one command uses
+Each command reads its flags or JSON input through one settings table, calls
+the library, and writes outputs that embed a manifest (command, flags, seeds,
+package version); it is deterministic given its flags and seeds.  ``bench``
+runs ``simulate.run_grid`` and ``forecast --mortality`` runs
+``forecast.mortality_rolling_eval``, each given this module's op function as
+it is at call time.  ``HDFFM_THREADS`` caps the cores one command uses
 (default: the CPUs the process may run on; anything but a positive integer
-exits 2).  ``bench`` runs replications in a pool of w = min(cap, jobs)
-worker processes, each of which gives the tuned selection cap // w threads;
-rows are canonically sorted before writing so the output never depends on
-scheduling.  Outputs do not depend on the cap: the forecast manifests
-record it, and bench prints its split.
+exits 2); outputs do not depend on it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error
 (rank-deficient panel), 4 I/O error.
@@ -22,26 +21,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import __version__
-from .estimate import (
-    RankDeficientError,
-    _check_k,
-    common_component,
-    fit_factors,
-    fit_to_dict,
-    goodness_of_fit,
-)
-from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
-from .forecast import ForecastConfig, _min_length, cf_forecast, rolling_origin_eval, tnh_forecast
+from .estimate import (RankDeficientError, common_component, fit_factors, fit_to_dict,
+                       goodness_of_fit)
+from .forecast import ForecastConfig, cf_forecast, mortality_rolling_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
 from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
-from .select import (IC2A, PENALTY_KINDS, AbcConfig, _check_k_max, _check_subpanel_k_max,
-                     abc_select_r, select_r_fixed, thread_cap)
-from .simulate import DgpConfig, gen_dgp
+from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
+from .simulate import DgpConfig, gen_dgp, run_grid
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -220,11 +211,6 @@ def cmd_select_r(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cap_threads(threads: int) -> None:
-    """Bench pool initializer: the selection threads of one worker."""
-    os.environ["HDFFM_THREADS"] = str(threads)
-
-
 def _bench_replication(job: tuple) -> tuple:
     """Metrics rows and the selection row (or None) of one (config, replication,
     k list, select settings) job; runs in a worker."""
@@ -249,54 +235,18 @@ def cmd_bench(args) -> int:
     select = (_json_settings(spec["select"], SELECT, "bench select", lambda key: "select." + key)
               if "select" in spec else None)
     dgps, n_list, t_list, k_list, reps = map(grid.pop, ["dgps", "N", "T", "k", "replications"])
-    if not (dgps and n_list and t_list and k_list) or reps < 1:
-        raise ValueError("bench spec lists must be nonempty and replications >= 1")
-    # the rest of the grid is the seed and the design keys (n_factors, basis_dim, ...);
-    # every replication's config is checked here, before any runs
-    base = DgpConfig(dgps[0], n_list[0], t_list[0], **grid)
-    # replication rep draws its panel, and its tuned selection, from the seeds + rep
-    rep_selects = [select if select is None or select["seed"] is None
-                   else {**select, "seed": select["seed"] + rep} for rep in range(reps)]
-    jobs = [(replace(base, dgp=dgp, N=n, T=t, seed=base.seed + rep), rep, k_list, rep_selects[rep])
-            for dgp in dgps for n in n_list for t in t_list for rep in range(reps)]
-    # each cell's k range, in the order the replications would check it
-    for n in n_list:
-        for t in t_list:
-            bound = min(n * base.basis_dim, t)
-            for k in k_list:
-                _check_k(k, bound)
-            if select is not None:
-                _check_k_max(select["k_max"], bound)
-                if select["method"] == "abc":
-                    # the tuned selection's subpanels (_select_r); the last one is the cell
-                    sizes = AbcConfig.for_panel(n, t).subpanel_sizes[:-1]
-                    _check_subpanel_k_max(select["k_max"],
-                                          [n_j * base.basis_dim for n_j, _ in sizes],
-                                          [t_j for _, t_j in sizes])
-    cap = thread_cap()
-    # worker processes x selection threads stay within the cap
-    workers = min(cap, len(jobs))
-    threads = cap // workers
-    if workers == 1:
-        results = [_bench_replication(job) for job in jobs]
-    else:
-        # imported here: it loads multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_threads,
-                                 initargs=(threads,)) as pool:
-            results = list(pool.map(_bench_replication, jobs))
-
-    metric_rows = sorted((row for rows, _ in results for row in rows),
-                         key=lambda r: (r[0], r[1], r[2], r[4], r[3]))
-    select_rows = sorted(row for _, row in results if row is not None)
+    # the rest of the grid is the seed and the design keys (n_factors, basis_dim, ...)
+    cells = [DgpConfig(dgp, n, t, **grid) for dgp in dgps for n in n_list for t in t_list]
+    # the module's _bench_replication as it is now: the pool pickles it by name
+    metric_rows, select_rows, (workers, threads) = run_grid(cells, k_list, reps, select,
+                                                            _bench_replication)
 
     manifest = _manifest("bench", spec)
     _write_csv(args.out, BENCH_HEADER, metric_rows, manifest)
     if select_rows:
         sel_path = os.path.splitext(str(args.out))[0] + ".selection.csv"
         _write_csv(sel_path, SELECTION_HEADER, select_rows, manifest)
-        r = base.n_factors
+        r = grid["n_factors"]
         under, over = sum(row[4] < r for row in select_rows), sum(row[4] > r for row in select_rows)
         print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={r})")
     print(f"wrote {len(metric_rows)} rows to {args.out} "
@@ -324,29 +274,14 @@ def _forecast_manifest(args, source: str) -> dict:
 
 
 def _mortality_rolling(args) -> int:
-    if not 0 <= args.eval_age_max <= GROUP_AGE:
-        raise ValueError(f"--eval-age-max must lie in 0..{GROUP_AGE}, got {args.eval_age_max}")
-    records = load_mortality_csv(args.mortality)
-    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
-    data = ingest_mortality(records, basis)
-    del records  # the panels hold what the forecasts need
-    if args.sex is not None and args.sex not in data:
-        raise ValueError(f"no rows for --sex {args.sex!r}; the data has sexes {sorted(data)}")
-    design = basis.evaluate(AGE_GRID[: args.eval_age_max + 1])
+    # _forecast_panel is looked up per call: one call per origin is one op
+    rows = mortality_rolling_eval(
+        args.mortality, lambda train, steps: _forecast_panel(train, args, steps),
+        args.horizon, args.p_max, args.eval_age_max, args.sex, args.delta_min)
     table_rows = []
-    for sex in sorted(data) if args.sex is None else [args.sex]:
-        md = data[sex]
-        delta_min = (max(md.panel.T - 16, _min_length(args.p_max)) if args.delta_min is None
-                     else args.delta_min)
-        # _forecast_panel is looked up per call: one call per origin is one op
-        rows = rolling_origin_eval(
-            md.panel, md.log_rates[:, :, : args.eval_age_max + 1], design,
-            lambda train, steps: _forecast_panel(train, args, steps),
-            args.horizon, delta_min,
-        )
-        for h, mafe, msfe in rows:
-            table_rows.append([sex, h, args.method, repr(mafe), repr(msfe)])
-            print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
+    for sex, h, mafe, msfe in rows:
+        table_rows.append([sex, h, args.method, repr(mafe), repr(msfe)])
+        print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
         # delta_min null: the per-sex default
         manifest = {**_forecast_manifest(args, "mortality"), "numpy": np.__version__,

@@ -334,8 +334,9 @@ def _log_rate_curves(curve: np.ndarray, age: np.ndarray, rate: np.ndarray, n_cur
     return np.log(filled)
 
 
-def ingest_mortality(records, basis: BSplineBasis) -> dict:
-    """Build one coefficient panel per sex from mortality-rate records.
+def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
+    """Build one coefficient panel per sex from mortality-rate records, for
+    every sex or only those in ``sexes``.
 
     ``records`` are ``load_mortality_csv``'s columns or a list of
     (prefecture_id, year, sex, age, rate-or-None) tuples.  Rates for ages
@@ -349,6 +350,8 @@ def ingest_mortality(records, basis: BSplineBasis) -> dict:
     space = basis.space()
     out = {}
     for s, sex in enumerate(cols.sexes):
+        if sexes is not None and sex not in sexes:
+            continue
         rows = cols.sex == s
         pref_codes, p = np.unique(cols.pref[rows], return_inverse=True)
         years, y = np.unique(cols.year[rows], return_inverse=True)

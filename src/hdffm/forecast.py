@@ -6,7 +6,8 @@ factor series and the idiosyncratic coefficient series with AR models
 chosen by BIC, and recompose.  ``cf_forecast`` is the componentwise
 baseline: per-series functional PCA scores forecast independently,
 ignoring all cross-sectional structure.  ``rolling_origin_eval`` scores a
-forecaster over expanding training windows (Hyndman & Ullah, 2007).
+forecaster over expanding training windows (Hyndman & Ullah, 2007), and
+``mortality_rolling_eval`` does so per sex on a mortality-rate CSV.
 
 The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
+from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
 from .metrics import mafe_msfe
 from .panel import Panel, center, split_stacked, stack_runs, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
@@ -307,6 +309,18 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     return out, orders
 
 
+def _check_origins(delta_min: int, T: int, shortest: int = 2) -> None:
+    """Reject a first origin ``delta_min`` that leaves no origin below T, or
+    a first training window shorter than 2 or than ``shortest``."""
+    if delta_min < 2:
+        raise ValueError(f"delta_min={delta_min} must be >= 2: a training window needs T >= 2")
+    if delta_min >= T:
+        raise ValueError(f"no rolling origins: delta_min={delta_min} >= T={T}")
+    if delta_min < shortest:
+        raise ValueError(f"delta_min={delta_min} must be >= {shortest}, the shortest window "
+                         "the AR-BIC fits accept")
+
+
 def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, forecaster,
                         horizon: int, delta_min: int) -> list:
     """Rolling-origin forecast errors, one ``(h, mafe, msfe)`` row per step h.
@@ -318,10 +332,7 @@ def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, fo
     (N, T, grid) array ``actual``.
     """
     T = panel.T
-    if delta_min < 2:
-        raise ValueError(f"delta_min={delta_min} must be >= 2: a training window needs T >= 2")
-    if delta_min >= T:
-        raise ValueError(f"no rolling origins: delta_min={delta_min} >= T={T}")
+    _check_origins(delta_min, T)
     X = panel.stacked_coeffs()
     # step h + 1: (N, grid) forecasts and actuals, in origin order
     fc, act = [[] for _ in range(horizon)], [[] for _ in range(horizon)]
@@ -332,6 +343,44 @@ def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, fo
             fc[h].append(np.stack([design @ s[h] for s in result.steps]))
             act[h].append(actual[:, delta + h])
     return [(h + 1, *mafe_msfe(fc[h], act[h])) for h in range(horizon) if fc[h]]
+
+
+def mortality_rolling_eval(path, forecaster, horizon: int, p_max: int, eval_age_max: int,
+                           sex: str | None = None, delta_min: int | None = None) -> list:
+    """Rolling-origin errors of ``forecaster`` on the mortality-rate CSV at
+    ``path``: one ``(sex, h, mafe, msfe)`` row per sex and step h, for ``sex``
+    or every sex of the data in sorted order.
+
+    Each sex's log-rate curves are projected onto the 9-dimensional cubic
+    B-spline basis on ages 0..95 (``ingest_mortality``), and
+    ``rolling_origin_eval`` scores ``forecaster(train, steps)`` on ages
+    0..``eval_age_max`` from the first origin ``delta_min``, by default
+    max(T - 16, 3 (p_max + 2)) for a sex of T years.  Before any forecast, it
+    rejects an ``eval_age_max`` outside 0..95, a negative ``p_max``, a ``sex``
+    the data lacks (only that sex is ingested), and a first origin that
+    leaves some sex no origin or gives a window shorter than its AR-BIC fits
+    of order up to ``p_max`` accept.
+    """
+    if not 0 <= eval_age_max <= GROUP_AGE:
+        raise ValueError(f"--eval-age-max must lie in 0..{GROUP_AGE}, got {eval_age_max}")
+    shortest = _min_length(p_max)
+    records = load_mortality_csv(path)
+    if sex is not None and sex not in records.sexes:
+        raise ValueError(f"no rows for --sex {sex!r}; the data has sexes {sorted(records.sexes)}")
+    basis = build_bspline((0.0, float(AGE_GRID[-1])), dim=9, order=4)
+    data = ingest_mortality(records, basis, None if sex is None else [sex])
+    del records  # the panels hold what the forecasts need
+    deltas = {}
+    for s, md in sorted(data.items()):
+        deltas[s] = max(md.panel.T - 16, shortest) if delta_min is None else delta_min
+        _check_origins(deltas[s], md.panel.T, shortest)
+    design = basis.evaluate(AGE_GRID[: eval_age_max + 1])
+    rows = []
+    for s, delta in deltas.items():
+        md = data[s]
+        rows += [(s, *row) for row in rolling_origin_eval(
+            md.panel, md.log_rates[:, :, : eval_age_max + 1], design, forecaster, horizon, delta)]
+    return rows
 
 
 def persistence_forecast(panel: Panel, h: int) -> ForecastResult:

@@ -94,6 +94,18 @@ def _check_subpanel_k_max(k_max: int, d_sub, t_sub) -> None:
                          f"of subpanel {j + 1}")
 
 
+def _subpanel_penalties(kind: str, sizes) -> np.ndarray:
+    """The penalty g(N_j, T_j) of each subpanel j of ``sizes``; where it is
+    undefined, the error names the subpanel."""
+    g = []
+    for j, (n_j, t_j) in enumerate(sizes):
+        try:
+            g.append(penalty(kind, n_j, t_j))
+        except ValueError as exc:
+            raise ValueError(f"subpanel {j + 1} ({n_j} series x {t_j} periods): {exc}") from None
+    return np.array(g)
+
+
 def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
     """argmin_k of IC(c, k) on the full panel for every c in the grid, read
     from the panel's cached Gram spectrum."""
@@ -145,6 +157,20 @@ class AbcConfig:
     def for_panel(cls, N: int, T: int, rng_seed: int = 0, k_max: int = 10, P: int = 5) -> "AbcConfig":
         """The reference configuration for an N x T panel."""
         return cls(k_max=k_max, P=P, subpanel_sizes=nested_subpanel_sizes(N, T), rng_seed=rng_seed)
+
+
+def _check_selection(N: int, T: int, dim: int, tuned: bool, kind: str, k_max: int) -> None:
+    """The checks that a selection of up to ``k_max`` factors on an N x T panel
+    of ``dim``-dimensional series makes on its sizes, in the order it makes
+    them, without the panel: k_max against the rank bound of the panel, then,
+    if ``tuned``, against that of each proper subpanel of the reference
+    configuration (``AbcConfig.for_panel``); then the ``kind`` penalty on the
+    panel and, if ``tuned``, on each proper subpanel."""
+    _check_k_max(k_max, min(N * dim, T))
+    sizes = AbcConfig.for_panel(N, T).subpanel_sizes[:-1] if tuned else ()
+    _check_subpanel_k_max(k_max, [n_j * dim for n_j, _ in sizes], [t_j for _, t_j in sizes])
+    penalty(kind, N, T)
+    _subpanel_penalties(kind, sizes)
 
 
 @dataclass
@@ -322,7 +348,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     r_table[:, -1, :] = r_full[:, None]
     top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
     v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
-    g = np.array([penalty(kind, n_j, t_j) for n_j, t_j in sizes[:-1]])
+    g = _subpanel_penalties(kind, sizes[:-1])
     r_table[:, :-1, :] = _r_hat_profile(v, g, c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)

@@ -15,16 +15,20 @@ The four designs differ only in the noise scale c and the orientation of E:
 
 Design quantities (AR coefficients, loading triples) depend only on
 ``fixed_design_seed`` and are shared across replications; factor paths and
-noise depend on ``seed``.
+noise depend on ``seed``.  ``run_grid`` runs a Monte Carlo grid of such
+draws on a pool of worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimate import _check_k
 from .panel import FUNCTIONAL, Panel, SpaceSpec
+from .select import _check_selection, thread_cap
 
 
 @dataclass(frozen=True)
@@ -132,3 +136,59 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     B_coeffs[:, np.arange(r), np.arange(r)] = b
 
     return panel, GroundTruth(U=U, B_coeffs=B_coeffs, chi=chi_panel, a=a)
+
+
+def _cap_threads(threads: int) -> None:
+    """Pool initializer of ``run_grid``: the selection threads of one worker."""
+    os.environ["HDFFM_THREADS"] = str(threads)
+
+
+def run_grid(cells, k_list, reps: int, select, replicate) -> tuple:
+    """Run ``reps`` replications of every config in ``cells``.
+
+    Replication rep of a cell draws its panel from the cell's seed + rep and,
+    when ``select`` (the settings method, c, kind, k_max, P and seed of a
+    selection, or None for none) has a seed, selects from select seed + rep.
+    ``replicate((cfg, rep, k_list, select))`` runs one replication; it must be
+    picklable by name.  It returns one row per k of ``k_list``, each starting
+    (dgp, N, T, k, rep), and the selection row (dgp, N, T, rep, r-hat) or None.
+
+    Before any replication runs, every cell is checked as its replications
+    would check it: each k against the rank bound min(N * basis_dim, T) and
+    the selection's sizes (``select._check_selection``); a failure names the
+    cell.  The replications run on w = min(cap, jobs) worker processes under
+    the cap ``thread_cap()``, each worker's selection on cap // w threads; one
+    worker runs them in this process.  Returns the rows sorted by (dgp, N, T,
+    rep, k), the sorted selection rows and (w, cap // w).  The rows do not
+    depend on the cap.
+    """
+    if not (cells and k_list) or reps < 1:
+        raise ValueError("a grid needs a cell, a k and replications >= 1")
+    for cell in cells:
+        try:
+            for k in k_list:
+                _check_k(k, min(cell.N * cell.basis_dim, cell.T))
+            if select is not None:
+                _check_selection(cell.N, cell.T, cell.basis_dim, select["method"] == "abc",
+                                 select["kind"], select["k_max"])
+        except ValueError as exc:
+            raise ValueError(f"cell dgp={cell.dgp} N={cell.N} T={cell.T}: {exc}") from None
+    rep_selects = [select if select is None or select["seed"] is None
+                   else {**select, "seed": select["seed"] + rep} for rep in range(reps)]
+    jobs = [(replace(cell, seed=cell.seed + rep), rep, k_list, rep_selects[rep])
+            for cell in cells for rep in range(reps)]
+    cap = thread_cap()
+    workers = min(cap, len(jobs))
+    threads = cap // workers
+    if workers == 1:
+        results = [replicate(job) for job in jobs]
+    else:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_threads,
+                                 initargs=(threads,)) as pool:
+            results = list(pool.map(replicate, jobs))
+    rows = sorted((row for rows, _ in results for row in rows),
+                  key=lambda r: (r[0], r[1], r[2], r[4], r[3]))
+    return rows, sorted(row for _, row in results if row is not None), (workers, threads)

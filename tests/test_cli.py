@@ -19,6 +19,7 @@ from hdffm import (
 from hdffm import cli
 from hdffm.cli import main
 from conftest import rank_k_panel
+from test_fbasis import load_perfbench_tables
 
 
 def write_dgp_config(path, **kw):
@@ -454,8 +455,10 @@ class TestBench:
         ({"select": {"k_max": 31}}, "k_max=31 out of range for this panel"),
         ({"select": {"k_max": 0}}, "k_max=0 out of range for this panel"),
         ({"N": [2], "select": {}}, "k_max=10 exceeds the rank bound min(7, 30) of subpanel 1"),
+        ({"N": [2, 20], "select": {"k_max": 3}},  # N_1 = 1: no penalty
+         "cell dgp=1 N=2 T=30: subpanel 1 (1 series x 30 periods): penalty requires N, T >= 2"),
     ], ids=["k-over-T", "k-negative", "k-over-ND", "second-cell", "fixed-k_max", "abc-k_max",
-            "zero-k_max", "abc-subpanel"])
+            "zero-k_max", "abc-subpanel", "abc-subpanel-penalty"])
     def test_k_out_of_range_before_any_replication(self, tmp_path, monkeypatch, capsys, threads,
                                                    change, message):
         monkeypatch.setenv("HDFFM_THREADS", threads)
@@ -680,6 +683,42 @@ class TestForecastCommand:
             assert main(["forecast", "--mortality", str(mpath), "--sex", "F", "--horizon", "1",
                          "--p-max", "2", *flags]) == 2, flags
             assert message in capsys.readouterr().err
+
+    def test_sex_ingests_only_that_sex(self, tmp_path, capsys):
+        # a curve of M that cannot be ingested fails an M run, not an F one
+        mpath, blanked = tmp_path / "mort.csv", tmp_path / "blanked.csv"
+        load_perfbench_tables().write_csv(mpath, 1, n_pref=8, n_years=30)
+        blanked.write_text("\n".join("03,1980,M,0," if l.startswith("03,1980,M,0,") else l
+                                     for l in mpath.read_text().splitlines()))
+        flags = ["--horizon", "2", "--method", "cf"]
+        assert main(["forecast", "--mortality", str(blanked), *flags]) == 2
+        assert "('M', '03', 1980): rate at age 0 is missing" in capsys.readouterr().err
+        outs = {}
+        for path, sex in [(mpath, []), (blanked, ["--sex", "F"])]:
+            outs[path] = tmp_path / f"table_{path.stem}.csv"
+            assert main(["forecast", "--mortality", str(path), *sex, *flags,
+                         "--out", str(outs[path])]) == 0
+        every_sex, only_f = (outs[p].read_text().splitlines()[2:] for p in (mpath, blanked))
+        assert only_f == [line for line in every_sex if line.startswith("F,")] and len(only_f) == 2
+
+    @pytest.mark.parametrize("delta_min, message", [
+        ("27", "no rolling origins: delta_min=27 >= T=26"),  # M's T; F has 30 years
+        ("10", "delta_min=10 must be >= 21"),  # 3 (p_max + 2) at p_max 5
+    ], ids=["past-a-sex", "below-ar-bic"])
+    def test_delta_min_rejected_before_any_forecast(self, tmp_path, monkeypatch, capsys,
+                                                    delta_min, message):
+        calls = []
+        monkeypatch.setattr(cli, "_forecast_panel", lambda *args: calls.append(args))
+        mpath, out = tmp_path / "mort.csv", tmp_path / "table.csv"
+        load_perfbench_tables().write_csv(mpath, 1, n_pref=8, n_years=30)
+        # rows read "prefecture,year,sex,age,rate": M keeps the years 1975..2000
+        lines = mpath.read_text().splitlines()
+        mpath.write_text("\n".join(l for l in lines if not (",M," in l and l[3:7] > "2000")))
+        assert main(["forecast", "--mortality", str(mpath), "--horizon", "1",
+                     "--delta-min", delta_min, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and calls == [] and not out.exists()
 
     def test_manifest_names_every_flag(self, tmp_path):
         mpath = tmp_path / "mort.csv"

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from hdffm import DgpConfig, design_parameters, gen_dgp, noise_covariance
+from hdffm import DgpConfig, design_parameters, gen_dgp, noise_covariance, run_grid
 from conftest import ar_burn_in_draw
 
 
@@ -120,3 +122,50 @@ class TestGenDgp:
             DgpConfig(dgp=1, N=10, T=50, seed=0, target_opnorm=1.5)
         with pytest.raises(ValueError):
             DgpConfig(dgp=1, N=10, T=50, seed=0, basis_dim=2)
+
+
+def seeds_replication(job):
+    """A stand-in replication: rows that carry the job's panel seed and the
+    selection threads it ran under, and a selection row that carries its
+    selection seed in place of r-hat."""
+    cfg, rep, k_list, select = job
+    threads = int(os.environ["HDFFM_THREADS"])
+    rows = [[cfg.dgp, cfg.N, cfg.T, k, rep, cfg.seed, threads] for k in k_list]
+    return rows, None if select is None else [cfg.dgp, cfg.N, cfg.T, rep, select["seed"]]
+
+
+class TestRunGrid:
+    # listed out of order, so the rows must be sorted by value
+    CELLS = [DgpConfig(2, 20, 30, seed=10), DgpConfig(1, 8, 40, seed=10),
+             DgpConfig(1, 8, 30, seed=10)]
+    TUNED = {"method": "abc", "c": None, "kind": "IC2a", "k_max": 3, "P": 5, "seed": 100}
+
+    @pytest.mark.parametrize("cap, split", [(1, (1, 1)), (2, (2, 1)), (3, (3, 1))])
+    def test_seeds_order_and_split(self, monkeypatch, cap, split):
+        monkeypatch.setenv("HDFFM_THREADS", str(cap))
+        rows, selection, got = run_grid(self.CELLS, [3, 1], 2, self.TUNED, seeds_replication)
+        assert got == split
+        cells = [(1, 8, 30), (1, 8, 40), (2, 20, 30)]
+        assert rows == [[*cell, k, rep, 10 + rep, split[1]]
+                        for cell in cells for rep in (0, 1) for k in (1, 3)]
+        assert selection == [[*cell, rep, 100 + rep] for cell in cells for rep in (0, 1)]
+
+    def test_one_job_takes_the_whole_cap(self, monkeypatch):
+        monkeypatch.setenv("HDFFM_THREADS", "3")
+        rows, selection, split = run_grid(self.CELLS[:1], [1], 1, None, seeds_replication)
+        assert split == (1, 3)
+        assert rows == [[2, 20, 30, 1, 0, 10, 3]] and selection == []
+
+    def test_selection_without_seed_is_shared(self, monkeypatch):
+        monkeypatch.setenv("HDFFM_THREADS", "1")
+        fixed = {**self.TUNED, "method": "fixed", "c": 1.0, "P": None, "seed": None}
+        jobs = []
+        run_grid(self.CELLS, [1], 3, fixed, lambda job: jobs.append(job) or ([], None))
+        assert [(cfg.seed, rep) for cfg, rep, _, _ in jobs] == [(10 + r, r) for r in range(3)] * 3
+        assert all(select is fixed for _, _, _, select in jobs)
+
+    @pytest.mark.parametrize("cells, k_list, reps", [([], [1], 1), (CELLS, [], 1), (CELLS, [1], 0)],
+                             ids=["no-cells", "no-k", "no-replications"])
+    def test_empty_grid_rejected(self, cells, k_list, reps):
+        with pytest.raises(ValueError, match="a grid needs a cell, a k and replications >= 1"):
+            run_grid(cells, k_list, reps, None, seeds_replication)
