@@ -205,7 +205,8 @@ def _as_records(rows: list) -> MortalityRecords:
 # line breaks, and an optional header.  Quotes, "#", blanks and other bytes are
 # left to the csv module.
 _PLAIN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ,.+-_\r\n"
-_HEADERS = (b"prefecture_id,", b"prefecture,")
+_HEADER_WORDS = ("prefecture_id", "prefecture")  # first fields of the rows both readers skip
+_HEADERS = tuple(word.encode() + b"," for word in _HEADER_WORDS)
 _PLAIN_FIELDS = [("pref", "S16"), ("year", "i8"), ("sex", "S8"), ("age", "S8"), ("rate", "S32")]
 
 
@@ -215,14 +216,13 @@ def _load_plain_csv(path) -> MortalityRecords | None:
     reject (it then reports the line)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    low = data.lower()
-    header = low.startswith(_HEADERS)
-    # any other "prefecture" may be a header row the line reader skips
-    if data.translate(None, _PLAIN_BYTES) or low.count(b"prefecture") != header:
+    header = data[: max(map(len, _HEADERS))].lower().startswith(_HEADERS)
+    if data.translate(None, _PLAIN_BYTES):
         return None
-    if not (data.partition(b"\n")[2] if header else data).strip(b"\r\n"):
-        return None  # no data rows
-    del data, low  # the parse below holds the table; the raw bytes are not needed
+    start = (data.find(b"\n") + 1 or len(data)) if header else 0  # after the header
+    if data.count(b"\n", start) + data.count(b"\r", start) == len(data) - start:
+        return None  # no data rows: nothing but line breaks after the header
+    del data  # the parse below holds the table; the raw bytes are not needed
     try:
         table = np.loadtxt(path, dtype=_PLAIN_FIELDS, delimiter=",", comments=None,
                            skiprows=int(header), encoding="ascii", ndmin=1)
@@ -231,6 +231,9 @@ def _load_plain_csv(path) -> MortalityRecords | None:
         if any(rows[:, offset + dtype.itemsize - 1].any()
                for dtype, offset in table.dtype.fields.values() if dtype.kind == "S"):
             return None  # a value that fills its field may have been cut short
+        prefectures, pref = _factorize(table["pref"])
+        if any(p.lower() in _HEADER_WORDS for p in prefectures):
+            return None  # a header row the line reader skips
         ages, age = np.unique(table["age"].view(np.uint64), return_inverse=True)
         age = np.array([_age(a.decode()) for a in ages.view("S8")], dtype=np.int64)[age]
         rate = np.full(table.size, np.nan)
@@ -244,7 +247,7 @@ def _load_plain_csv(path) -> MortalityRecords | None:
             rate[lo : lo + step][given] = values
     except (ValueError, OverflowError):
         return None
-    return MortalityRecords(*_factorize(table["pref"]), table["year"].copy(),
+    return MortalityRecords(prefectures, pref, table["year"].copy(),
                             *_factorize(table["sex"]), age, rate)
 
 
@@ -270,7 +273,7 @@ def _read_csv_rows(path) -> list:
             if not row or row[0].startswith("#"):
                 continue
             pref = row[0].strip()
-            if pref.lower() in ("prefecture_id", "prefecture"):
+            if pref.lower() in _HEADER_WORDS:
                 continue
             if len(row) < 5:
                 raise ValueError(f"line {reader.line_num}: expected 5 columns "

@@ -78,48 +78,18 @@ def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarr
     return np.argmin(ic, axis=-1) + 1
 
 
-def _check_k_max(k_max: int, bound: int) -> None:
-    """Reject a k_max outside 1..bound, the rank bound min(D, T) of a panel."""
-    if not 1 <= k_max <= bound:
-        raise ValueError(f"k_max={k_max} out of range for this panel")
-
-
-def _check_subpanel_k_max(k_max: int, d_sub, t_sub) -> None:
-    """Reject a k_max above the rank bound min(D_j, T_j) of a subpanel j of
-    stacked dimensions ``d_sub`` and lengths ``t_sub``."""
-    bad = np.flatnonzero(k_max > np.minimum(d_sub, t_sub))
-    if bad.size:
-        j = bad[0]
-        raise ValueError(f"k_max={k_max} exceeds the rank bound min({d_sub[j]}, {t_sub[j]}) "
-                         f"of subpanel {j + 1}")
-
-
-def _subpanel_penalties(kind: str, sizes) -> np.ndarray:
-    """The penalty g(N_j, T_j) of each subpanel j of ``sizes``; where it is
-    undefined, the error names the subpanel."""
-    g = []
-    for j, (n_j, t_j) in enumerate(sizes):
-        try:
-            g.append(penalty(kind, n_j, t_j))
-        except ValueError as exc:
-            raise ValueError(f"subpanel {j + 1} ({n_j} series x {t_j} periods): {exc}") from None
-    return np.array(g)
-
-
-def _full_panel_profile(panel: Panel, c_grid: np.ndarray, kind: str, k_max: int) -> np.ndarray:
-    """argmin_k of IC(c, k) on the full panel for every c in the grid, read
+def _full_panel_profile(panel: Panel, c_grid: np.ndarray, g: float, k_max: int) -> np.ndarray:
+    """argmin_k of V(k) + c*k*g on the full panel for every c in the grid, read
     from the panel's cached Gram spectrum."""
-    _check_k_max(k_max, min(panel.total_dim, panel.T))
     vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
-    return _r_hat_profile(v, penalty(kind, panel.N, panel.T), c_grid, k_max)
+    return _r_hat_profile(v, g, c_grid, k_max)
 
 
 def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
     """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"c must be nonnegative and finite, got {c!r}")
-    return int(_full_panel_profile(panel, np.asarray([c], dtype=float), kind, k_max)[0])
+    _, _, g = _check_selection(panel.dims, panel.T, kind, k_max, c)
+    return int(_full_panel_profile(panel, np.asarray([c], dtype=float), g[-1], k_max)[0])
 
 
 def nested_subpanel_sizes(N: int, T: int, J: int = 10) -> tuple:
@@ -143,8 +113,6 @@ class AbcConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
         if self.P < 1:
             raise ValueError("P must be >= 1")
         sizes = tuple((int(n), int(t)) for n, t in self.subpanel_sizes)
@@ -159,18 +127,51 @@ class AbcConfig:
         return cls(k_max=k_max, P=P, subpanel_sizes=nested_subpanel_sizes(N, T), rng_seed=rng_seed)
 
 
-def _check_selection(N: int, T: int, dim: int, tuned: bool, kind: str, k_max: int) -> None:
-    """The checks that a selection of up to ``k_max`` factors on an N x T panel
-    of ``dim``-dimensional series makes on its sizes, in the order it makes
-    them, without the panel: k_max against the rank bound of the panel, then,
-    if ``tuned``, against that of each proper subpanel of the reference
-    configuration (``AbcConfig.for_panel``); then the ``kind`` penalty on the
-    panel and, if ``tuned``, on each proper subpanel."""
-    _check_k_max(k_max, min(N * dim, T))
-    sizes = AbcConfig.for_panel(N, T).subpanel_sizes[:-1] if tuned else ()
-    _check_subpanel_k_max(k_max, [n_j * dim for n_j, _ in sizes], [t_j for _, t_j in sizes])
-    penalty(kind, N, T)
-    _subpanel_penalties(kind, sizes)
+def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
+    """Everything a selection of up to ``k_max`` factors checks, before any
+    eigensolve, on a panel of series of stacked dimensions ``dims`` over T
+    periods; ``tuning`` is the c of a fixed selection or the ``AbcConfig`` of
+    a tuned one (whose k_max is ``k_max``).  In order: a tuned selection's
+    subpanel sizes (the last is (N, T), 1 <= N_j <= N, 2 <= T_j <= T), or a
+    fixed selection's c (finite, >= 0); k_max against the panel's rank bound
+    min(D, T); k_max against each permutation's subpanel rank bounds
+    min(D_j, T_j), permutations in order; the ``kind`` penalty on the panel,
+    then on each proper subpanel.
+
+    Returns the subpanel sizes (the panel alone for a fixed selection), the
+    permutations (none for a fixed selection) and the penalty of each size.
+    """
+    dims = np.asarray(dims)
+    N, D = dims.size, int(dims.sum())
+    if isinstance(tuning, AbcConfig):
+        sizes = tuning.subpanel_sizes or nested_subpanel_sizes(N, T)
+        if sizes[-1] != (N, T):
+            raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({N}, {T})")
+        for n_j, t_j in sizes:
+            if not 1 <= n_j <= N or not 2 <= t_j <= T:
+                raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
+        permutations = [np.random.default_rng(tuning.rng_seed + p).permutation(N)
+                        for p in range(tuning.P)]
+    else:
+        if not (math.isfinite(tuning) and tuning >= 0):
+            raise ValueError(f"c must be nonnegative and finite, got {tuning!r}")
+        sizes, permutations = ((N, T),), []
+    if not 1 <= k_max <= min(D, T):
+        raise ValueError(f"k_max={k_max} out of range for this panel")
+    for perm in permutations:
+        d_sub = np.cumsum(dims[perm])  # d_sub[n - 1]: D of the first n series of perm
+        for j, (n_j, t_j) in enumerate(sizes[:-1]):
+            if k_max > min(d_sub[n_j - 1], t_j):
+                raise ValueError(f"k_max={k_max} exceeds the rank bound "
+                                 f"min({d_sub[n_j - 1]}, {t_j}) of subpanel {j + 1}")
+    g_panel = penalty(kind, N, T)
+    g = []
+    for j, (n_j, t_j) in enumerate(sizes[:-1]):
+        try:
+            g.append(penalty(kind, n_j, t_j))
+        except ValueError as exc:
+            raise ValueError(f"subpanel {j + 1} ({n_j} series x {t_j} periods): {exc}") from None
+    return sizes, permutations, np.array(g + [g_panel])
 
 
 @dataclass
@@ -264,8 +265,6 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
     """
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
-    d_sub = off[n_sub]
-    _check_subpanel_k_max(k_max, d_sub, t_sub)
     rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
     S = np.zeros((Z.shape[1], Z.shape[1]))
     done = 0
@@ -312,25 +311,18 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     Gram spectrum for every p), reads r on the full panel at the middle c of
     the second zero-variance plateau of the variance-over-subpanels profile
     or at a fallback (``_read_c``), and returns the lower median across
-    permutations together with the full trace.  The permutations' spectra
+    permutations together with the full trace.  Everything it checks is
+    checked first (``_check_selection``).  The permutations' spectra
     and the panel's own are computed on up to ``thread_cap()`` threads where
     the Grams are large; the results, gathered in order, do not depend on
     the thread count.
     """
-    sizes = cfg.subpanel_sizes or nested_subpanel_sizes(panel.N, panel.T)
-    if sizes[-1] != (panel.N, panel.T):
-        raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({panel.N}, {panel.T})")
-    for n_j, t_j in sizes:
-        if not 1 <= n_j <= panel.N or not 2 <= t_j <= panel.T:
-            raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
+    sizes, permutations, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
     n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
     t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
-    # before any task runs, as in the serial order
-    _check_k_max(k_max, min(panel.total_dim, panel.T))
-    permutations = [np.random.default_rng(cfg.rng_seed + p).permutation(panel.N) for p in range(P)]
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = [panel.gram_spectrum] + [
         partial(_subpanel_spectra, Z, panel.offsets, perm, n_sub, t_sub, k_max)
@@ -344,12 +336,11 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
-    r_full = _full_panel_profile(panel, c_grid, kind, k_max)
+    r_full = _full_panel_profile(panel, c_grid, g[-1], k_max)
     r_table[:, -1, :] = r_full[:, None]
     top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
     v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
-    g = _subpanel_penalties(kind, sizes[:-1])
-    r_table[:, :-1, :] = _r_hat_profile(v, g, c_grid, k_max).T
+    r_table[:, :-1, :] = _r_hat_profile(v, g[:-1], c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)
     plateaus, chosen_idx, fallback = (list(a) for a in zip(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimate import _check_k
 from .panel import FUNCTIONAL, Panel, SpaceSpec
-from .select import _check_selection, thread_cap
+from .select import AbcConfig, _check_selection, thread_cap
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,12 @@ def run_grid(cells, k_list, reps: int, select, replicate) -> tuple:
     (dgp, N, T, k, rep), and the selection row (dgp, N, T, rep, r-hat) or None.
 
     Before any replication runs, every cell is checked as its replications
-    would check it: each k against the rank bound min(N * basis_dim, T) and
-    the selection's sizes (``select._check_selection``); a failure names the
-    cell.  The replications run on w = min(cap, jobs) worker processes under
-    the cap ``thread_cap()``, each worker's selection on cap // w threads; one
-    worker runs them in this process.  Returns the rows sorted by (dgp, N, T,
+    would check it: each k against the rank bound min(N * basis_dim, T), then
+    everything the selection checks (``select._check_selection``, with the
+    settings' c or ``AbcConfig``); a failure names the cell.  The
+    replications run on w = min(cap, jobs) worker processes under the cap
+    ``thread_cap()``, each worker's selection on cap // w threads; one worker
+    runs them in this process.  Returns the rows sorted by (dgp, N, T,
     rep, k), the sorted selection rows and (w, cap // w).  The rows do not
     depend on the cap.
     """
@@ -169,8 +170,10 @@ def run_grid(cells, k_list, reps: int, select, replicate) -> tuple:
             for k in k_list:
                 _check_k(k, min(cell.N * cell.basis_dim, cell.T))
             if select is not None:
-                _check_selection(cell.N, cell.T, cell.basis_dim, select["method"] == "abc",
-                                 select["kind"], select["k_max"])
+                tuning = select["c"] if select["method"] == "fixed" else AbcConfig.for_panel(
+                    cell.N, cell.T, select["seed"], select["k_max"], select["P"])
+                _check_selection((cell.basis_dim,) * cell.N, cell.T, select["kind"],
+                                 select["k_max"], tuning)
         except ValueError as exc:
             raise ValueError(f"cell dgp={cell.dgp} N={cell.N} T={cell.T}: {exc}") from None
     rep_selects = [select if select is None or select["seed"] is None

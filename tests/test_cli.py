@@ -457,8 +457,13 @@ class TestBench:
         ({"N": [2], "select": {}}, "k_max=10 exceeds the rank bound min(7, 30) of subpanel 1"),
         ({"N": [2, 20], "select": {"k_max": 3}},  # N_1 = 1: no penalty
          "cell dgp=1 N=2 T=30: subpanel 1 (1 series x 30 periods): penalty requires N, T >= 2"),
+        ({"select": {"method": "fixed", "c": -1}}, "c must be nonnegative and finite, got -1"),
+        ({"select": {"P": 0}}, "P must be >= 1"),
+        ({"N": [1], "select": {"k_max": 3}},  # N_1 = 0
+         "cell dgp=1 N=1 T=30: invalid subpanel size (0, 30)"),
     ], ids=["k-over-T", "k-negative", "k-over-ND", "second-cell", "fixed-k_max", "abc-k_max",
-            "zero-k_max", "abc-subpanel", "abc-subpanel-penalty"])
+            "zero-k_max", "abc-subpanel", "abc-subpanel-penalty", "fixed-c", "abc-P",
+            "abc-one-series"])
     def test_k_out_of_range_before_any_replication(self, tmp_path, monkeypatch, capsys, threads,
                                                    change, message):
         monkeypatch.setenv("HDFFM_THREADS", threads)

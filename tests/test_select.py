@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -577,5 +578,43 @@ class TestThreadedSelection:
                         rng_seed=7)
         with pytest.raises(ValueError, match=r"min\(10, 260\) of subpanel 1"):
             abc_select_r(panel, cfg)
-        main = threading.get_ident()
-        assert set(idents) == {main} if cap == "1" else main not in idents
+        assert idents == []
+
+
+def count_eigensolves(monkeypatch):
+    """Wrap numpy's ``eigvalsh`` and ``eigh`` to count their calls by name."""
+    calls = collections.Counter()
+    for name in ("eigvalsh", "eigh"):
+        def counting(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestChecksBeforeEigensolves:
+    """A selection checks everything it accepts (``select._check_selection``)
+    before its first eigensolve and its first permutation task."""
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    @pytest.mark.parametrize("N, T, message", [
+        (2, 300, "subpanel 1 (1 series x 300 periods): penalty requires N, T >= 2"),
+        (1, 30, "invalid subpanel size (0, 30)"),
+    ], ids=["no-subpanel-penalty", "one-series"])
+    def test_tuned(self, monkeypatch, cap, N, T, message):
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=N, T=T, seed=1))
+        calls, idents = count_eigensolves(monkeypatch), record_threads(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            abc_select_r(panel, AbcConfig.for_panel(N, T, k_max=3))
+        with pytest.raises(ValueError):
+            tnh_forecast(panel, ForecastConfig(horizon=1))
+        assert calls == {} and idents == []
+
+    def test_fixed(self, monkeypatch):
+        panel = Panel([scalar_space()], [np.array([[1.0], [2.0]])])  # N = 1, T = 2
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape("penalty requires N, T >= 2")):
+            select_r_fixed(panel, 1.0, "IC1a", 1)
+        assert calls == {}
