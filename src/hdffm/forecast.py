@@ -19,15 +19,16 @@ orders and forecasts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
 from .metrics import mafe_msfe
-from .panel import Panel, center, split_stacked, stack_runs, whiten_stacked
-from .select import IC2A, AbcConfig, SelectionTrace, abc_select_r
+from .panel import Panel, center, run_in_order, split_stacked, stack_runs, whiten_stacked
+from .select import IC2A, AbcConfig, SelectionTrace, _largest_k_max, abc_select_r, thread_cap
 
 # An AR fit is explosive when its companion radius is at least 1 + _RADIUS_TOL.
 # An AR order is rank deficient when, in the QR of its lag matrix, some column's
@@ -111,17 +112,17 @@ def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
     y = np.asarray(series, dtype=float).ravel()
     if y.size < _min_length(p_max):
         raise ValueError(f"series of length {y.size} too short for p_max={p_max}")
-    orders, beta, sigma2 = _ar_bic_fits(_lag_matrices(y[None], p_max))
+    orders, beta, sigma2 = _ar_bic_fits(y[None], p_max)
     p = int(orders[0])
     return ArModel(order=p, intercept=float(beta[0, 0]), coefficients=beta[0, 1 : p + 1],
                    innovation_variance=float(sigma2[0]))
 
 
-def _ar_bic_fits(A: np.ndarray) -> tuple:
-    """AR-BIC fits of the rows of a (rows, t_eff, p_max + 2) stack of augmented
-    lag matrices (``_lag_matrices``): the (rows,) orders, the (rows, p_max + 1)
-    intercepts then coefficients (zero past a row's order) and the (rows,)
-    innovation variances.
+def _ar_bic_fits(Y: np.ndarray, p_max: int) -> tuple:
+    """AR-BIC fits of orders 0..p_max of the rows of a (rows, T) matrix, on
+    their stack of augmented lag matrices (``_lag_matrices``): the (rows,)
+    orders, the (rows, p_max + 1) intercepts then coefficients (zero past a
+    row's order) and the (rows,) innovation variances.
 
     One QR of the stack fits every order: order p regresses the last column
     on the first p + 1, so its RSS is the sum of squares of R's last column
@@ -132,6 +133,7 @@ def _ar_bic_fits(A: np.ndarray) -> tuple:
     is explosive is dropped for the row's next BIC order.  AR(0) has full
     rank and is never explosive, so every row gets an order.
     """
+    A = _lag_matrices(Y, p_max)
     rows, t_eff, k = A.shape
     R = np.linalg.qr(A, mode="r")
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))[:, :-1]
@@ -221,7 +223,8 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
     """Factor-model forecast of every series, h steps ahead.
 
     Pipeline: center, select the factor count on the centered panel (tuned
-    IC2a criterion unless ``fixed_r`` is set), fit factors, forecast each
+    IC2a criterion unless ``fixed_r`` is set, up to k_max = 10 or the least
+    subpanel rank bound below it), fit factors, forecast each
     factor series and each idiosyncratic coefficient series by AR-BIC,
     then recompose mean + loadings @ factor forecasts + idiosyncratic
     forecasts in coefficient form.
@@ -232,6 +235,7 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
     r, trace = cfg.fixed_r, None
     if r is None:
         abc = AbcConfig.for_panel(panel.N, panel.T, rng_seed=cfg.rng_seed)
+        abc = replace(abc, k_max=_largest_k_max(panel.dims, panel.T, abc))
         r, trace = abc_select_r(centered, abc, IC2A)
     try:
         fit = fit_factors(centered, r)
@@ -290,9 +294,10 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
     those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are fitted
-    by ``_ar_bic_fits`` in stacks cut to the byte budget of ``stack_runs``,
-    and the forecast recursion (``_iterate_ar``, which ``ar_forecast`` runs on
-    one row) runs over all rows of one order at once.
+    by ``_ar_bic_fits`` in chunks cut to the byte budget of ``stack_runs``,
+    which run as tasks on up to ``thread_cap()`` threads where there are
+    several, and the forecast recursion (``_iterate_ar``, which
+    ``ar_forecast`` runs on one row) runs over all rows of one order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
@@ -300,8 +305,12 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
         raise ValueError(f"series of length {T} too short for p_max={p_max}")
     orders = np.empty(rows, dtype=int)
     beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
-    for lo, hi in stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2)):
-        orders[lo:hi], beta[lo:hi], _ = _ar_bic_fits(_lag_matrices(Y[lo:hi], p_max))
+    runs = stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2))
+    chunks = [partial(_ar_bic_fits, Y[lo:hi], p_max) for lo, hi in runs]
+    # one chain of independent tasks, so the chunks run side by side
+    fits = run_in_order([lambda: chunks], min(thread_cap(), len(runs)) or 1)[0]
+    for (lo, hi), (chunk_orders, chunk_beta, _) in zip(runs, fits):
+        orders[lo:hi], beta[lo:hi] = chunk_orders, chunk_beta
     out = np.empty((rows, h))
     for p in np.unique(orders):
         group = orders == p

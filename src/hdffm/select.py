@@ -5,8 +5,11 @@ the tuned information criterion IC(c, k) = V(k) + c*k*g(N, T), the plain
 argmin selector at fixed c, and the permutation/subpanel tuning procedure
 that scans a grid of c values, tracks the variance of the selected count
 across nested subpanels, and picks c in the middle of the second
-zero-variance plateau of that profile.  The sweep's permutations run on
-threads under the one core cap of a command, ``thread_cap()``.
+zero-variance plateau of that profile.  Where one permutation's subpanel
+Grams fill a stack budget, the sweep's eigensolve stacks and the panel's
+own ``eigh`` run as tasks on up to ``thread_cap()`` threads, the one core
+cap of a command (``panel.run_in_order``); its outputs are byte-identical
+at every cap.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .estimate import v_profile
-from .panel import _CHUNK_BYTES, Panel, stack_runs
+from .panel import _CHUNK_BYTES, Panel, run_in_order, stack_runs
 
 IC1A = "IC1a"
 IC2A = "IC2a"
@@ -127,43 +129,72 @@ class AbcConfig:
         return cls(k_max=k_max, P=P, subpanel_sizes=nested_subpanel_sizes(N, T), rng_seed=rng_seed)
 
 
+@lru_cache(maxsize=8)
+def _permutations(N: int, P: int, rng_seed: int) -> tuple:
+    """The P permutations of a tuned selection of N series, drawn from seeds
+    rng_seed..rng_seed + P - 1.  Cached: a tuned forecast draws them twice
+    (``_largest_k_max``, then ``_check_selection``), and every rolling origin
+    of a series draws the same ones."""
+    return tuple(np.random.default_rng(rng_seed + p).permutation(N) for p in range(P))
+
+
+def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
+    """The subpanel sizes of a tuned selection with ``cfg`` on a panel of
+    series of stacked dimensions ``dims`` over T periods, checked (the last
+    is (N, T), 1 <= N_j <= N, 2 <= T_j <= T), its permutations, and the
+    stacked dimension D_j of each permutation's proper subpanels, (P, J - 1).
+    """
+    dims = np.asarray(dims)
+    N = dims.size
+    sizes = cfg.subpanel_sizes or nested_subpanel_sizes(N, T)
+    if sizes[-1] != (N, T):
+        raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({N}, {T})")
+    for n_j, t_j in sizes:
+        if not 1 <= n_j <= N or not 2 <= t_j <= T:
+            raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
+    permutations = [perm.copy() for perm in _permutations(N, cfg.P, cfg.rng_seed)]
+    n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
+    d_sub = np.array([np.cumsum(dims[perm])[n_sub - 1] for perm in permutations])
+    return sizes, permutations, d_sub
+
+
+def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
+    """The largest k_max, up to ``cfg.k_max``, that a tuned selection with
+    ``cfg`` accepts on a panel of series of stacked dimensions ``dims`` over
+    T periods: the least rank bound min(D_j, T_j) of the panel and of every
+    permutation's subpanels.  Its subpanel sizes are checked first."""
+    sizes, _, d_sub = _tuned_subpanels(dims, T, cfg)
+    t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
+    return int(min(cfg.k_max, sum(dims), T, np.minimum(d_sub, t_sub).min(initial=T)))
+
+
 def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
     """Everything a selection of up to ``k_max`` factors checks, before any
     eigensolve, on a panel of series of stacked dimensions ``dims`` over T
     periods; ``tuning`` is the c of a fixed selection or the ``AbcConfig`` of
     a tuned one (whose k_max is ``k_max``).  In order: a tuned selection's
-    subpanel sizes (the last is (N, T), 1 <= N_j <= N, 2 <= T_j <= T), or a
-    fixed selection's c (finite, >= 0); k_max against the panel's rank bound
-    min(D, T); k_max against each permutation's subpanel rank bounds
-    min(D_j, T_j), permutations in order; the ``kind`` penalty on the panel,
-    then on each proper subpanel.
+    subpanel sizes (``_tuned_subpanels``), or a fixed selection's c (finite,
+    >= 0); k_max against the panel's rank bound min(D, T); k_max against
+    each permutation's subpanel rank bounds min(D_j, T_j), permutations in
+    order; the ``kind`` penalty on the panel, then on each proper subpanel.
 
     Returns the subpanel sizes (the panel alone for a fixed selection), the
     permutations (none for a fixed selection) and the penalty of each size.
     """
-    dims = np.asarray(dims)
-    N, D = dims.size, int(dims.sum())
+    N, D = len(dims), int(sum(dims))
     if isinstance(tuning, AbcConfig):
-        sizes = tuning.subpanel_sizes or nested_subpanel_sizes(N, T)
-        if sizes[-1] != (N, T):
-            raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({N}, {T})")
-        for n_j, t_j in sizes:
-            if not 1 <= n_j <= N or not 2 <= t_j <= T:
-                raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
-        permutations = [np.random.default_rng(tuning.rng_seed + p).permutation(N)
-                        for p in range(tuning.P)]
+        sizes, permutations, d_sub = _tuned_subpanels(dims, T, tuning)
     else:
         if not (math.isfinite(tuning) and tuning >= 0):
             raise ValueError(f"c must be nonnegative and finite, got {tuning!r}")
-        sizes, permutations = ((N, T),), []
+        sizes, permutations, d_sub = ((N, T),), [], []
     if not 1 <= k_max <= min(D, T):
         raise ValueError(f"k_max={k_max} out of range for this panel")
-    for perm in permutations:
-        d_sub = np.cumsum(dims[perm])  # d_sub[n - 1]: D of the first n series of perm
-        for j, (n_j, t_j) in enumerate(sizes[:-1]):
-            if k_max > min(d_sub[n_j - 1], t_j):
+    for d_p in d_sub:
+        for j, (d_j, (_, t_j)) in enumerate(zip(d_p, sizes)):
+            if k_max > min(d_j, t_j):
                 raise ValueError(f"k_max={k_max} exceeds the rank bound "
-                                 f"min({d_sub[n_j - 1]}, {t_j}) of subpanel {j + 1}")
+                                 f"min({d_j}, {t_j}) of subpanel {j + 1}")
     g_panel = penalty(kind, N, T)
     g = []
     for j, (n_j, t_j) in enumerate(sizes[:-1]):
@@ -252,23 +283,25 @@ def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:
 
 
 def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
-                      t_sub: np.ndarray, k_max: int) -> tuple:
-    """The k_max largest eigenvalues (descending), (J - 1, k_max), and the
-    traces, (J - 1,), of the Grams of the subpanels j: the first n_sub[j]
-    series of ``perm`` over the first t_sub[j] periods of the whitened
-    (total_dim, T) matrix ``Z`` with series row ``offsets``.
+                      t_sub: np.ndarray, k_max: int):
+    """The chain of one permutation (``run_in_order``): stack by stack, a task
+    that returns the k_max largest eigenvalues (descending), (stack, k_max),
+    and the traces, (stack,), of the Grams of its subpanels j: the first
+    n_sub[j] series of ``perm`` over the first t_sub[j] periods of the
+    whitened (total_dim, T) matrix ``Z`` with series row ``offsets``.
 
     Nested series sums S_n = sum_{i in perm[:n]} Z_i' Z_i are accumulated
-    checkpoint by checkpoint; the Gram is the leading t_j x t_j block of
-    S_n / n.  The Grams of consecutive subpanels of one t_j are solved by one
-    ``eigvalsh`` on their stack, cut to the byte budget of ``stack_runs``.
+    checkpoint by checkpoint as the tasks are taken; the Gram is the leading
+    t_j x t_j block of S_n / n.  The Grams of consecutive subpanels of one
+    t_j form one stack, cut to the byte budget of ``stack_runs``, and its
+    task solves them by one ``eigvalsh``.  Taking a task fills its stack, so
+    the next stack's sums can be accumulated while this one is solved.
     """
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
     rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
     S = np.zeros((Z.shape[1], Z.shape[1]))
     done = 0
-    top, traces = np.empty((n_sub.size, k_max)), np.empty(n_sub.size)
 
     def add_series(n):
         """S += Z_i' Z_i over the permuted series done..n - 1."""
@@ -278,29 +311,27 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
             np.add(S, block.T @ block, out=S)
             done = n
 
-    for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
+    def fill(lo, hi):
+        """The stack of the Grams of subpanels lo..hi - 1, one t_j."""
         t = t_sub[lo]
         # the first checkpoint's block, the largest, is freed before the stack
-        # is allocated, and the stack before the next one is
+        # is allocated
         add_series(n_sub[lo])
         F = np.empty((hi - lo, t, t))
         for j in range(lo, hi):
             add_series(n_sub[j])
             np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
-        top[lo:hi] = np.linalg.eigvalsh(F)[:, ::-1][:, :k_max]
-        traces[lo:hi] = np.trace(F, axis1=1, axis2=2)
-        del F
-    return top, traces
+        return F
+
+    for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
+        # only the task holds the stack: it is freed once solved
+        yield partial(_stack_spectra, fill(lo, hi), k_max)
 
 
-def _run_in_order(tasks: list, threads: int) -> list:
-    """The results of ``tasks``, in order, on ``threads`` threads of a pool that
-    lives for this call (none for one): the first failing task in order raises."""
-    if threads == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+def _stack_spectra(F: np.ndarray, k_max: int) -> tuple:
+    """The k_max largest eigenvalues (descending) and the traces of a stack
+    of Grams."""
+    return np.linalg.eigvalsh(F)[:, ::-1][:, :k_max], np.trace(F, axis1=1, axis2=2)
 
 
 def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
@@ -312,10 +343,12 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     the second zero-variance plateau of the variance-over-subpanels profile
     or at a fallback (``_read_c``), and returns the lower median across
     permutations together with the full trace.  Everything it checks is
-    checked first (``_check_selection``).  The permutations' spectra
-    and the panel's own are computed on up to ``thread_cap()`` threads where
-    the Grams are large; the results, gathered in order, do not depend on
-    the thread count.
+    checked first (``_check_selection``).  Where one permutation's Grams
+    fill a stack budget, each permutation's eigensolve stacks
+    (``_subpanel_spectra``) and the panel's own spectrum run as tasks on up to
+    ``thread_cap()`` threads, with at most as many permutations' running
+    sums held at once; the results, gathered in order, do not depend on the
+    thread count.
     """
     sizes, permutations, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
@@ -324,14 +357,15 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
     Z = panel.stacked_white()  # materialised once, before the tasks share it
-    tasks = [panel.gram_spectrum] + [
+    chains = [lambda: [panel.gram_spectrum]] + [
         partial(_subpanel_spectra, Z, panel.offsets, perm, n_sub, t_sub, k_max)
         for perm in permutations]
     # threads pay only when one permutation's Grams fill a stack budget: its
     # eigvalsh stacks then hold several Grams, and numpy releases the GIL there
     cap = thread_cap()
     threads = min(cap, P + 1) if 8 * int(np.square(t_sub).sum()) >= _CHUNK_BYTES else 1
-    spectra = _run_in_order(tasks, threads)[1:]
+    spectra = [[np.concatenate(a) for a in zip(*stacks)]  # per permutation, its stacks joined
+               for stacks in run_in_order(chains, threads)[1:]]
 
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its

@@ -1,11 +1,16 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from hdffm import (
+    AbcConfig,
     ArModel,
     ForecastConfig,
     Panel,
+    abc_select_r,
     ar_forecast,
     center,
     cf_forecast,
@@ -16,7 +21,8 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.forecast import _ar_bic_forecasts, _lag_matrices, companion_radius
+from hdffm.forecast import _ar_bic_fits, _ar_bic_forecasts, _lag_matrices, companion_radius
+from hdffm.panel import stack_runs
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import ar_burn_in_draw, random_mixed_panel, random_spd
 
@@ -331,6 +337,46 @@ class TestBatchedArBic:
         with pytest.raises(ValueError, match="too short"):
             _ar_bic_forecasts(np.zeros((2, 10)), 5, 1)
 
+    @staticmethod
+    def chunked_rows(p_max=5):
+        """353 rows of length 199 (forecast-dgp's), over four chunks."""
+        Y = np.random.default_rng(3).standard_normal((353, 199))
+        runs = stack_runs([199 - p_max] * 353, lambda t_eff: 8 * t_eff * (p_max + 2))
+        assert len(runs) == 4
+        return Y, runs
+
+    def test_bitwise_at_caps_1_2_3(self, monkeypatch):
+        Y, _ = self.chunked_rows()
+        threads, outputs = threading.active_count(), []
+        for cap in ("1", "2", "3"):
+            monkeypatch.setenv("HDFFM_THREADS", cap)
+            fc, orders = _ar_bic_forecasts(Y, 5, 2)
+            outputs.append((fc.tobytes(), orders.tobytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert threading.active_count() == threads
+
+    def test_memory_at_two_threads(self, monkeypatch):
+        # two threads hold at most one chunk's fit (its lag matrices, numpy's
+        # qr copy of them, its R) more than one thread does; 64 KiB covers
+        # the pool's threads and futures
+        Y, runs = self.chunked_rows()
+        lo, hi = runs[0]
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _ar_bic_forecasts(Y, 5, 1)  # numpy's first call allocates more
+        chunk = peak(_ar_bic_fits, Y[lo:hi], 5)
+        monkeypatch.setenv("HDFFM_THREADS", "1")
+        serial = peak(_ar_bic_forecasts, Y, 5, 1)
+        monkeypatch.setenv("HDFFM_THREADS", "2")
+        assert peak(_ar_bic_forecasts, Y, 5, 1) <= serial + chunk + 64 * 1024
+
 
 class TestArForecast:
     def test_order_zero(self):
@@ -427,6 +473,19 @@ class TestTnhForecast:
         assert base.r == shifted.r == 3
         for a, b in zip(base.steps, shifted.steps):
             assert np.allclose(b, a + 5.0, atol=1e-9)
+
+    def test_tuned_k_max_below_ten(self):
+        # 12 scalar series: each permutation's first subpanel holds 9, so the
+        # forecast tunes with k_max = 9
+        rng = np.random.default_rng(8)
+        U = rng.standard_normal((100, 2))
+        panel = Panel([scalar_space()] * 12,
+                      [U @ rng.standard_normal(2) + 0.5 * rng.standard_normal(100)
+                       for _ in range(12)])
+        result = tnh_forecast(panel, ForecastConfig(horizon=2))
+        r, trace = abc_select_r(center(panel)[0], AbcConfig.for_panel(12, 100, k_max=9))
+        assert result.r == r and result.trace.r_hat_table.tobytes() == trace.r_hat_table.tobytes()
+        assert result.trace.r_hat_table.max() <= 9
 
     def test_ar1_factor_oracle(self):
         # zero idiosyncratic part, single AR(1) factor: the pipeline forecast

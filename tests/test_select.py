@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from hdffm import (
     tnh_forecast,
 )
 from hdffm import select
-from hdffm.panel import _CHUNK_BYTES
+from hdffm.panel import _CHUNK_BYTES, run_in_order, stack_runs
 from hdffm.select import C_GRID
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import ic, random_mixed_panel, rank_k_panel
@@ -166,6 +167,15 @@ class TestAbcSelect:
                 redo.append(int(trace.r_hat_table[idx, -1, p]))
         assert redo == trace.r_hat_per_p
         assert r == sorted(redo)[(len(redo) - 1) // 2]
+
+    def test_permutations_are_the_callers_own(self):
+        # the draws are cached: a trace's permutations must be copies of them
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=9))
+        cfg = AbcConfig.for_panel(20, 60, rng_seed=2)
+        _, trace = abc_select_r(panel, cfg)
+        trace.permutations[0][:] = 0
+        _, trace = abc_select_r(panel, cfg)
+        assert np.array_equal(trace.permutations[0], np.random.default_rng(2).permutation(20))
 
     def test_full_panel_permutation_invariant(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=15, T=50, seed=13))
@@ -580,6 +590,84 @@ class TestThreadedSelection:
             abc_select_r(panel, cfg)
         assert idents == []
 
+    def test_bitwise_at_caps_1_2_3(self, monkeypatch):
+        # 3 eigensolve stacks per permutation, and AR rows over at least 3 chunks
+        make_panel = lambda: gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=11))[0]  # noqa: E731
+        threads = threading.active_count()
+        serial = self.outputs(make_panel, "1", monkeypatch)
+        rows = len(serial[-1])
+        assert len(stack_runs([200 - 5] * rows, lambda t_eff: 8 * t_eff * (5 + 2))) >= 3
+        for cap in ("2", "3"):
+            assert self.outputs(make_panel, cap, monkeypatch) == serial
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_first_failing_stack_raises(self, monkeypatch, cap):
+        # stack 2 of permutation 1 fails after stack 1 of permutation 3 does,
+        # but is raised first; no pool thread outlives the call
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
+        cfg = AbcConfig.for_panel(50, 200, rng_seed=0)
+        perms = [np.random.default_rng(p).permutation(50) for p in range(cfg.P)]
+        spectra = select._subpanel_spectra
+
+        def fail(p, s):
+            if (p, s) == (1, 2):
+                time.sleep(0.2)
+            raise ValueError(f"stack {s} of permutation {p} failed")
+
+        def failing(Z, offsets, perm, *args):
+            p = next(i for i, q in enumerate(perms) if np.array_equal(q, perm))
+            for s, task in enumerate(spectra(Z, offsets, perm, *args)):
+                yield functools.partial(fail, p, s) if (p, s) in ((1, 2), (3, 1)) else task
+
+        monkeypatch.setattr(select, "_subpanel_spectra", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="stack 2 of permutation 1 failed"):
+            abc_select_r(panel, cfg)
+        assert threading.active_count() == threads
+
+
+class TestRunInOrder:
+    """``panel.run_in_order``, the one task runner of selection and AR-BIC."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_in_order(self, threads):
+        def chain(c, n):
+            for i in range(n):
+                yield lambda i=i: (c, i)
+
+        chains = [functools.partial(chain, c, n) for c, n in enumerate([3, 0, 1, 4, 2])]
+        assert run_in_order(chains, threads) == [[(c, i) for i in range(n)]
+                                                 for c, n in enumerate([3, 0, 1, 4, 2])]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_at_most_threads_chains_open(self, threads):
+        # a chain is open from its first task taken to its end
+        lock, open_now, most = threading.Lock(), [0], [0]
+
+        def chain():
+            with lock:
+                open_now[0] += 1
+                most[0] = max(most[0], open_now[0])
+            yield lambda: time.sleep(0.01)
+            yield lambda: time.sleep(0.01)
+            with lock:
+                open_now[0] -= 1
+
+        run_in_order([chain] * 6, threads)
+        assert 2 <= most[0] <= threads
+
+    def test_next_task_taken_while_the_current_one_runs(self):
+        # the second task of the chain is taken, and runs, while the first waits
+        second_ran = threading.Event()
+
+        def chain():
+            yield lambda: second_ran.wait(5)
+            yield second_ran.set
+
+        assert run_in_order([chain], 2) == [[True, None]]
+
 
 def count_eigensolves(monkeypatch):
     """Wrap numpy's ``eigvalsh`` and ``eigh`` to count their calls by name."""
@@ -618,3 +706,39 @@ class TestChecksBeforeEigensolves:
         with pytest.raises(ValueError, match=re.escape("penalty requires N, T >= 2")):
             select_r_fixed(panel, 1.0, "IC1a", 1)
         assert calls == {}
+
+    def test_tuned_forecast_on_two_series(self, monkeypatch):
+        # the forecast tunes with the largest k_max the subpanels accept (7, one
+        # 7-dim series), so the first check to fail is the subpanel penalty
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=2, T=300, seed=1))
+        calls, idents = count_eigensolves(monkeypatch), record_threads(monkeypatch)
+        message = "subpanel 1 (1 series x 300 periods): penalty requires N, T >= 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tnh_forecast(panel, ForecastConfig(horizon=1))
+        assert calls == {} and idents == []
+
+
+class TestLargestKMax:
+    """``select._largest_k_max``: the k_max a tuned forecast selects with."""
+
+    def test_ten_where_every_subpanel_accepts_it(self):
+        for N, T in [(50, 200), (47, 24), (13, 100)]:
+            cfg = AbcConfig.for_panel(N, T, rng_seed=3)
+            assert select._largest_k_max((1,) * N, T, cfg) == 10
+
+    def test_the_least_subpanel_rank_bound(self):
+        # the panel of test_first_rank_bound_error_raises: permutation 2's
+        # first subpanel bounds k_max by 10
+        spaces = [functional_space(20), functional_space(3)] + [scalar_space()] * 10
+        rng = np.random.default_rng(4)
+        panel = Panel(spaces, [rng.standard_normal((260, s.dim)) for s in spaces])
+        cfg = AbcConfig(k_max=14, P=4, subpanel_sizes=((10, 260), (11, 260), (12, 260)),
+                        rng_seed=7)
+        assert select._largest_k_max(panel.dims, panel.T, cfg) == 10
+        abc_select_r(panel, AbcConfig(**{**cfg.__dict__, "k_max": 10}))
+        with pytest.raises(ValueError, match="k_max=11 exceeds"):
+            abc_select_r(panel, AbcConfig(**{**cfg.__dict__, "k_max": 11}))
+
+    def test_sizes_checked_first(self):
+        with pytest.raises(ValueError, match=re.escape("invalid subpanel size (0, 30)")):
+            select._largest_k_max((7,), 30, AbcConfig.for_panel(1, 30))
