@@ -307,8 +307,7 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
     runs = stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2))
     chunks = [partial(_ar_bic_fits, Y[lo:hi], p_max) for lo, hi in runs]
-    # one chain of independent tasks, so the chunks run side by side
-    fits = run_in_order([lambda: chunks], min(thread_cap(), len(runs)) or 1)[0]
+    fits = run_in_order(chunks, min(thread_cap(), len(runs)) or 1)
     for (lo, hi), (chunk_orders, chunk_beta, _) in zip(runs, fits):
         orders[lo:hi], beta[lo:hi] = chunk_orders, chunk_beta
     out = np.empty((rows, h))

@@ -16,15 +16,13 @@ from __future__ import annotations
 import csv
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 SCALAR = "scalar"
 FUNCTIONAL = "functional"
-_CHAIN_END = object()  # what ``run_in_order`` records when a chain has no task left
 
 _GRAM_SYM_RTOL = 1e-12
 # The byte budget of one stacked call: the selection's subpanel Grams, the AR
@@ -158,78 +156,52 @@ def stack_runs(keys: Sequence, nbytes: Callable) -> list:
     return runs
 
 
-def run_in_order(chains: Sequence[Callable], threads: int) -> list:
-    """Per chain, the results of its tasks in order, run on ``threads`` threads
-    of a pool that lives for this call (none for one).
+def run_in_order(tasks: Iterable[Callable], threads: int) -> list:
+    """The results of ``tasks`` (callables) in the order taken, run on
+    ``threads`` threads made for this call (on the calling thread for one).
 
-    A chain is a callable, called when the chain opens, that returns an
-    iterable of tasks (callables).  A chain's tasks are taken one at a time,
-    in order, so taking one may use state that taking the one before left,
-    such as a generator's running sum; the next task is taken without
-    waiting for the current one to run, so one thread can take it while
-    another runs the current one, and no task waits on another.  At most
-    ``threads`` chains are open at once; they open in order, the next one
-    when one ends.  Once every task taken has ended, the first failure in
-    (chain, task) order raises.
+    Each thread takes the next task under one lock, then runs it outside the
+    lock, until no task is left or one has failed.  Tasks are taken one at a
+    time, in order, so taking one may use state that taking the one before
+    left, such as a generator's running sum.  Once every task taken has
+    ended, the first failure in the order taken raises; a take that fails
+    counts as the last one.
     """
+    tasks, lock = iter(tasks), threading.Lock()
+    results, failures = [], {}  # per task taken, its result; by position, what raised
+
+    def work():
+        while True:
+            with lock:
+                if failures:
+                    return
+                i = len(results)
+                try:
+                    task = next(tasks)
+                except StopIteration:
+                    return
+                except BaseException as exc:
+                    failures[i] = exc
+                    return
+                results.append(None)
+            try:
+                results[i] = task()
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+            del task  # dropped before the next take: it may hold a stack
+
     if threads == 1:
-        results = []
-        for chain in chains:
-            results.append([])
-            for task in chain():
-                results[-1].append(task())
-                del task  # dropped before the next task is taken: it may hold a stack
-        return results
-    with ThreadPoolExecutor(threads) as pool:
-        run = _ChainRun(chains, threads, pool)
-        for c in range(min(threads, len(chains))):
-            run.submit(c, 0)
-        # a task submits what follows it before it ends, so the list is
-        # complete once every future in it has ended
-        i = 0
-        while i < len(run.started):
-            run.started[i][2].exception()  # waits; failures raise below, in order
-            i += 1
-    results = [[] for _ in chains]
-    for c, _, future in sorted(run.started, key=lambda s: s[:2]):
-        result = future.result()
-        if result is not _CHAIN_END:
-            results[c].append(result)
+        work()
+    else:
+        pool = [threading.Thread(target=work) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    if failures:
+        raise failures.pop(min(failures))  # popped: the traceback's frames hold the dict
     return results
-
-
-class _ChainRun:
-    """The state of one ``run_in_order`` call on a thread pool.  An object
-    rather than closures: two closures that submit each other form a
-    reference cycle, which would keep a call's chains, and the panels they
-    hold, alive until the next garbage collection."""
-
-    def __init__(self, chains: Sequence[Callable], threads: int, pool: ThreadPoolExecutor):
-        self.chains, self.pool = chains, pool
-        self.iterators = [None] * len(chains)
-        self.waiting = iter(range(threads, len(chains)))  # the chains not yet open, in order
-        self.lock = threading.Lock()
-        self.started = []  # (chain, task position, future), in the order submitted
-
-    def submit(self, c: int, i: int) -> None:
-        self.started.append((c, i, self.pool.submit(self.take_and_run, c, i)))
-
-    def take_and_run(self, c: int, i: int):
-        """Take task i of chain c (opening the chain at i = 0), submit what
-        follows it, then run it."""
-        if i == 0:
-            self.iterators[c] = iter(self.chains[c]())
-        # a chain that fails here ends without opening another: every chain
-        # still waiting comes after it in order
-        task = next(self.iterators[c], None)
-        if task is None:
-            with self.lock:
-                c_next = next(self.waiting, None)
-            if c_next is not None:
-                self.submit(c_next, 0)
-            return _CHAIN_END
-        self.submit(c, i + 1)
-        return task()
 
 
 class Panel:

@@ -8,8 +8,9 @@ across nested subpanels, and picks c in the middle of the second
 zero-variance plateau of that profile.  Where one permutation's subpanel
 Grams fill a stack budget, the sweep's eigensolve stacks and the panel's
 own ``eigh`` run as tasks on up to ``thread_cap()`` threads, the one core
-cap of a command (``panel.run_in_order``); its outputs are byte-identical
-at every cap.
+cap of a command (``panel.run_in_order``): on t threads a selection holds
+one running sum (8T^2 bytes) and at most t stacks, and its outputs are
+byte-identical at every cap.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -141,14 +143,18 @@ def _permutations(N: int, P: int, rng_seed: int) -> tuple:
 def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
     """The subpanel sizes of a tuned selection with ``cfg`` on a panel of
     series of stacked dimensions ``dims`` over T periods, checked (the last
-    is (N, T), 1 <= N_j <= N, 2 <= T_j <= T), its permutations, and the
-    stacked dimension D_j of each permutation's proper subpanels, (P, J - 1).
+    is (N, T), at least one comes before it, 1 <= N_j <= N, 2 <= T_j <= T),
+    its permutations, and the stacked dimension D_j of each permutation's
+    proper subpanels, (P, J - 1).
     """
     dims = np.asarray(dims)
     N = dims.size
     sizes = cfg.subpanel_sizes or nested_subpanel_sizes(N, T)
     if sizes[-1] != (N, T):
         raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({N}, {T})")
+    if len(sizes) < 2:
+        raise ValueError(f"no subpanel size before (N, T)=({N}, {T}): a tuned selection "
+                         "needs at least one proper subpanel")
     for n_j, t_j in sizes:
         if not 1 <= n_j <= N or not 2 <= t_j <= T:
             raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
@@ -284,18 +290,20 @@ def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:
 
 def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
                       t_sub: np.ndarray, k_max: int):
-    """The chain of one permutation (``run_in_order``): stack by stack, a task
-    that returns the k_max largest eigenvalues (descending), (stack, k_max),
-    and the traces, (stack,), of the Grams of its subpanels j: the first
-    n_sub[j] series of ``perm`` over the first t_sub[j] periods of the
-    whitened (total_dim, T) matrix ``Z`` with series row ``offsets``.
+    """The tasks of one permutation, in the order ``run_in_order`` takes
+    them: stack by stack, a task that returns the k_max largest eigenvalues
+    (descending), (stack, k_max), and the traces, (stack,), of the Grams of
+    its subpanels j: the first n_sub[j] series of ``perm`` over the first
+    t_sub[j] periods of the whitened (total_dim, T) matrix ``Z`` with series
+    row ``offsets``.
 
     Nested series sums S_n = sum_{i in perm[:n]} Z_i' Z_i are accumulated
     checkpoint by checkpoint as the tasks are taken; the Gram is the leading
     t_j x t_j block of S_n / n.  The Grams of consecutive subpanels of one
     t_j form one stack, cut to the byte budget of ``stack_runs``, and its
     task solves them by one ``eigvalsh``.  Taking a task fills its stack, so
-    the next stack's sums can be accumulated while this one is solved.
+    the next stack's sums can be accumulated while this one is solved; the
+    running sum lives until every stack is taken.
     """
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
@@ -344,11 +352,12 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     or at a fallback (``_read_c``), and returns the lower median across
     permutations together with the full trace.  Everything it checks is
     checked first (``_check_selection``).  Where one permutation's Grams
-    fill a stack budget, each permutation's eigensolve stacks
-    (``_subpanel_spectra``) and the panel's own spectrum run as tasks on up to
-    ``thread_cap()`` threads, with at most as many permutations' running
-    sums held at once; the results, gathered in order, do not depend on the
-    thread count.
+    fill a stack budget, the panel's own spectrum and then every
+    permutation's eigensolve stacks (``_subpanel_spectra``), one permutation
+    after another, run as tasks of one iterator on up to ``thread_cap()``
+    threads: one running sum is held at a time, and at most one stack per
+    thread.  The results, gathered in order, do not depend on the thread
+    count.
     """
     sizes, permutations, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
@@ -357,23 +366,21 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
     Z = panel.stacked_white()  # materialised once, before the tasks share it
-    chains = [lambda: [panel.gram_spectrum]] + [
-        partial(_subpanel_spectra, Z, panel.offsets, perm, n_sub, t_sub, k_max)
-        for perm in permutations]
+    tasks = chain([panel.gram_spectrum], chain.from_iterable(
+        _subpanel_spectra(Z, panel.offsets, perm, n_sub, t_sub, k_max) for perm in permutations))
     # threads pay only when one permutation's Grams fill a stack budget: its
     # eigvalsh stacks then hold several Grams, and numpy releases the GIL there
     cap = thread_cap()
     threads = min(cap, P + 1) if 8 * int(np.square(t_sub).sum()) >= _CHUNK_BYTES else 1
-    spectra = [[np.concatenate(a) for a in zip(*stacks)]  # per permutation, its stacks joined
-               for stacks in run_in_order(chains, threads)[1:]]
+    # the stacks' Grams run permutation by permutation, subpanel by subpanel
+    top, traces = (np.concatenate(a) for a in zip(*run_in_order(tasks, threads)[1:]))
 
     r_table = np.zeros((I, J, P), dtype=int)
     # the last subpanel is the full panel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
     r_full = _full_panel_profile(panel, c_grid, g[-1], k_max)
     r_table[:, -1, :] = r_full[:, None]
-    top, traces = (np.stack(a) for a in zip(*spectra))  # (P, J - 1, k_max), (P, J - 1)
-    v = v_profile(top, traces, t_sub, k_max)  # (P, J - 1, k_max + 1)
+    v = v_profile(top.reshape(P, J - 1, k_max), traces.reshape(P, J - 1), t_sub, k_max)
     r_table[:, :-1, :] = _r_hat_profile(v, g[:-1], c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -633,40 +634,99 @@ class TestRunInOrder:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_results_in_order(self, threads):
-        def chain(c, n):
-            for i in range(n):
-                yield lambda i=i: (c, i)
-
-        chains = [functools.partial(chain, c, n) for c, n in enumerate([3, 0, 1, 4, 2])]
-        assert run_in_order(chains, threads) == [[(c, i) for i in range(n)]
-                                                 for c, n in enumerate([3, 0, 1, 4, 2])]
+        # later tasks end first; no pool thread outlives the call
+        active = threading.active_count()
+        tasks = [lambda i=i: time.sleep(0.002 * (6 - i)) or i for i in range(7)]
+        assert run_in_order(tasks, threads) == list(range(7))
+        assert run_in_order((lambda i=i: i * i for i in range(5)), threads) == [0, 1, 4, 9, 16]
+        assert run_in_order([], threads) == []
+        assert run_in_order(iter(()), threads) == []
+        assert threading.active_count() == active
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_at_most_threads_chains_open(self, threads):
-        # a chain is open from its first task taken to its end
-        lock, open_now, most = threading.Lock(), [0], [0]
+    def test_one_take_at_a_time_and_at_most_threads_running(self, threads):
+        lock, taking, running = threading.Lock(), [0, 0], [0, 0]  # now, most
 
-        def chain():
+        def enter(count):
             with lock:
-                open_now[0] += 1
-                most[0] = max(most[0], open_now[0])
-            yield lambda: time.sleep(0.01)
-            yield lambda: time.sleep(0.01)
-            with lock:
-                open_now[0] -= 1
+                count[0] += 1
+                count[1] = max(count)
 
-        run_in_order([chain] * 6, threads)
-        assert 2 <= most[0] <= threads
+        def leave(count):
+            with lock:
+                count[0] -= 1
+
+        def task():
+            enter(running)
+            time.sleep(0.005)
+            leave(running)
+
+        def tasks():
+            for _ in range(12):
+                enter(taking)
+                time.sleep(0.001)
+                leave(taking)
+                yield task
+
+        run_in_order(tasks(), threads)
+        assert taking[1] == 1 and 2 <= running[1] <= threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_task_is_dropped_before_the_next_take(self, threads):
+        # so a call holds at most `threads` tasks, the one being taken among them
+        held, most = weakref.WeakSet(), [0]
+
+        class Task:
+            def __call__(self):
+                time.sleep(0.002)
+
+        def make():
+            most[0] = max(most[0], len(held) + 1)
+            task = Task()
+            held.add(task)
+            return task
+
+        run_in_order((make() for _ in range(20)), threads)
+        assert most[0] <= threads
 
     def test_next_task_taken_while_the_current_one_runs(self):
-        # the second task of the chain is taken, and runs, while the first waits
+        # the second task is taken, and runs, while the first waits for it
         second_ran = threading.Event()
+        assert run_in_order([lambda: second_ran.wait(5), second_ran.set], 2) == [True, None]
 
-        def chain():
-            yield lambda: second_ran.wait(5)
-            yield second_ran.set
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_late_failure_before_a_failing_take_raises(self, threads):
+        def fail_late():
+            time.sleep(0.2)
+            raise ValueError("task 0 failed")
 
-        assert run_in_order([chain], 2) == [[True, None]]
+        def tasks(first):
+            yield first
+            raise RuntimeError("take 1 failed")
+
+        with pytest.raises(ValueError, match="task 0 failed"):
+            run_in_order(tasks(fail_late), threads)
+        # a failed take counts as the last one
+        with pytest.raises(RuntimeError, match="take 1 failed"):
+            run_in_order(tasks(lambda: time.sleep(0.05)), threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_nothing_taken_after_a_failure(self, threads):
+        # a take may come between task 2's take and its failure, none after
+        active, taken = threading.active_count(), []
+
+        def fail():
+            raise ValueError("task 2 failed")
+
+        def tasks():
+            for i in range(100):
+                taken.append(i)
+                yield fail if i == 2 else functools.partial(time.sleep, 0.05)
+
+        with pytest.raises(ValueError, match="task 2 failed"):
+            run_in_order(tasks(), threads)
+        assert taken[:3] == [0, 1, 2] and len(taken) <= 2 + threads
+        assert threading.active_count() == active
 
 
 def count_eigensolves(monkeypatch):
@@ -699,6 +759,18 @@ class TestChecksBeforeEigensolves:
         with pytest.raises(ValueError):
             tnh_forecast(panel, ForecastConfig(horizon=1))
         assert calls == {} and idents == []
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_tuned_without_a_proper_subpanel(self, monkeypatch, cap):
+        # the last size is (N, T) and no size comes before it
+        monkeypatch.setenv("HDFFM_THREADS", cap)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=30, seed=1))
+        calls, idents = count_eigensolves(monkeypatch), record_threads(monkeypatch)
+        message = "no subpanel size before (N, T)=(20, 30)"
+        for sizes in [((20, 30),), nested_subpanel_sizes(20, 30, J=1)]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                abc_select_r(panel, AbcConfig(k_max=3, subpanel_sizes=sizes))
+        assert calls == {} and idents == [] and panel._spectrum is None
 
     def test_fixed(self, monkeypatch):
         panel = Panel([scalar_space()], [np.array([[1.0], [2.0]])])  # N = 1, T = 2
