@@ -184,7 +184,13 @@ def _factorize(col: np.ndarray) -> tuple:
 
 
 def _age(text: str) -> int:
-    return GROUP_AGE + 16 if text.endswith("+") else int(text)
+    """An age field: an integer in 0..110, or "110+", which reads as 111."""
+    if text == "110+":
+        return GROUP_AGE + 16
+    age = int(text)
+    if not (text.isdigit() and age <= GROUP_AGE + 15):  # no sign, "_" or out of range
+        raise ValueError(f"age must be 0..110 or '110+', got {text!r}")
+    return age
 
 
 def _as_records(rows: list) -> MortalityRecords:
@@ -198,6 +204,9 @@ def _as_records(rows: list) -> MortalityRecords:
         year, age = year.astype(np.int64), age.astype(np.int64)
     except OverflowError as exc:
         raise ValueError(f"year or age out of range: {exc}") from None
+    if (age < 0).any():
+        bad = rows[int(np.argmax(age < 0))]
+        raise ValueError(f"{bad[2], bad[0], bad[1]}: age must be >= 0, got {bad[3]!r}")
     return MortalityRecords(*_factorize(pref), year, *_factorize(sex), age, rate.astype(float))
 
 
@@ -346,7 +355,8 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
     >= 95 are grouped by averaging, missing rates are filled with the
     previous age group's value, the log transform is applied, and every
     (prefecture, year) curve is projected onto ``basis`` by one factorisation
-    of the design.  Of repeated records for one age, the last wins.
+    of the design.  Of repeated records for one age, the last wins.  A
+    negative age in tuple records raises; ages above 110 join the 95+ group.
     """
     cols = records if isinstance(records, MortalityRecords) else _as_records(records)
     design = basis.evaluate(AGE_GRID)

@@ -337,10 +337,20 @@ def rolling_origin_eval(panel: Panel, actual: np.ndarray, design: np.ndarray, fo
     steps)`` on the first delta periods, steps = min(horizon, T - delta), which
     returns a ``ForecastResult``.  Its step-h coefficients, mapped to the grid
     by ``design``, are scored against ``actual[:, delta + h - 1]`` of the
-    (N, T, grid) array ``actual``.
+    (N, T, grid) array ``actual``.  Before the first forecast, it rejects a
+    horizon below 1, a ``design`` not of shape (grid, d) for series of
+    dimension d, and an ``actual`` not of shape (N, T, grid).
     """
     T = panel.T
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     _check_origins(delta_min, T)
+    if np.ndim(design) != 2 or set(panel.dims) != {np.shape(design)[1]}:
+        raise ValueError(f"design must be (grid, d) for series of dimension d, got shape "
+                         f"{np.shape(design)} for series of dimensions {sorted(set(panel.dims))}")
+    if np.shape(actual) != (panel.N, T, len(design)):
+        raise ValueError(f"actual must be (N, T, grid)=({panel.N}, {T}, {len(design)}), "
+                         f"got shape {np.shape(actual)}")
     X = panel.stacked_coeffs()
     # step h + 1: (N, grid) forecasts and actuals, in origin order
     fc, act = [[] for _ in range(horizon)], [[] for _ in range(horizon)]
@@ -393,5 +403,7 @@ def mortality_rolling_eval(path, forecaster, horizon: int, p_max: int, eval_age_
 
 def persistence_forecast(panel: Panel, h: int) -> ForecastResult:
     """Naive baseline: repeat the last observation at every step."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
     steps = tuple(np.repeat(c[-1][None, :], h, axis=0) for c in panel.coeffs)
     return ForecastResult(steps=steps, r=0, trace=None, ar_orders=np.zeros(0, dtype=int))

@@ -5,12 +5,14 @@ the tuned information criterion IC(c, k) = V(k) + c*k*g(N, T), the plain
 argmin selector at fixed c, and the permutation/subpanel tuning procedure
 that scans a grid of c values, tracks the variance of the selected count
 across nested subpanels, and picks c in the middle of the second
-zero-variance plateau of that profile.  Where one permutation's subpanel
-Grams fill a stack budget, the sweep's eigensolve stacks and the panel's
-own ``eigh`` run as tasks on up to ``thread_cap()`` threads, the one core
-cap of a command (``panel.run_in_order``): on t threads a selection holds
-one running sum (8T^2 bytes) and at most t stacks, and its outputs are
-byte-identical at every cap.
+zero-variance plateau of that profile.  One plain generator loop per
+permutation (``_subpanel_spectra``) adds the permutation's series to one
+running sum and fills an eigensolve stack from it as each task is taken.
+Where one permutation's subpanel Grams fill a stack budget, those stacks
+and the panel's own ``eigh`` run as tasks on up to ``thread_cap()``
+threads, the one core cap of a command (``panel.run_in_order``): on t
+threads a selection holds one running sum (8T^2 bytes) and at most t
+stacks, and its outputs are byte-identical at every cap.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def _full_panel_profile(panel: Panel, c_grid: np.ndarray, g: float, k_max: int) 
 
 def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
     """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
-    _, _, g = _check_selection(panel.dims, panel.T, kind, k_max, c)
+    g = _check_selection(panel.dims, panel.T, kind, k_max, c)[-1]
     return int(_full_panel_profile(panel, np.asarray([c], dtype=float), g[-1], k_max)[0])
 
 
@@ -144,8 +146,9 @@ def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
     """The subpanel sizes of a tuned selection with ``cfg`` on a panel of
     series of stacked dimensions ``dims`` over T periods, checked (the last
     is (N, T), at least one comes before it, 1 <= N_j <= N, 2 <= T_j <= T),
-    its permutations, and the stacked dimension D_j of each permutation's
-    proper subpanels, (P, J - 1).
+    its permutations, the N_j and T_j of the proper subpanels, (J - 1,) each,
+    and the stacked dimension D_j of each permutation's proper subpanels,
+    (P, J - 1).
     """
     dims = np.asarray(dims)
     N = dims.size
@@ -159,9 +162,9 @@ def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
         if not 1 <= n_j <= N or not 2 <= t_j <= T:
             raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
     permutations = [perm.copy() for perm in _permutations(N, cfg.P, cfg.rng_seed)]
-    n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
+    n_sub, t_sub = (np.array(column, dtype=int) for column in zip(*sizes[:-1]))
     d_sub = np.array([np.cumsum(dims[perm])[n_sub - 1] for perm in permutations])
-    return sizes, permutations, d_sub
+    return sizes, permutations, n_sub, t_sub, d_sub
 
 
 def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
@@ -169,8 +172,7 @@ def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
     ``cfg`` accepts on a panel of series of stacked dimensions ``dims`` over
     T periods: the least rank bound min(D_j, T_j) of the panel and of every
     permutation's subpanels.  Its subpanel sizes are checked first."""
-    sizes, _, d_sub = _tuned_subpanels(dims, T, cfg)
-    t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
+    *_, t_sub, d_sub = _tuned_subpanels(dims, T, cfg)
     return int(min(cfg.k_max, sum(dims), T, np.minimum(d_sub, t_sub).min(initial=T)))
 
 
@@ -185,30 +187,32 @@ def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
     order; the ``kind`` penalty on the panel, then on each proper subpanel.
 
     Returns the subpanel sizes (the panel alone for a fixed selection), the
-    permutations (none for a fixed selection) and the penalty of each size.
+    permutations (none for a fixed selection), the N_j and T_j of the proper
+    subpanels and the penalty of each size.
     """
     N, D = len(dims), int(sum(dims))
     if isinstance(tuning, AbcConfig):
-        sizes, permutations, d_sub = _tuned_subpanels(dims, T, tuning)
+        sizes, permutations, n_sub, t_sub, d_sub = _tuned_subpanels(dims, T, tuning)
     else:
         if not (math.isfinite(tuning) and tuning >= 0):
             raise ValueError(f"c must be nonnegative and finite, got {tuning!r}")
-        sizes, permutations, d_sub = ((N, T),), [], []
+        sizes, permutations, d_sub = ((N, T),), [], np.zeros((0, 0), int)
+        n_sub = t_sub = np.zeros(0, int)
     if not 1 <= k_max <= min(D, T):
         raise ValueError(f"k_max={k_max} out of range for this panel")
-    for d_p in d_sub:
-        for j, (d_j, (_, t_j)) in enumerate(zip(d_p, sizes)):
-            if k_max > min(d_j, t_j):
-                raise ValueError(f"k_max={k_max} exceeds the rank bound "
-                                 f"min({d_j}, {t_j}) of subpanel {j + 1}")
+    over = np.argwhere(k_max > np.minimum(d_sub, t_sub))  # (p, j), permutation by permutation
+    if over.size:
+        p, j = over[0]
+        raise ValueError(f"k_max={k_max} exceeds the rank bound "
+                         f"min({d_sub[p, j]}, {t_sub[j]}) of subpanel {j + 1}")
     g_panel = penalty(kind, N, T)
     g = []
-    for j, (n_j, t_j) in enumerate(sizes[:-1]):
+    for j, (n_j, t_j) in enumerate(zip(n_sub.tolist(), t_sub.tolist())):
         try:
             g.append(penalty(kind, n_j, t_j))
         except ValueError as exc:
             raise ValueError(f"subpanel {j + 1} ({n_j} series x {t_j} periods): {exc}") from None
-    return sizes, permutations, np.array(g + [g_panel])
+    return sizes, permutations, n_sub, t_sub, np.array(g + [g_panel])
 
 
 @dataclass
@@ -297,43 +301,33 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
     t_sub[j] periods of the whitened (total_dim, T) matrix ``Z`` with series
     row ``offsets``.
 
-    Nested series sums S_n = sum_{i in perm[:n]} Z_i' Z_i are accumulated
-    checkpoint by checkpoint as the tasks are taken; the Gram is the leading
-    t_j x t_j block of S_n / n.  The Grams of consecutive subpanels of one
-    t_j form one stack, cut to the byte budget of ``stack_runs``, and its
-    task solves them by one ``eigvalsh``.  Taking a task fills its stack, so
-    the next stack's sums can be accumulated while this one is solved; the
+    One loop runs as the tasks are taken.  For each piece of ``stack_runs``
+    (consecutive subpanels of one t_j, cut to its byte budget), it adds each
+    checkpoint's new series to the running sum S_n = sum_{i in perm[:n]}
+    Z_i' Z_i and drops their rows, allocates the stack once the piece's
+    first checkpoint, the largest, is added, writes the Gram S_n / n_j, the
+    leading t_j x t_j block, into it, and yields a task that solves the
+    stack by one ``eigvalsh``.  Only that task then holds the stack, so the
+    next stack's sums can be accumulated while this one is solved; the
     running sum lives until every stack is taken.
     """
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
     rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
-    S = np.zeros((Z.shape[1], Z.shape[1]))
-    done = 0
-
-    def add_series(n):
-        """S += Z_i' Z_i over the permuted series done..n - 1."""
-        nonlocal done
-        if n > done:
-            block = Z[rows[off[done] : off[n]]]
-            np.add(S, block.T @ block, out=S)
-            done = n
-
-    def fill(lo, hi):
-        """The stack of the Grams of subpanels lo..hi - 1, one t_j."""
-        t = t_sub[lo]
-        # the first checkpoint's block, the largest, is freed before the stack
-        # is allocated
-        add_series(n_sub[lo])
-        F = np.empty((hi - lo, t, t))
-        for j in range(lo, hi):
-            add_series(n_sub[j])
-            np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
-        return F
-
+    S, done = np.zeros((Z.shape[1], Z.shape[1])), 0
     for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
-        # only the task holds the stack: it is freed once solved
-        yield partial(_stack_spectra, fill(lo, hi), k_max)
+        t = t_sub[lo]
+        for j in range(lo, hi):
+            if n_sub[j] > done:  # S += Z_i' Z_i over the permuted series done..n_j - 1
+                block = Z[rows[off[done] : off[n_sub[j]]]]
+                np.add(S, block.T @ block, out=S)
+                del block
+                done = n_sub[j]
+            if j == lo:  # once the first checkpoint's block, the largest, is dropped
+                F = np.empty((hi - lo, t, t))
+            np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
+        yield partial(_stack_spectra, F, k_max)
+        del F  # only the task holds the stack: it is freed once solved
 
 
 def _stack_spectra(F: np.ndarray, k_max: int) -> tuple:
@@ -359,11 +353,10 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     thread.  The results, gathered in order, do not depend on the thread
     count.
     """
-    sizes, permutations, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
+    sizes, permutations, n_sub, t_sub, g = _check_selection(panel.dims, panel.T, kind,
+                                                             cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
     I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
-    n_sub = np.array([n for n, _ in sizes[:-1]], dtype=int)
-    t_sub = np.array([t for _, t in sizes[:-1]], dtype=int)
 
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = chain([panel.gram_spectrum], chain.from_iterable(

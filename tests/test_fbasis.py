@@ -339,6 +339,12 @@ class TestIngestErrors:
                                              rf"got {bad!r} at age 37"):
             ingest_mortality(recs, basis9)
 
+    def test_negative_age_names_key(self, basis9):
+        # ages above 110 stay valid here (TestIngestMatchesPerCurveReference)
+        recs = synth_records() + [("1", 2001, "F", -4, 0.5)]
+        with pytest.raises(ValueError, match=re.escape("('F', '1', 2001): age must be >= 0, got -4")):
+            ingest_mortality(recs, basis9)
+
     def test_missing_curve(self, basis9):
         recs = [r for r in synth_records() if (r[0], r[1]) != ("2", 2001)]
         with pytest.raises(ValueError, match=r"missing curve for \('F', '2', 2001\)"):
@@ -421,6 +427,12 @@ class TestPlainLoader:
         ("01,19x5,F,0,0.01", "line 3: invalid literal for int() with base 10: '19x5'"),
         ("01,1975,F,0", "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4"),
         ("01,99999999999999999999,F,0,0.01", "year or age out of range"),
+        ("01,1975,F,x+,0.01", "line 3: invalid literal for int() with base 10: 'x+'"),
+        ("01,1975,F,95+,0.01", "line 3: invalid literal for int() with base 10: '95+'"),
+        ("01,1975,F,111,0.01", "line 3: age must be 0..110 or '110+', got '111'"),
+        ("01,1975,F,500,0.01", "line 3: age must be 0..110 or '110+', got '500'"),
+        ("01,1975,F,-4,0.01", "line 3: age must be 0..110 or '110+', got '-4'"),
+        ("01,1975,F,+5,0.01", "line 3: age must be 0..110 or '110+', got '+5'"),
     ])
     def test_bad_field_named_either_way(self, tmp_path, row, message):
         path = tmp_path / "m.csv"

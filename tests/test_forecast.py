@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -658,3 +659,31 @@ class TestRollingOriginEval:
         with pytest.raises(ValueError, match="no rolling origins|must be >= 2"):
             rolling_origin_eval(panel, x[:, :, None], np.ones((1, 1)), persistence_forecast,
                                 horizon=1, delta_min=delta_min)
+
+    @pytest.mark.parametrize("actual_shape, design_shape, horizon, message", [
+        ((10, 40, 4), (3, 7), 2, "actual must be (N, T, grid)=(10, 40, 3), got shape (10, 40, 4)"),
+        ((10, 35, 3), (3, 7), 2, "actual must be (N, T, grid)=(10, 40, 3), got shape (10, 35, 3)"),
+        ((10, 40, 3), (3, 5), 2, "design must be (grid, d) for series of dimension d, got shape "
+                                 "(3, 5) for series of dimensions [7]"),
+        ((10, 40, 3), (3,), 2, "design must be (grid, d)"),
+        ((10, 40, 3), (3, 7), 0, "horizon must be >= 1, got 0"),
+    ], ids=["grid-width", "periods", "design-columns", "design-1d", "horizon-0"])
+    def test_bad_input_rejected_before_any_forecast(self, actual_shape, design_shape, horizon,
+                                                    message):
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=1))
+        calls = []
+
+        def forecaster(train, steps):
+            calls.append(train.T)
+            return persistence_forecast(train, steps)
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rolling_origin_eval(panel, np.zeros(actual_shape), np.ones(design_shape), forecaster,
+                                horizon=horizon, delta_min=30)
+        assert calls == []
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_persistence_rejects_h_below_1(self, h):
+        panel, _ = self.scalar_panel()
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            persistence_forecast(panel, h)
