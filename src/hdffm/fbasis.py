@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,8 @@ class MortalityRecords:
 
 
 def _factorize(col: np.ndarray) -> tuple:
-    """Sorted distinct values of a column of str or ASCII bytes, as str, and each
-    entry's index among them.  Only the first entry of each run of equal
+    """Sorted distinct values of a column of ints, str or ASCII bytes (as str),
+    and each entry's index among them.  Only the first entry of each run of equal
     neighbours is sorted, so a table listed key by key costs little."""
     starts = np.flatnonzero(np.append(True, col[1:] != col[:-1])[: col.size])
     labels, codes = np.unique(col[starts], return_inverse=True)
@@ -191,6 +192,14 @@ def _age(text: str) -> int:
     if not (text.isdigit() and age <= GROUP_AGE + 15):  # no sign, "_" or out of range
         raise ValueError(f"age must be 0..110 or '110+', got {text!r}")
     return age
+
+
+def _year(text: str) -> int:
+    """A year field: an integer of ASCII digits, optionally signed."""
+    year = int(text)
+    if not (text.isascii() and text.lstrip("+-").isdigit()):  # no "_" or other digits
+        raise ValueError(f"year must be an integer of ASCII digits, got {text!r}")
+    return year
 
 
 def _as_records(rows: list) -> MortalityRecords:
@@ -214,22 +223,24 @@ def _as_records(rows: list) -> MortalityRecords:
 # line breaks, and an optional header.  Quotes, "#", blanks and other bytes are
 # left to the csv module.
 _PLAIN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ,.+-_\r\n"
+_DATA_BYTE = re.compile(rb"[^\r\n]")
 _HEADER_WORDS = ("prefecture_id", "prefecture")  # first fields of the rows both readers skip
 _HEADERS = tuple(word.encode() + b"," for word in _HEADER_WORDS)
 _PLAIN_FIELDS = [("pref", "S16"), ("year", "i8"), ("sex", "S8"), ("age", "S8"), ("rate", "S32")]
+_AGE_SPELLINGS = np.array([str(a) for a in range(GROUP_AGE + 16)] + ["110+"], dtype="S8")  # 0..111
 
 
 def _load_plain_csv(path) -> MortalityRecords | None:
     """The records of a CSV in the plain shape with five fields a row, read a
-    column at a time; None for any other file, or one the line reader would
-    reject (it then reports the line)."""
+    column at a time, in any row order; None for any other file, or one the
+    line reader would reject (it then reports the line)."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = data[: max(map(len, _HEADERS))].lower().startswith(_HEADERS)
     if data.translate(None, _PLAIN_BYTES):
         return None
     start = (data.find(b"\n") + 1 or len(data)) if header else 0  # after the header
-    if data.count(b"\n", start) + data.count(b"\r", start) == len(data) - start:
+    if not _DATA_BYTE.search(data, start):
         return None  # no data rows: nothing but line breaks after the header
     del data  # the parse below holds the table; the raw bytes are not needed
     try:
@@ -237,20 +248,26 @@ def _load_plain_csv(path) -> MortalityRecords | None:
                            skiprows=int(header), encoding="ascii", ndmin=1)
         # the fields are strided views of the table; the records copy what they keep
         rows = table.view(np.uint8).reshape(table.size, table.itemsize)
-        if any(rows[:, offset + dtype.itemsize - 1].any()
-               for dtype, offset in table.dtype.fields.values() if dtype.kind == "S"):
+        fields = table.dtype.fields
+        if rows.take([off + dt.itemsize - 1 for dt, off in fields.values() if dt.kind == "S"],
+                     axis=1).any():
             return None  # a value that fills its field may have been cut short
         prefectures, pref = _factorize(table["pref"])
         if any(p.lower() in _HEADER_WORDS for p in prefectures):
             return None  # a header row the line reader skips
-        ages, age = np.unique(table["age"].view(np.uint64), return_inverse=True)
-        age = np.array([_age(a.decode()) for a in ages.view("S8")], dtype=np.int64)[age]
+        # each age's S8 text read as a uint64 key, looked up among the schema's spellings
+        spellings, ages = np.unique(_AGE_SPELLINGS.view(np.uint64), return_index=True)
+        key = table["age"].view(np.uint64)
+        i = np.searchsorted(spellings, key).clip(max=spellings.size - 1)
+        age = ages[i]
+        miss = np.flatnonzero(spellings[i] != key)  # other spellings, such as "07"
+        keys, codes = np.unique(key[miss], return_inverse=True)
+        age[miss] = np.array([_age(k.decode()) for k in keys.view("S8")], dtype=np.int64)[codes]
         rate = np.full(table.size, np.nan)
         step = _CHUNK_BYTES // table.dtype["rate"].itemsize  # rows of rate text per slice
         for lo in range(0, table.size, step):
-            text = table["rate"][lo : lo + step]
-            given = text != b""
-            values = text[given].astype(float)
+            given = rows[lo : lo + step, fields["rate"][1]] != 0  # an empty field is all NUL
+            values = table["rate"][lo : lo + step][given].astype(float)
             if not np.isfinite(values).all():
                 return None
             rate[lo : lo + step][given] = values
@@ -263,10 +280,13 @@ def _load_plain_csv(path) -> MortalityRecords | None:
 def load_mortality_csv(path) -> MortalityRecords:
     """Read mortality-rate records from CSV.
 
-    Expected columns: prefecture_id, year, sex, age (0..110 or "110+"), rate
-    (finite, or empty for missing).  A header row is detected and skipped.
-    A plain file is read a column at a time; any other goes line by line,
-    which names the line of a malformed row.
+    Expected columns: prefecture_id, year (an integer of ASCII digits,
+    optionally signed), sex, age (0..110 or "110+"), rate (finite, or empty
+    for missing).  A header row is detected and skipped.  A plain file is
+    read a column at a time, in any row order: each age is looked up among
+    the schema's spellings, and only the runs of equal prefectures and sexes
+    are sorted, so a table listed key by key costs linear passes.  Any other
+    file goes line by line, which names the line of a malformed row.
     """
     records = _load_plain_csv(path)
     return _as_records(_read_csv_rows(path)) if records is None else records
@@ -287,10 +307,9 @@ def _read_csv_rows(path) -> list:
             if len(row) < 5:
                 raise ValueError(f"line {reader.line_num}: expected 5 columns "
                                  f"(prefecture_id, year, sex, age, rate), got {len(row)}")
-            # int() and float() skip surrounding whitespace themselves
             text = row[4].strip()
             try:
-                year, age = int(row[1]), _age(row[3].strip())
+                year, age = _year(row[1].strip()), _age(row[3].strip())
                 rate = float(text) if text else None
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -309,23 +328,28 @@ def _log_rate_curves(curve: np.ndarray, age: np.ndarray, rate: np.ndarray, n_cur
     rate is missing.  Age 95 is the mean of the rates of all given ages >= 95,
     summed in the order those ages first appear, and a missing rate takes the
     previous age's.  The first bad curve, at its first bad age, raises;
-    ``key(c)`` names curve ``c``."""
-    ages, a = np.unique(age, return_inverse=True)
-    slots = curve * ages.size + a  # one per (curve, age)
-    first, last = np.full(n_curves * ages.size, curve.size), np.full(n_curves * ages.size, -1)
-    np.minimum.at(first, slots, np.arange(curve.size))
-    np.maximum.at(last, slots, np.arange(curve.size))
-    slots = np.flatnonzero(last >= 0)
-    c, a = np.divmod(slots, ages.size)
-    value, a = rate[last[slots]], ages[a]
+    ``key(c)`` names curve ``c``.  An age below 95 is its own grid column;
+    only the ages >= 95 are sorted."""
     grid = np.full((n_curves, GROUP_AGE + 1), np.nan)  # NaN: missing
-    young = (a >= 0) & (a < GROUP_AGE)
-    grid[c[young], a[young]] = value[young]
-    old = (a >= GROUP_AGE) & ~np.isnan(value)
-    order = np.lexsort((first[slots[old]], c[old]))
-    c, value = c[old][order], value[old][order]
+    young = np.flatnonzero((age >= 0) & (age < GROUP_AGE))
+    last = np.full(grid.size, -1)
+    np.maximum.at(last, curve[young] * (GROUP_AGE + 1) + age[young], young)
+    slots = np.flatnonzero(last >= 0)
+    grid.reshape(-1)[slots] = rate[last[slots]]
+
+    old = np.flatnonzero(age >= GROUP_AGE)
+    ages, a = np.unique(age[old], return_inverse=True)
+    slots = curve[old] * ages.size + a  # one per (curve, age >= 95)
+    first, last = np.full(n_curves * ages.size, curve.size), np.full(n_curves * ages.size, -1)
+    np.minimum.at(first, slots, old)
+    np.maximum.at(last, slots, old)
+    slots = np.flatnonzero(last >= 0)
+    slots = slots[~np.isnan(rate[last[slots]])]
+    slots = slots[np.lexsort((first[slots], slots // ages.size))]
+    c, value = slots // ages.size, rate[last[slots]]
     counts = np.bincount(c, minlength=n_curves)
-    for n in np.unique(counts[counts > 0]):
+    # the distinct nonzero counts (NumPy 2.4's np.unique without indices imports numpy.ma)
+    for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         cs = np.flatnonzero(counts == n)
         # a row mean of a fresh (curves, n) array sums like float(np.mean(list))
         grid[cs, GROUP_AGE] = value[np.cumsum(counts)[cs, None] - n + np.arange(n)].mean(axis=1)
@@ -357,6 +381,9 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
     (prefecture, year) curve is projected onto ``basis`` by one factorisation
     of the design.  Of repeated records for one age, the last wins.  A
     negative age in tuple records raises; ages above 110 join the 95+ group.
+    Records may come in any order: prefecture codes and ages below 95 index
+    the curves directly, and only the runs of equal years and the records of
+    ages >= 95 are sorted.
     """
     cols = records if isinstance(records, MortalityRecords) else _as_records(records)
     design = basis.evaluate(AGE_GRID)
@@ -366,9 +393,11 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
         if sexes is not None and sex not in sexes:
             continue
         rows = cols.sex == s
-        pref_codes, p = np.unique(cols.pref[rows], return_inverse=True)
-        years, y = np.unique(cols.year[rows], return_inverse=True)
-        prefs, years = tuple(cols.prefectures[i] for i in pref_codes), tuple(years.tolist())
+        pref = cols.pref[rows]
+        present = np.bincount(pref, minlength=len(cols.prefectures)) > 0
+        p = (np.cumsum(present) - 1)[pref]  # the rank of each code among those present
+        years, y = _factorize(cols.year[rows])
+        prefs = tuple(cols.prefectures[i] for i in np.flatnonzero(present))
         N, T = len(prefs), len(years)
         log_rates = _log_rate_curves(p * T + y, cols.age[rows], cols.rate[rows], N * T,
                                      lambda c: (sex, prefs[c // T], years[c % T]))

@@ -151,7 +151,7 @@ def _ar_bic_fits(Y: np.ndarray, p_max: int) -> tuple:
     todo = np.arange(rows)
     while todo.size:
         picked = np.argmin(bic[todo], axis=1)  # first minimum: ties go to the smaller order
-        for p in np.unique(picked):
+        for p in np.flatnonzero(np.bincount(picked)):  # the orders picked, ascending
             group = todo[picked == p]
             # the right-hand side as (..., p + 1, 1): NumPy 1 and 2 broadcast it alike
             b = np.linalg.solve(R[group, : p + 1, : p + 1], R[group, : p + 1, -1:])[..., 0]
@@ -311,7 +311,7 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     for (lo, hi), (chunk_orders, chunk_beta, _) in zip(runs, fits):
         orders[lo:hi], beta[lo:hi] = chunk_orders, chunk_beta
     out = np.empty((rows, h))
-    for p in np.unique(orders):
+    for p in np.flatnonzero(np.bincount(orders)):
         group = orders == p
         out[group] = _iterate_ar(beta[group, : p + 1], Y[group, T - p :], h)
     return out, orders

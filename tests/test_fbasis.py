@@ -405,6 +405,7 @@ LOADER_CORPUS = {  # name: (file text, read a column at a time)
     "long_prefecture": ("a" * 20 + ",1975,F,0,0.01\n" + "\n".join(ROWS), False),
     # the line reader skips any row whose first field is a header word
     "header_word_row": ("\n".join(ROWS) + "\nPrefecture,1975,F,3,0.5\n", False),
+    "signed_years": ("\n".join(ROWS) + "\n9,+1975,F,3,0.5\n9,-1975,F,4,0.5\n", True),
 }
 
 
@@ -425,6 +426,8 @@ class TestPlainLoader:
         ("01,1975,F,0,1e999", "line 3: rate must be finite, got '1e999'"),
         ("01,1975,F,x5,0.01", "line 3: invalid literal for int() with base 10: 'x5'"),
         ("01,19x5,F,0,0.01", "line 3: invalid literal for int() with base 10: '19x5'"),
+        ("01,19_75,F,0,0.01", "line 3: year must be an integer of ASCII digits, got '19_75'"),
+        ("01,\u0661\u0669\u0667\u0665,F,0,0.01", "line 3: year must be an integer of ASCII digits"),
         ("01,1975,F,0", "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4"),
         ("01,99999999999999999999,F,0,0.01", "year or age out of range"),
         ("01,1975,F,x+,0.01", "line 3: invalid literal for int() with base 10: 'x+'"),
@@ -458,6 +461,21 @@ class TestPerfbenchTables:
         path = tmp_path / "m.csv"
         load_perfbench_tables().write_csv(path, seed, n_pref=8)
         records = fbasis._load_plain_csv(path)
+        rows = fbasis._read_csv_rows(path)
+        assert_same_records(records, fbasis._as_records(rows))
+        want = reference_ingest(rows, basis9)
+        assert_ingest_matches(ingest_mortality(records, basis9), want, basis9)
+
+    def test_shuffled_rows(self, tmp_path, basis9):
+        # the loader and ingest take any row order; the 95+ means then sum
+        # each curve's ages in their new order of appearance
+        path = tmp_path / "m.csv"
+        load_perfbench_tables().write_csv(path, 1, n_pref=8)
+        header, *lines = path.read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(lines))
+        path.write_text("\n".join([header] + [lines[i] for i in order]) + "\n")
+        records = fbasis._load_plain_csv(path)
+        assert records is not None
         rows = fbasis._read_csv_rows(path)
         assert_same_records(records, fbasis._as_records(rows))
         want = reference_ingest(rows, basis9)

@@ -632,6 +632,26 @@ class TestThreadedSelection:
         assert threading.active_count() == threads
 
 
+class TestSubpanelSpectra:
+    def test_a_stack_is_dropped_with_its_task(self):
+        # once a yielded task is dropped, the generator holds none of its stack
+        # while it reads the rows of the next stack's sums
+        refs, alive = [], []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, index):
+                alive.append([ref() is not None for ref in refs])
+                return super().__getitem__(index)
+
+        Z = np.random.default_rng(0).standard_normal((6, 10)).view(Rows)
+        n_sub, t_sub = np.array([2, 4, 6]), np.array([6, 8, 10])  # one stack per t_j
+        for task in select._subpanel_spectra(Z, np.arange(7), np.arange(6), n_sub, t_sub, 2):
+            refs.append(weakref.ref(task.args[0]))
+            task()
+            del task
+        assert alive == [[], [False], [False, False]]
+
+
 class TestRunInOrder:
     """``panel.run_in_order``, the one task runner of selection and AR-BIC."""
 
