@@ -46,7 +46,6 @@ from .simulate import (DgpConfig, GroundTruth, design_parameters, gen_dgp, noise
                        run_grid)
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, mafe_msfe, phi_nt
 from .forecast import (
-    ArModel,
     ForecastConfig,
     ForecastResult,
     ar_forecast,
@@ -59,7 +58,6 @@ from .forecast import (
 )
 from .fbasis import (
     BSplineBasis,
-    GriddedCurve,
     MortalityData,
     MortalityRecords,
     build_bspline,

@@ -1,9 +1,9 @@
 """B-spline bases, curve projection, and mortality-table ingestion.
 
-Gridded curves enter the panel machinery here: a curve observed on a grid
-is least-squares projected onto a B-spline basis, and the basis Gram matrix
-(computed by per-span Gauss-Legendre quadrature, exact for products of
-splines) carries the L2 geometry into the coefficient representation.
+Gridded curves enter the panel machinery here: ``project_curve``
+least-squares projects curves on a grid onto a B-spline basis, and the basis
+Gram matrix (computed by per-span Gauss-Legendre quadrature, exact for
+products of splines) carries the L2 geometry into the coefficient representation.
 """
 
 from __future__ import annotations
@@ -101,40 +101,16 @@ def build_bspline(domain: tuple, dim: int, order: int = 4) -> BSplineBasis:
     return BSplineBasis(domain=(a, b), order=order, knots=knots, dim=dim, gram=gram)
 
 
-@dataclass(frozen=True, eq=False)
-class GriddedCurve:
-    """A curve observed on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-def _project(design: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients in the columns of the (m, n) ``design`` of
-    each curve in the (..., m) ``values``: one thin SVD of the design, rank
-    judged by gelsd's rule, and one product by its pseudo-inverse."""
+def project_curve(design: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients in the columns of the (m, n) ``design``,
+    such as ``BSplineBasis.evaluate`` of a grid, of each curve in the (..., m)
+    ``values``: one thin SVD of the design, rank judged by gelsd's rule (a
+    rank below n raises), and one product by its pseudo-inverse."""
     m, n = design.shape
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s.size < n or s[-1] <= np.finfo(float).eps * max(m, n) * s[0]:
         raise ValueError("projection design matrix is rank deficient (grid too coarse)")
     return values @ ((u / s) @ vt)
-
-
-def project_curve(basis: BSplineBasis, curve: GriddedCurve) -> np.ndarray:
-    """Least-squares coefficients of a gridded curve in the basis."""
-    if curve.grid.size < basis.dim:
-        raise ValueError(f"need at least {basis.dim} grid points, got {curve.grid.size}")
-    return _project(basis.evaluate(curve.grid), curve.values)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +354,9 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
     (prefecture_id, year, sex, age, rate-or-None) tuples.  Rates for ages
     >= 95 are grouped by averaging, missing rates are filled with the
     previous age group's value, the log transform is applied, and every
-    (prefecture, year) curve is projected onto ``basis`` by one factorisation
-    of the design.  Of repeated records for one age, the last wins.  A
-    negative age in tuple records raises; ages above 110 join the 95+ group.
+    (prefecture, year) curve of a sex is projected onto ``basis`` by one
+    ``project_curve`` call.  Of repeated records for one age, the last wins.
+    A negative age in tuple records raises; ages above 110 join the 95+ group.
     Records may come in any order: prefecture codes and ages below 95 index
     the curves directly, and only the runs of equal years and the records of
     ages >= 95 are sorted.
@@ -401,6 +377,6 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
         N, T = len(prefs), len(years)
         log_rates = _log_rate_curves(p * T + y, cols.age[rows], cols.rate[rows], N * T,
                                      lambda c: (sex, prefs[c // T], years[c % T]))
-        panel = Panel([space] * N, _project(design, log_rates).reshape(N, T, basis.dim))
+        panel = Panel([space] * N, project_curve(design, log_rates).reshape(N, T, basis.dim))
         out[sex] = MortalityData(panel, prefs, years, log_rates.reshape(N, T, GROUP_AGE + 1))
     return out

@@ -11,10 +11,10 @@ forecaster over expanding training windows (Hyndman & Ullah, 2007), and
 
 The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
-One QR of each series' lag matrix fits every order (``_ar_bic_fits``);
-``fit_ar_bic`` is its one-series case, and the pipelines fit all their
-series at once with ``_ar_bic_forecasts``, which gives bitwise the same
-orders and forecasts.
+``fit_ar_bic`` fits every order of a stack of series with one QR of each
+series' lag matrix (Golub & Van Loan, section 5.3), and ``ar_forecast``
+runs the h-step recursion over the series of one order; the pipelines fit
+all their series at once with ``_ar_bic_forecasts``.
 """
 
 from __future__ import annotations
@@ -37,31 +37,6 @@ from .select import IC2A, AbcConfig, SelectionTrace, _largest_k_max, abc_select_
 # ignores the data's scale; the cutoff is lstsq's default rcond, eps * max(m, n).
 _RADIUS_TOL = 1e-8
 _RANK_RTOL = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True, eq=False)
-class ArModel:
-    """AR(p) model with intercept: y_t = intercept + sum_j coef_j y_{t-j} + eps."""
-
-    order: int
-    intercept: float
-    coefficients: np.ndarray
-    innovation_variance: float
-
-    def __post_init__(self):
-        coefs = np.asarray(self.coefficients, dtype=float)
-        if coefs.shape != (self.order,):
-            raise ValueError(f"expected {self.order} coefficients, got shape {coefs.shape}")
-        if self.innovation_variance < 0:
-            raise ValueError("innovation variance must be >= 0")
-        if companion_radius(coefs) >= 1.0 + _RADIUS_TOL:
-            raise ValueError("companion-matrix spectral radius exceeds 1 + 1e-8")
-        object.__setattr__(self, "coefficients", coefs)
-
-
-def companion_radius(coefs: np.ndarray) -> float:
-    """Spectral radius of the companion matrix of an AR coefficient vector."""
-    return float(_companion_radii(np.asarray(coefs, dtype=float).reshape(1, -1))[0])
 
 
 def _companion_radii(coefs: np.ndarray) -> np.ndarray:
@@ -97,42 +72,36 @@ def _lag_matrices(Y: np.ndarray, p_max: int) -> np.ndarray:
     return A
 
 
-def fit_ar_bic(series: np.ndarray, p_max: int = 5) -> ArModel:
-    """Fit AR(p) with intercept for p = 0..p_max and keep the BIC minimizer.
+def fit_ar_bic(Y: np.ndarray, p_max: int = 5) -> tuple:
+    """AR(p) fits with intercept, p = 0..p_max chosen by BIC, of the rows of a
+    (rows, T) matrix (a single series is a (1, T) matrix): the (rows,) orders,
+    the (rows, p_max + 1) intercepts then coefficients (zero past a row's
+    order) and the (rows,) innovation variances.
 
-    All orders are fitted by conditional least squares on the common
-    effective sample of the last ``T - p_max`` observations, with
-    BIC = T_eff * log(RSS / T_eff) + (p + 2) * log(T_eff).  Ties go to the
-    smaller order.  Rank-deficient orders, and candidates whose companion
-    matrix is explosive beyond the 1e-8 tolerance, are discarded; the
-    intercept-only model always remains available, so an exactly constant
-    series yields AR(0) with zero innovation variance.  The one-series case
-    of ``_ar_bic_fits``.
+    Every order is fitted by conditional least squares on the common
+    effective sample of the last t_eff = T - p_max observations, with
+    BIC = t_eff * log(RSS / t_eff) + (p + 2) * log(t_eff).  One QR of the
+    stack of augmented lag matrices (``_lag_matrices``) fits every order:
+    order p regresses the last column on the first p + 1, so its RSS is the
+    sum of squares of R's last column below row p, and its coefficients solve
+    R's leading (p + 1) block against that column.  An RSS at most 1e-24
+    times the target's sum of squares is an exact fit, with BIC -inf and zero
+    variance.  A row takes its first BIC minimum among its full-rank orders
+    (``_RANK_RTOL``), so ties go to the smaller order; a pick whose companion
+    radius is at least 1 + 1e-8 is dropped for the row's next BIC order.
+    AR(0) has full rank and is never explosive, so every row gets an order,
+    and an exactly constant row gets AR(0) with zero variance.  A ``Y`` that
+    is not 2-D, has a non-finite row or rows shorter than 3 (p_max + 2)
+    raises ``ValueError``.
     """
-    y = np.asarray(series, dtype=float).ravel()
-    if y.size < _min_length(p_max):
-        raise ValueError(f"series of length {y.size} too short for p_max={p_max}")
-    orders, beta, sigma2 = _ar_bic_fits(y[None], p_max)
-    p = int(orders[0])
-    return ArModel(order=p, intercept=float(beta[0, 0]), coefficients=beta[0, 1 : p + 1],
-                   innovation_variance=float(sigma2[0]))
-
-
-def _ar_bic_fits(Y: np.ndarray, p_max: int) -> tuple:
-    """AR-BIC fits of orders 0..p_max of the rows of a (rows, T) matrix, on
-    their stack of augmented lag matrices (``_lag_matrices``): the (rows,)
-    orders, the (rows, p_max + 1) intercepts then coefficients (zero past a
-    row's order) and the (rows,) innovation variances.
-
-    One QR of the stack fits every order: order p regresses the last column
-    on the first p + 1, so its RSS is the sum of squares of R's last column
-    below row p, and its coefficients solve R's leading (p + 1) block against
-    that column.  An RSS at most 1e-24 times the target's sum of squares is
-    an exact fit, with BIC -inf and zero variance.  A row takes its first
-    BIC minimum among its full-rank orders (``_RANK_RTOL``); a pick whose fit
-    is explosive is dropped for the row's next BIC order.  AR(0) has full
-    rank and is never explosive, so every row gets an order.
-    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be a (rows, T) matrix, got shape {Y.shape}")
+    if Y.shape[1] < _min_length(p_max):
+        raise ValueError(f"series of length {Y.shape[1]} too short for p_max={p_max}")
+    finite = np.isfinite(Y).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} of Y has a non-finite value")
     A = _lag_matrices(Y, p_max)
     rows, t_eff, k = A.shape
     R = np.linalg.qr(A, mode="r")
@@ -164,22 +133,17 @@ def _ar_bic_fits(Y: np.ndarray, p_max: int) -> tuple:
     return orders, beta, sigma2
 
 
-def ar_forecast(model: ArModel, history: np.ndarray, h: int) -> np.ndarray:
-    """Iterated plug-in forecasts for steps 1..h."""
-    history = np.asarray(history, dtype=float).ravel()
-    if history.size < model.order:
-        raise ValueError(f"need at least {model.order} past values, got {history.size}")
+def ar_forecast(beta: np.ndarray, last: np.ndarray, h: int) -> np.ndarray:
+    """(rows, h) plug-in forecasts for steps 1..h of rows sharing one AR
+    order p: beta (rows, p + 1) holds each row's intercept, then its
+    coefficients, as ``fit_ar_bic`` gives them; last (rows, p) holds each
+    row's p most recent values, oldest first."""
+    rows, p = np.shape(last)
+    if np.shape(beta) != (rows, p + 1):
+        raise ValueError(f"beta of shape {np.shape(beta)} does not fit last values of shape "
+                         f"{(rows, p)}: need (rows, p + 1) and (rows, p)")
     if h < 1:
         raise ValueError("h must be >= 1")
-    beta = np.concatenate([[model.intercept], model.coefficients])
-    return _iterate_ar(beta[None], history[None, history.size - model.order :], h)[0]
-
-
-def _iterate_ar(beta: np.ndarray, last: np.ndarray, h: int) -> np.ndarray:
-    """Plug-in forecasts for steps 1..h of rows sharing one AR order p: beta
-    (rows, p + 1) holds each row's intercept, then its coefficients; last
-    (rows, p) its p most recent values, oldest first."""
-    rows, p = last.shape
     hist = np.empty((rows, p + h))  # last p values, then the steps
     hist[:, :p] = last
     for step in range(p, p + h):
@@ -293,27 +257,26 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     """AR-BIC forecasts for steps 1..h of every row of a (rows, T) matrix.
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
-    those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are fitted
-    by ``_ar_bic_fits`` in chunks cut to the byte budget of ``stack_runs``,
-    which run as tasks on up to ``thread_cap()`` threads where there are
-    several, and the forecast recursion (``_iterate_ar``, which
-    ``ar_forecast`` runs on one row) runs over all rows of one order at once.
+    those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are
+    fitted by ``fit_ar_bic`` in chunks cut to the byte budget of
+    ``stack_runs``, which run as tasks on up to ``thread_cap()`` threads
+    where there are several, and ``ar_forecast`` runs over all rows of one
+    order at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
-    if T < _min_length(p_max):
-        raise ValueError(f"series of length {T} too short for p_max={p_max}")
     orders = np.empty(rows, dtype=int)
     beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
-    runs = stack_runs([T - p_max] * rows, lambda t_eff: 8 * t_eff * (p_max + 2))
-    chunks = [partial(_ar_bic_fits, Y[lo:hi], p_max) for lo, hi in runs]
+    # twice a row's lag-matrix bytes: np.linalg.qr copies the stack it factors
+    runs = stack_runs([T - p_max] * rows, lambda t_eff: 16 * t_eff * (p_max + 2))
+    chunks = [partial(fit_ar_bic, Y[lo:hi], p_max) for lo, hi in runs]
     fits = run_in_order(chunks, min(thread_cap(), len(runs)) or 1)
     for (lo, hi), (chunk_orders, chunk_beta, _) in zip(runs, fits):
         orders[lo:hi], beta[lo:hi] = chunk_orders, chunk_beta
     out = np.empty((rows, h))
     for p in np.flatnonzero(np.bincount(orders)):
         group = orders == p
-        out[group] = _iterate_ar(beta[group, : p + 1], Y[group, T - p :], h)
+        out[group] = ar_forecast(beta[group, : p + 1], Y[group, T - p :], h)
     return out, orders
 
 

@@ -11,7 +11,6 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from hdffm import (
-    GriddedCurve,
     Panel,
     build_bspline,
     ingest_mortality,
@@ -87,7 +86,7 @@ class TestDeBoorMatchesScipy:
 class TestProjectCurve:
     def test_constant_curve(self, basis9):
         grid = np.arange(96.0)
-        coef = project_curve(basis9, GriddedCurve(grid, np.full(96, 2.7)))
+        coef = project_curve(basis9.evaluate(grid), np.full(96, 2.7))
         recon = basis9.evaluate(grid) @ coef
         assert np.abs(recon - 2.7).max() < 1e-10
 
@@ -95,8 +94,7 @@ class TestProjectCurve:
         grid = np.arange(96.0)
         target = np.zeros(9)
         target[4] = 1.0
-        curve = GriddedCurve(grid, basis9.evaluate(grid) @ target)
-        coef = project_curve(basis9, curve)
+        coef = project_curve(basis9.evaluate(grid), basis9.evaluate(grid) @ target)
         assert np.abs(coef - target).max() < 1e-8
 
     def test_reproduces_splines_from_few_points(self, basis9, rng):
@@ -105,16 +103,14 @@ class TestProjectCurve:
         grid = np.linspace(0.0, 95.0, 14) + np.concatenate(
             [[0.0], rng.uniform(-2, 2, 12), [0.0]]
         )
-        curve = GriddedCurve(grid, basis9.evaluate(grid) @ true_coef)
-        coef = project_curve(basis9, curve)
+        coef = project_curve(basis9.evaluate(grid), basis9.evaluate(grid) @ true_coef)
         assert np.abs(coef - true_coef).max() < 1e-8
 
     def test_matches_multistart_optimizer(self, basis9, rng):
         grid = np.arange(96.0)
         smooth = np.sin(grid / 14.0) + 0.02 * grid
-        curve = GriddedCurve(grid, smooth)
-        coef = project_curve(basis9, curve)
         design = basis9.evaluate(grid)
+        coef = project_curve(design, smooth)
 
         def objective(c):
             r = smooth - design @ c
@@ -136,22 +132,22 @@ class TestProjectCurve:
         assert float(c @ basis9.gram @ c) == pytest.approx(dense, rel=1e-6)
 
     def test_too_few_points(self, basis9):
-        with pytest.raises(ValueError):
-            project_curve(basis9, GriddedCurve(np.arange(5.0), np.ones(5)))
+        with pytest.raises(ValueError, match="rank"):
+            project_curve(basis9.evaluate(np.arange(5.0)), np.ones(5))
 
     def test_collinear_design(self, basis9):
         # nine points inside one knot span touch only four basis functions
         grid = np.linspace(1.0, 10.0, 9)
         with pytest.raises(ValueError, match="rank"):
-            project_curve(basis9, GriddedCurve(grid, np.ones(9)))
+            project_curve(basis9.evaluate(grid), np.ones(9))
 
     def test_one_curve_and_batched_match_lstsq(self, basis9, rng):
         grid = np.arange(96.0)
         design = basis9.evaluate(grid)
         curves = rng.standard_normal((5, 96)).cumsum(axis=1)
-        batched = fbasis._project(design, curves)
+        batched = project_curve(design, curves)
         for curve, row in zip(curves, batched):
-            coef = project_curve(basis9, GriddedCurve(grid, curve))
+            coef = project_curve(design, curve)
             want = np.linalg.lstsq(design, curve, rcond=None)[0]
             scale = np.abs(want).max()
             assert np.abs(coef - want).max() <= 1e-13 * scale
@@ -169,15 +165,9 @@ class TestProjectCurve:
         assert rank == (n if factor > 1 else n - 1)
         if rank < n:
             with pytest.raises(ValueError, match="rank deficient"):
-                fbasis._project(design, np.ones((3, m)))
+                project_curve(design, np.ones((3, m)))
         else:
-            assert fbasis._project(design, np.ones((3, m))).shape == (3, n)
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            GriddedCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-        with pytest.raises(ValueError):
-            GriddedCurve(np.array([0.0, 1.0]), np.zeros(3))
+            assert project_curve(design, np.ones((3, m))).shape == (3, n)
 
 
 def synth_records(n_pref=3, years=(2000, 2001, 2002), sexes=("F",), rate_fn=None, missing=()):
@@ -294,7 +284,7 @@ def assert_ingest_matches(got, want, basis):
     assert set(got) == set(want)
     for sex, (log_rates, coeffs) in want.items():
         assert np.array_equal(got[sex].log_rates, log_rates)
-        batched = fbasis._project(basis.evaluate(AGE_GRID), log_rates.reshape(-1, GROUP_AGE + 1))
+        batched = project_curve(basis.evaluate(AGE_GRID), log_rates.reshape(-1, GROUP_AGE + 1))
         stacked = np.stack(got[sex].panel.coeffs)
         assert np.array_equal(stacked, batched.reshape(coeffs.shape))
         scale = np.abs(coeffs).max(axis=-1, keepdims=True)

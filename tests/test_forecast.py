@@ -8,7 +8,6 @@ from scipy.signal import lfilter
 
 from hdffm import (
     AbcConfig,
-    ArModel,
     ForecastConfig,
     Panel,
     abc_select_r,
@@ -22,24 +21,41 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.forecast import _ar_bic_fits, _ar_bic_forecasts, _lag_matrices, companion_radius
-from hdffm.panel import stack_runs
+from hdffm import forecast
+from hdffm.forecast import _ar_bic_forecasts, _lag_matrices
+from hdffm.panel import _CHUNK_BYTES, stack_runs
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import ar_burn_in_draw, random_mixed_panel, random_spd
 
 
+def companion_radius(coefs):
+    """Spectral radius of the companion matrix of an AR coefficient vector."""
+    p = coefs.size
+    if p == 0:
+        return 0.0
+    comp = np.eye(p, k=-1)
+    comp[0] = coefs
+    return float(np.abs(np.linalg.eigvals(comp)).max())
+
+
+def order(y, p_max):
+    """The AR-BIC order of one series, fitted as a (1, T) matrix."""
+    return int(fit_ar_bic(y[None], p_max)[0][0])
+
+
 class TestArModel:
+    """The models ``fit_ar_bic`` returns are never explosive beyond 1 + 1e-8."""
+
     def test_explosive_rejected(self):
-        with pytest.raises(ValueError, match="radius"):
-            ArModel(order=1, intercept=0.0, coefficients=np.array([1.1]), innovation_variance=1.0)
+        # 1.05**t is an exact AR(1) of coefficient 1.05: dropped for AR(0)
+        orders, beta, _ = fit_ar_bic(1.05 ** np.arange(60.0)[None], p_max=1)
+        assert orders.tolist() == [0] and beta[0, 1] == 0.0
 
     def test_near_unit_root_allowed(self):
-        m = ArModel(order=1, intercept=0.0, coefficients=np.array([1.0]), innovation_variance=1.0)
-        assert m.order == 1
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            ArModel(order=0, intercept=0.0, coefficients=np.zeros(0), innovation_variance=-1.0)
+        # 3 - 0.5 t is an exact AR(1) of coefficient 1, a companion radius of 1
+        orders, beta, sigma2 = fit_ar_bic((3.0 - 0.5 * np.arange(60.0))[None], p_max=1)
+        assert orders.tolist() == [1] and sigma2.tolist() == [0.0]
+        assert beta[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFitArBic:
@@ -47,25 +63,38 @@ class TestFitArBic:
         hits = 0
         for seed in range(100):
             y = np.random.default_rng(seed).standard_normal(2000)
-            if fit_ar_bic(y).order == 0:
+            if order(y, 5) == 0:
                 hits += 1
         assert hits >= 90
 
     def test_ar1_recovery(self):
         y = ar_burn_in_draw(0.8, 0.6, 2000, seed=42)
-        m = fit_ar_bic(y)
-        assert m.order >= 1
-        assert m.coefficients[0] == pytest.approx(0.8, abs=0.05)
+        orders, beta, _ = fit_ar_bic(y[None])
+        assert orders[0] >= 1
+        assert beta[0, 1] == pytest.approx(0.8, abs=0.05)
 
     def test_constant_series(self):
-        m = fit_ar_bic(np.full(100, 2.5))
-        assert m.order == 0
-        assert m.intercept == pytest.approx(2.5)
-        assert m.innovation_variance == 0.0
+        orders, beta, sigma2 = fit_ar_bic(np.full((1, 100), 2.5))
+        assert orders[0] == 0
+        assert beta[0, 0] == pytest.approx(2.5)
+        assert sigma2[0] == 0.0
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            fit_ar_bic(np.zeros(10), p_max=5)
+        with pytest.raises(ValueError, match="too short"):
+            fit_ar_bic(np.zeros((1, 10)), p_max=5)
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 4, 40), ()])
+    def test_not_a_matrix_rejected(self, shape):
+        # a series is a (1, T) matrix: a 1-D or 3-D input is not flattened into one
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fit_ar_bic(np.ones(shape), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, rng, bad):
+        Y = rng.standard_normal((4, 60))
+        Y[2, 30] = bad
+        with pytest.raises(ValueError, match="row 2 of Y has a non-finite value"):
+            fit_ar_bic(Y, 3)
 
 
 def brute_force_fits(y, p_max):
@@ -109,17 +138,18 @@ class TestFitArBicOracle:
 
     @staticmethod
     def assert_matches(y, p_max):
-        m = fit_ar_bic(y, p_max)
+        (got_p,), beta, sigma2_got = fit_ar_bic(y[None], p_max)
         _, p, intercept, coefs, sigma2 = brute_force_ar_bic(y, p_max)
-        assert m.order == p
+        assert got_p == p
         # the QR solve and lstsq agree to 1e-12 relative, or, on ill-conditioned
         # lags (trends), to a few eps * cond, which bounds either solver's error
         cond = np.linalg.cond(_lag_matrices(y[None], p_max)[0, :, : p + 1])
         tol = max(1e-12, 32 * np.finfo(float).eps * cond)
-        got = np.concatenate([[m.intercept], m.coefficients, [m.innovation_variance]])
+        assert not beta[0, p + 1 :].any()
+        got = np.concatenate([beta[0, : p + 1], sigma2_got])
         want = np.concatenate([[intercept], coefs, [sigma2]])
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        return m
+        return p
 
     @pytest.mark.parametrize("p_max", [3, 5])
     @pytest.mark.parametrize("kind", ["ar3", "iid", "constant", "geometric", "trending"])
@@ -136,16 +166,16 @@ class TestFitArBicOracle:
                          for y in trending_rows(np.random.default_rng(seed), 120)],
         }[kind]
         for y in series:
-            m = self.assert_matches(y, p_max)
+            p = self.assert_matches(y, p_max)
             if kind in ("constant", "geometric"):
-                assert m.order == 0
+                assert p == 0
 
     @pytest.mark.parametrize("scale", [1e-10, 1e10])
     def test_scale_invariant(self, scale):
         for seed in range(30):
             y = stationary_ar3(seed)
             for p_max in (3, 5):
-                assert self.assert_matches(scale * y, p_max).order == fit_ar_bic(y, p_max).order
+                assert self.assert_matches(scale * y, p_max) == order(y, p_max)
 
     @pytest.mark.parametrize("rows", ["near_tie", "radius_flip_0", "radius_flip_1"])
     def test_flips_within_rounding(self, rows):
@@ -156,7 +186,7 @@ class TestFitArBicOracle:
                     "radius_flip_1": (radius_flip_rows(1), 1)}[rows]
         flips = 0
         for y in Y:
-            p = fit_ar_bic(y, p_max).order
+            p = order(y, p_max)
             want = brute_force_ar_bic(y, p_max)
             if p == want[1]:
                 self.assert_matches(y, p_max)
@@ -171,9 +201,11 @@ class TestFitArBicOracle:
 
 def scalar_ar_bic_forecasts(Y, p_max, h):
     """(rows, h) forecasts and (rows,) orders of ``fit_ar_bic`` + ``ar_forecast``, row by row."""
-    models = [fit_ar_bic(y, p_max) for y in Y]
-    fc = np.array([ar_forecast(m, y, h) for m, y in zip(models, Y)]).reshape(len(Y), h)
-    return fc, np.array([m.order for m in models], dtype=int)
+    fc, orders = np.empty((len(Y), h)), np.empty(len(Y), dtype=int)
+    for i, y in enumerate(Y):
+        (p,), beta, _ = fit_ar_bic(y[None], p_max)
+        fc[i], orders[i] = ar_forecast(beta[:, : p + 1], y[None, y.size - p :], h)[0], p
+    return fc, orders
 
 
 def random_ar_rows(rng, n, T):
@@ -190,14 +222,14 @@ def flip_rows(e, u, p_max, n=64):
     """Rows e + a u for the n floats a around where fit_ar_bic's order flips
     as a goes from 0 to 1."""
 
-    def order(a):
-        return fit_ar_bic(e + a * u, p_max).order
+    def order_at(a):
+        return order(e + a * u, p_max)
 
     lo, hi = 0.0, 1.0
-    assert order(lo) != order(hi)
+    assert order_at(lo) != order_at(hi)
     while np.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if order(mid) == order(lo) else (lo, mid)
+        lo, hi = (mid, hi) if order_at(mid) == order_at(lo) else (lo, mid)
     a = lo
     for _ in range(n // 2):
         a = np.nextafter(a, -np.inf)
@@ -307,16 +339,16 @@ class TestBatchedArBic:
     def test_degenerate_rows(self, rng, p_max):
         T = 60
         Y = np.concatenate([degenerate_rows(T), random_ar_rows(rng, 3, T)])
-        models = [fit_ar_bic(y, p_max) for y in Y]
+        orders, _, sigma2 = fit_ar_bic(Y, p_max)
         # constant and zero rows: exact AR(0); 1.05**t: its exact AR(1) is explosive
-        assert [m.order for m in models[:3]] == [0, 0, 0]
-        assert models[0].innovation_variance == models[1].innovation_variance == 0.0
+        assert orders[:3].tolist() == [0, 0, 0]
+        assert sigma2[0] == sigma2[1] == 0.0
         # 3 - 0.5t: the exact AR(1); its higher orders are rank deficient
-        assert models[3].order == min(p_max, 1)
-        assert (models[3].innovation_variance == 0.0) == (p_max > 0)
-        for m, y in zip(models, Y):
-            lags = _lag_matrices(y[None], p_max)[0, :, : m.order + 1]
-            assert np.linalg.matrix_rank(lags) == m.order + 1
+        assert orders[3] == min(p_max, 1)
+        assert (sigma2[3] == 0.0) == (p_max > 0)
+        for p, y in zip(orders, Y):
+            lags = _lag_matrices(y[None], p_max)[0, :, : p + 1]
+            assert np.linalg.matrix_rank(lags) == p + 1
         self.assert_agrees(Y, p_max, 3)
 
     def test_near_tie(self):
@@ -340,10 +372,10 @@ class TestBatchedArBic:
 
     @staticmethod
     def chunked_rows(p_max=5):
-        """353 rows of length 199 (forecast-dgp's), over four chunks."""
+        """353 rows of length 199 (forecast-dgp's), over eight chunks."""
         Y = np.random.default_rng(3).standard_normal((353, 199))
-        runs = stack_runs([199 - p_max] * 353, lambda t_eff: 8 * t_eff * (p_max + 2))
-        assert len(runs) == 4
+        runs = stack_runs([199 - p_max] * 353, lambda t_eff: 16 * t_eff * (p_max + 2))
+        assert len(runs) == 8
         return Y, runs
 
     def test_bitwise_at_caps_1_2_3(self, monkeypatch):
@@ -372,27 +404,49 @@ class TestBatchedArBic:
                 tracemalloc.stop()
 
         _ar_bic_forecasts(Y, 5, 1)  # numpy's first call allocates more
-        chunk = peak(_ar_bic_fits, Y[lo:hi], 5)
+        chunk = peak(fit_ar_bic, Y[lo:hi], 5)
         monkeypatch.setenv("HDFFM_THREADS", "1")
         serial = peak(_ar_bic_forecasts, Y, 5, 1)
         monkeypatch.setenv("HDFFM_THREADS", "2")
         assert peak(_ar_bic_forecasts, Y, 5, 1) <= serial + chunk + 64 * 1024
 
+    def test_chunk_fit_within_budget(self, monkeypatch):
+        # each chunk's fit holds its lag matrices, numpy's qr copy of them and
+        # R at once: within the byte budget plus 64 KiB for R and the small arrays
+        Y, runs = self.chunked_rows()
+        fit, peaks = forecast.fit_ar_bic, []
+
+        def traced_fit(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fit(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        _ar_bic_forecasts(Y, 5, 1)  # numpy's first call allocates more
+        monkeypatch.setattr(forecast, "fit_ar_bic", traced_fit)
+        monkeypatch.setenv("HDFFM_THREADS", "1")
+        tracemalloc.start()
+        try:
+            _ar_bic_forecasts(Y, 5, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == len(runs)
+        assert max(peaks) <= _CHUNK_BYTES + 64 * 1024
+
 
 class TestArForecast:
     def test_order_zero(self):
-        m = ArModel(order=0, intercept=2.0, coefficients=np.zeros(0), innovation_variance=1.0)
-        assert np.allclose(ar_forecast(m, np.array([5.0]), 3), [2.0, 2.0, 2.0])
+        assert np.allclose(ar_forecast(np.array([[2.0]]), np.empty((1, 0)), 3), [[2.0, 2.0, 2.0]])
 
     def test_ar1_geometric_decay(self):
-        m = ArModel(order=1, intercept=0.0, coefficients=np.array([0.5]), innovation_variance=1.0)
-        assert np.allclose(ar_forecast(m, np.array([4.0]), 3), [2.0, 1.0, 0.5])
+        assert np.allclose(ar_forecast(np.array([[0.0, 0.5]]), np.array([[4.0]]), 3),
+                           [[2.0, 1.0, 0.5]])
 
     def test_ar2_matches_recursion(self, rng):
         coefs = np.array([0.5, -0.3])
-        m = ArModel(order=2, intercept=0.2, coefficients=coefs, innovation_variance=1.0)
         hist = list(rng.standard_normal(6))
-        fc = ar_forecast(m, np.array(hist), 4)
+        fc = ar_forecast(np.array([[0.2, *coefs]]), np.array([hist[-2:]]), 4)[0]
         buf = hist[:]
         for step in range(4):
             val = 0.2 + coefs[0] * buf[-1] + coefs[1] * buf[-2]
@@ -400,9 +454,13 @@ class TestArForecast:
             buf.append(val)
 
     def test_insufficient_history(self):
-        m = ArModel(order=2, intercept=0.0, coefficients=np.array([0.1, 0.1]), innovation_variance=1.0)
-        with pytest.raises(ValueError):
-            ar_forecast(m, np.array([1.0]), 2)
+        with pytest.raises(ValueError, match="need"):
+            ar_forecast(np.array([[0.0, 0.1, 0.1]]), np.array([[1.0]]), 2)
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_h_below_1_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            ar_forecast(np.array([[0.0, 0.5]]), np.array([[4.0]]), h)
 
 
 def ar1_rank1_panel(N, T, a=0.8, seed=0):
@@ -511,7 +569,7 @@ class TestTnhForecast:
         centered, _ = center(panel)
         fit = fit_factors(centered, 2)
         rows = np.concatenate([fit.factors, idiosyncratic_residual(centered, fit).stacked_coeffs()])
-        assert res.ar_orders.tolist() == [fit_ar_bic(y, 3).order for y in rows]
+        assert res.ar_orders.tolist() == fit_ar_bic(rows, 3)[0].tolist()
         assert len(res.ar_orders) == 2 + panel.total_dim
 
 
