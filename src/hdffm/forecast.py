@@ -14,21 +14,20 @@ on a common effective sample so BIC values are comparable across orders.
 ``fit_ar_bic`` fits every order of a stack of series with one QR of each
 series' lag matrix (Golub & Van Loan, section 5.3), and ``ar_forecast``
 runs the h-step recursion over the series of one order; the pipelines fit
-all their series at once with ``_ar_bic_forecasts``.
+all their series with ``_ar_bic_forecasts``, one chunk after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
 from .metrics import mafe_msfe
-from .panel import Panel, center, run_in_order, split_stacked, stack_runs, whiten_stacked
-from .select import IC2A, AbcConfig, SelectionTrace, _largest_k_max, abc_select_r, thread_cap
+from .panel import Panel, center, split_stacked, stack_runs, whiten_stacked
+from .select import IC2A, AbcConfig, SelectionTrace, _largest_k_max, abc_select_r
 
 # An AR fit is explosive when its companion radius is at least 1 + _RADIUS_TOL.
 # An AR order is rank deficient when, in the QR of its lag matrix, some column's
@@ -259,20 +258,17 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
     those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are
     fitted by ``fit_ar_bic`` in chunks cut to the byte budget of
-    ``stack_runs``, which run as tasks on up to ``thread_cap()`` threads
-    where there are several, and ``ar_forecast`` runs over all rows of one
-    order at once.
+    ``stack_runs``, one after another on the calling thread, so one chunk's
+    fit is held at a time; ``ar_forecast`` runs over all rows of one order
+    at once.
     """
     Y = np.asarray(series, dtype=float)
     rows, T = Y.shape
     orders = np.empty(rows, dtype=int)
     beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
     # twice a row's lag-matrix bytes: np.linalg.qr copies the stack it factors
-    runs = stack_runs([T - p_max] * rows, lambda t_eff: 16 * t_eff * (p_max + 2))
-    chunks = [partial(fit_ar_bic, Y[lo:hi], p_max) for lo, hi in runs]
-    fits = run_in_order(chunks, min(thread_cap(), len(runs)) or 1)
-    for (lo, hi), (chunk_orders, chunk_beta, _) in zip(runs, fits):
-        orders[lo:hi], beta[lo:hi] = chunk_orders, chunk_beta
+    for lo, hi in stack_runs([T - p_max] * rows, lambda t_eff: 16 * t_eff * (p_max + 2)):
+        orders[lo:hi], beta[lo:hi], _ = fit_ar_bic(Y[lo:hi], p_max)
     out = np.empty((rows, h))
     for p in np.flatnonzero(np.bincount(orders)):
         group = orders == p

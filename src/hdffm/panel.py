@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +27,7 @@ _GRAM_SYM_RTOL = 1e-12
 # The byte budget of one stacked call: the selection's subpanel Grams, the AR
 # fits' lag matrices, the whitening and CF runs are cut into stacks of at
 # most this many bytes (``stack_runs``), so batching bounds the extra memory.
-# At 1 MiB a stack holds three 200 x 200 Grams: numpy's eigvalsh releases the
-# GIL only for a call of more than 500 output values, which lets the
-# selection's threads overlap their eigensolves.
+# At 1 MiB a stack holds three 200 x 200 Grams.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -156,54 +153,6 @@ def stack_runs(keys: Sequence, nbytes: Callable) -> list:
     return runs
 
 
-def run_in_order(tasks: Iterable[Callable], threads: int) -> list:
-    """The results of ``tasks`` (callables) in the order taken, run on
-    ``threads`` threads made for this call (on the calling thread for one).
-
-    Each thread takes the next task under one lock, then runs it outside the
-    lock, until no task is left or one has failed.  Tasks are taken one at a
-    time, in order, so taking one may use state that taking the one before
-    left, such as a generator's running sum.  Once every task taken has
-    ended, the first failure in the order taken raises; a take that fails
-    counts as the last one.
-    """
-    tasks, lock = iter(tasks), threading.Lock()
-    results, failures = [], {}  # per task taken, its result; by position, what raised
-
-    def work():
-        while True:
-            with lock:
-                if failures:
-                    return
-                i = len(results)
-                try:
-                    task = next(tasks)
-                except StopIteration:
-                    return
-                except BaseException as exc:
-                    failures[i] = exc
-                    return
-                results.append(None)
-            try:
-                results[i] = task()
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
-            del task  # dropped before the next take: it may hold a stack
-
-    if threads == 1:
-        work()
-    else:
-        pool = [threading.Thread(target=work) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-    if failures:
-        raise failures.pop(min(failures))  # popped: the traceback's frames hold the dict
-    return results
-
-
 class Panel:
     """An N x T panel of coefficient vectors plus the per-series spaces.
 
@@ -228,7 +177,7 @@ class Panel:
                     f"expected (T, {spec.dim})"
                 )
             if blocks and block.shape[0] != blocks[0].shape[0]:
-                raise ValueError(f"series {i}: time length {block.shape[0]} != {blocks[0].shape[0]}")
+                raise ValueError(f"series {i}: time length {len(block)} != {len(blocks[0])} of series 0")
             blocks.append(block)
         # the transpose of a C-ordered (T, total_dim) concatenation is the
         # column-major stacked matrix: one copy, whatever the blocks' order

@@ -10,7 +10,7 @@ permutation (``_subpanel_spectra``) adds the permutation's series to one
 running sum and fills an eigensolve stack from it as each task is taken.
 Where one permutation's subpanel Grams fill a stack budget, those stacks
 and the panel's own ``eigh`` run as tasks on up to ``thread_cap()``
-threads, the one core cap of a command (``panel.run_in_order``): on t
+threads (``run_in_order``), the only work a command runs on threads: on t
 threads a selection holds one running sum (8T^2 bytes) and at most t
 stacks, and its outputs are byte-identical at every cap.
 """
@@ -21,14 +21,16 @@ import csv
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .estimate import v_profile
-from .panel import _CHUNK_BYTES, Panel, run_in_order, stack_runs
+from .panel import _CHUNK_BYTES, Panel, stack_runs
 
 IC1A = "IC1a"
 IC2A = "IC2a"
@@ -336,6 +338,54 @@ def _stack_spectra(F: np.ndarray, k_max: int) -> tuple:
     return np.linalg.eigvalsh(F)[:, ::-1][:, :k_max], np.trace(F, axis1=1, axis2=2)
 
 
+def run_in_order(tasks: Iterable[Callable], threads: int) -> list:
+    """The results of ``tasks`` (callables) in the order taken, run on
+    ``threads`` threads made for this call (on the calling thread for one).
+
+    Each thread takes the next task under one lock, then runs it outside the
+    lock, until no task is left or one has failed.  Tasks are taken one at a
+    time, in order, so taking one may use state that taking the one before
+    left, such as a generator's running sum.  Once every task taken has
+    ended, the first failure in the order taken raises; a take that fails
+    counts as the last one.
+    """
+    tasks, lock = iter(tasks), threading.Lock()
+    results, failures = [], {}  # per task taken, its result; by position, what raised
+
+    def work():
+        while True:
+            with lock:
+                if failures:
+                    return
+                i = len(results)
+                try:
+                    task = next(tasks)
+                except StopIteration:
+                    return
+                except BaseException as exc:
+                    failures[i] = exc
+                    return
+                results.append(None)
+            try:
+                results[i] = task()
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+            del task  # dropped before the next take: it may hold a stack
+
+    if threads == 1:
+        work()
+    else:
+        pool = [threading.Thread(target=work) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    if failures:
+        raise failures.pop(min(failures))  # popped: the traceback's frames hold the dict
+    return results
+
+
 def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     """Tuned selection of the number of factors.
 
@@ -361,8 +411,8 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = chain([panel.gram_spectrum], chain.from_iterable(
         _subpanel_spectra(Z, panel.offsets, perm, n_sub, t_sub, k_max) for perm in permutations))
-    # threads pay only when one permutation's Grams fill a stack budget: its
-    # eigvalsh stacks then hold several Grams, and numpy releases the GIL there
+    # threads pay only when one permutation's Grams fill a stack budget: numpy's
+    # eigvalsh releases the GIL only for a call of more than 500 output values
     cap = thread_cap()
     threads = min(cap, P + 1) if 8 * int(np.square(t_sub).sum()) >= _CHUNK_BYTES else 1
     # the stacks' Grams run permutation by permutation, subpanel by subpanel

@@ -263,6 +263,15 @@ class TestSelectR:
         assert main(["select-r", "--panel", str(path), "--method", "fixed"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_ragged_panel_file_names_the_reference_series(self, tmp_path, capsys):
+        # series 0 has 5 periods, the others 40: the message says whose the 5 is
+        doc = {"N": 3, "T": 40, "spaces": [{"kind": "scalar", "dim": 1}] * 3,
+               "coeffs": [[[0.0]] * 5] + [[[float(t)] for t in range(40)]] * 2}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["select-r", "--panel", str(path), "--method", "fixed"]) == 2
+        assert "series 1: time length 40 != 5 of series 0" in capsys.readouterr().err
+
 
 class TestBench:
     def test_row_count_and_determinism(self, tmp_path, monkeypatch):

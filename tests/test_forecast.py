@@ -380,20 +380,27 @@ class TestBatchedArBic:
 
     def test_bitwise_at_caps_1_2_3(self, monkeypatch):
         Y, _ = self.chunked_rows()
-        threads, outputs = threading.active_count(), []
+        threads, outputs, starts = threading.active_count(), [], []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
         for cap in ("1", "2", "3"):
             monkeypatch.setenv("HDFFM_THREADS", cap)
             fc, orders = _ar_bic_forecasts(Y, 5, 2)
             outputs.append((fc.tobytes(), orders.tobytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert starts == []  # the chunks fit on the calling thread at every cap
         assert threading.active_count() == threads
 
     def test_memory_at_two_threads(self, monkeypatch):
-        # two threads hold at most one chunk's fit (its lag matrices, numpy's
-        # qr copy of them, its R) more than one thread does; 64 KiB covers
-        # the pool's threads and futures
-        Y, runs = self.chunked_rows()
-        lo, hi = runs[0]
+        # one chunk's fit is in flight at any cap, the chunks fitting in order
+        # on the calling thread, so a cap of 2 holds nothing more than a cap
+        # of 1; 64 KiB covers small arrays and objects
+        Y, _ = self.chunked_rows()
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -404,11 +411,10 @@ class TestBatchedArBic:
                 tracemalloc.stop()
 
         _ar_bic_forecasts(Y, 5, 1)  # numpy's first call allocates more
-        chunk = peak(fit_ar_bic, Y[lo:hi], 5)
         monkeypatch.setenv("HDFFM_THREADS", "1")
         serial = peak(_ar_bic_forecasts, Y, 5, 1)
         monkeypatch.setenv("HDFFM_THREADS", "2")
-        assert peak(_ar_bic_forecasts, Y, 5, 1) <= serial + chunk + 64 * 1024
+        assert peak(_ar_bic_forecasts, Y, 5, 1) <= serial + 64 * 1024
 
     def test_chunk_fit_within_budget(self, monkeypatch):
         # each chunk's fit holds its lag matrices, numpy's qr copy of them and

@@ -27,8 +27,8 @@ from hdffm import (
     tnh_forecast,
 )
 from hdffm import select
-from hdffm.panel import _CHUNK_BYTES, run_in_order, stack_runs
-from hdffm.select import C_GRID
+from hdffm.panel import _CHUNK_BYTES, stack_runs
+from hdffm.select import C_GRID, run_in_order
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import ic, random_mixed_panel, rank_k_panel
 
@@ -653,7 +653,7 @@ class TestSubpanelSpectra:
 
 
 class TestRunInOrder:
-    """``panel.run_in_order``, the one task runner of selection and AR-BIC."""
+    """``select.run_in_order``, the one task runner of the tuned selection."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_results_in_order(self, threads):
