@@ -186,8 +186,7 @@ def _select_r(panel, method: str, c: float, kind: str, k_max: int, P: int, seed:
     """r-hat and the selection trace: fixed-c criterion (no trace) or tuned ``abc``."""
     if method == "fixed":
         return select_r_fixed(panel, c, kind, k_max), None
-    cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed, k_max=k_max, P=P)
-    return abc_select_r(panel, cfg, kind)
+    return abc_select_r(panel, AbcConfig(k_max=k_max, P=P, rng_seed=seed), kind)
 
 
 def cmd_select_r(args) -> int:

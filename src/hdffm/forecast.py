@@ -197,7 +197,7 @@ def tnh_forecast(panel: Panel, cfg: ForecastConfig) -> ForecastResult:
     centered, means = center(panel)
     r, trace = cfg.fixed_r, None
     if r is None:
-        abc = AbcConfig.for_panel(panel.N, panel.T, rng_seed=cfg.rng_seed)
+        abc = AbcConfig(rng_seed=cfg.rng_seed)
         abc = replace(abc, k_max=_largest_k_max(panel.dims, panel.T, abc))
         r, trace = abc_select_r(centered, abc, IC2A)
     try:

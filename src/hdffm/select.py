@@ -5,9 +5,11 @@ the tuned information criterion IC(c, k) = V(k) + c*k*g(N, T), the plain
 argmin selector at fixed c, and the permutation/subpanel tuning procedure
 that scans a grid of c values, tracks the variance of the selected count
 across nested subpanels, and picks c in the middle of the second
-zero-variance plateau of that profile.  One plain generator loop per
-permutation (``_subpanel_spectra``) adds the permutation's series to one
-running sum and fills an eigensolve stack from it as each task is taken.
+zero-variance plateau of that profile.  The subpanels are a rule of the
+panel, ``nested_subpanel_sizes(N, T)``: ten nested sets of series, each
+over all T periods.  One plain generator loop per permutation
+(``_subpanel_spectra``) adds the permutation's series to one running sum
+and fills an eigensolve stack of T x T Grams from it as each task is taken.
 Where one permutation's subpanel Grams fill a stack budget, those stacks
 and the panel's own ``eigh`` run as tasks on up to ``thread_cap()``
 threads (``run_in_order``), the only work a command runs on threads: on t
@@ -100,82 +102,68 @@ def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) ->
     return int(_full_panel_profile(panel, np.asarray([c], dtype=float), g[-1], k_max)[0])
 
 
-def nested_subpanel_sizes(N: int, T: int, J: int = 10) -> tuple:
-    """Nested subpanel sizes N_j = floor(4N/5 + N(j-1)/45), T_j = T.
+def nested_subpanel_sizes(N: int, T: int) -> tuple:
+    """Nested subpanel sizes N_j = floor(4N/5 + N(j-1)/45), T_j = T, j = 1..10.
 
-    The last entry is pinned to (N, T): the formula gives exactly N at j=J
+    The last entry is pinned to (N, T): the formula gives exactly N at j=10
     (4/5 + 9/45 = 1) but floating-point floor must not be trusted there.
     """
-    sizes = [(int(math.floor(4 * N / 5 + N * (j - 1) / 45)), T) for j in range(1, J)]
+    sizes = [(int(math.floor(4 * N / 5 + N * (j - 1) / 45)), T) for j in range(1, 10)]
     sizes.append((N, T))
     return tuple(sizes)
 
 
 @dataclass(frozen=True)
 class AbcConfig:
-    """Configuration of the permutation/subpanel tuning sweep."""
+    """Configuration of the permutation/subpanel tuning sweep, whose subpanels
+    are the panel's ``nested_subpanel_sizes``."""
 
     k_max: int = 10
     P: int = 5
-    subpanel_sizes: tuple = ()
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.P < 1:
             raise ValueError("P must be >= 1")
-        sizes = tuple((int(n), int(t)) for n, t in self.subpanel_sizes)
-        ns = [n for n, _ in sizes]
-        if ns and any(b < a for a, b in zip(ns, ns[1:])):
-            raise ValueError("subpanel N_j must be nondecreasing")
-        object.__setattr__(self, "subpanel_sizes", sizes)
-
-    @classmethod
-    def for_panel(cls, N: int, T: int, rng_seed: int = 0, k_max: int = 10, P: int = 5) -> "AbcConfig":
-        """The reference configuration for an N x T panel."""
-        return cls(k_max=k_max, P=P, subpanel_sizes=nested_subpanel_sizes(N, T), rng_seed=rng_seed)
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @lru_cache(maxsize=8)
 def _permutations(N: int, P: int, rng_seed: int) -> tuple:
     """The P permutations of a tuned selection of N series, drawn from seeds
-    rng_seed..rng_seed + P - 1.  Cached: a tuned forecast draws them twice
-    (``_largest_k_max``, then ``_check_selection``), and every rolling origin
-    of a series draws the same ones."""
+    rng_seed..rng_seed + P - 1, whatever the panel's T.  Cached: a tuned
+    forecast draws them twice (``_largest_k_max``, then ``_check_selection``),
+    and every rolling origin of a series draws the same ones."""
     return tuple(np.random.default_rng(rng_seed + p).permutation(N) for p in range(P))
 
 
 def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
-    """The subpanel sizes of a tuned selection with ``cfg`` on a panel of
-    series of stacked dimensions ``dims`` over T periods, checked (the last
-    is (N, T), at least one comes before it, 1 <= N_j <= N, 2 <= T_j <= T),
-    its permutations, the N_j and T_j of the proper subpanels, (J - 1,) each,
-    and the stacked dimension D_j of each permutation's proper subpanels,
-    (P, J - 1).
+    """The subpanel sizes ``nested_subpanel_sizes(N, T)`` of a tuned selection
+    with ``cfg`` on a panel of series of stacked dimensions ``dims`` over T
+    periods, checked (N_1 >= 1, which a one-series panel fails), its
+    permutations, the N_j of the proper subpanels, (J - 1,), and the stacked
+    dimension D_j of each permutation's proper subpanels, (P, J - 1).
     """
     dims = np.asarray(dims)
     N = dims.size
-    sizes = cfg.subpanel_sizes or nested_subpanel_sizes(N, T)
-    if sizes[-1] != (N, T):
-        raise ValueError(f"last subpanel size {sizes[-1]} must equal (N, T)=({N}, {T})")
-    if len(sizes) < 2:
-        raise ValueError(f"no subpanel size before (N, T)=({N}, {T}): a tuned selection "
-                         "needs at least one proper subpanel")
-    for n_j, t_j in sizes:
-        if not 1 <= n_j <= N or not 2 <= t_j <= T:
-            raise ValueError(f"invalid subpanel size {(n_j, t_j)}")
+    sizes = nested_subpanel_sizes(N, T)
+    if sizes[0][0] < 1:  # the N_j are nondecreasing
+        raise ValueError(f"invalid subpanel size {sizes[0]}")
     permutations = [perm.copy() for perm in _permutations(N, cfg.P, cfg.rng_seed)]
-    n_sub, t_sub = (np.array(column, dtype=int) for column in zip(*sizes[:-1]))
+    n_sub = np.array([n_j for n_j, _ in sizes[:-1]])
     d_sub = np.array([np.cumsum(dims[perm])[n_sub - 1] for perm in permutations])
-    return sizes, permutations, n_sub, t_sub, d_sub
+    return sizes, permutations, n_sub, d_sub
 
 
 def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
     """The largest k_max, up to ``cfg.k_max``, that a tuned selection with
     ``cfg`` accepts on a panel of series of stacked dimensions ``dims`` over
-    T periods: the least rank bound min(D_j, T_j) of the panel and of every
-    permutation's subpanels.  Its subpanel sizes are checked first."""
-    *_, t_sub, d_sub = _tuned_subpanels(dims, T, cfg)
-    return int(min(cfg.k_max, sum(dims), T, np.minimum(d_sub, t_sub).min(initial=T)))
+    T periods: the least rank bound min(D_j, T) of the panel and of every
+    permutation's subpanels (D_j <= D).  Its subpanel sizes are checked
+    first."""
+    *_, d_sub = _tuned_subpanels(dims, T, cfg)
+    return int(min(cfg.k_max, T, d_sub.min()))
 
 
 def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
@@ -185,36 +173,35 @@ def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
     a tuned one (whose k_max is ``k_max``).  In order: a tuned selection's
     subpanel sizes (``_tuned_subpanels``), or a fixed selection's c (finite,
     >= 0); k_max against the panel's rank bound min(D, T); k_max against
-    each permutation's subpanel rank bounds min(D_j, T_j), permutations in
+    each permutation's subpanel rank bounds min(D_j, T), permutations in
     order; the ``kind`` penalty on the panel, then on each proper subpanel.
 
     Returns the subpanel sizes (the panel alone for a fixed selection), the
-    permutations (none for a fixed selection), the N_j and T_j of the proper
+    permutations (none for a fixed selection), the N_j of the proper
     subpanels and the penalty of each size.
     """
     N, D = len(dims), int(sum(dims))
     if isinstance(tuning, AbcConfig):
-        sizes, permutations, n_sub, t_sub, d_sub = _tuned_subpanels(dims, T, tuning)
+        sizes, permutations, n_sub, d_sub = _tuned_subpanels(dims, T, tuning)
     else:
         if not (math.isfinite(tuning) and tuning >= 0):
             raise ValueError(f"c must be nonnegative and finite, got {tuning!r}")
-        sizes, permutations, d_sub = ((N, T),), [], np.zeros((0, 0), int)
-        n_sub = t_sub = np.zeros(0, int)
+        sizes, permutations, n_sub, d_sub = ((N, T),), [], np.zeros(0, int), np.zeros((0, 0), int)
     if not 1 <= k_max <= min(D, T):
-        raise ValueError(f"k_max={k_max} out of range for this panel")
-    over = np.argwhere(k_max > np.minimum(d_sub, t_sub))  # (p, j), permutation by permutation
+        raise ValueError(f"k_max={k_max} out of range 1..{min(D, T)} for this panel")
+    over = np.argwhere(k_max > d_sub)  # (p, j), permutation by permutation; k_max <= T
     if over.size:
         p, j = over[0]
         raise ValueError(f"k_max={k_max} exceeds the rank bound "
-                         f"min({d_sub[p, j]}, {t_sub[j]}) of subpanel {j + 1}")
+                         f"min({d_sub[p, j]}, {T}) of subpanel {j + 1}")
     g_panel = penalty(kind, N, T)
     g = []
-    for j, (n_j, t_j) in enumerate(zip(n_sub.tolist(), t_sub.tolist())):
+    for j, n_j in enumerate(n_sub.tolist()):
         try:
-            g.append(penalty(kind, n_j, t_j))
+            g.append(penalty(kind, n_j, T))
         except ValueError as exc:
-            raise ValueError(f"subpanel {j + 1} ({n_j} series x {t_j} periods): {exc}") from None
-    return sizes, permutations, n_sub, t_sub, np.array(g + [g_panel])
+            raise ValueError(f"subpanel {j + 1} ({n_j} series x {T} periods): {exc}") from None
+    return sizes, permutations, n_sub, np.array(g + [g_panel])
 
 
 @dataclass
@@ -295,30 +282,29 @@ def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:
 
 
 def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
-                      t_sub: np.ndarray, k_max: int):
+                      k_max: int):
     """The tasks of one permutation, in the order ``run_in_order`` takes
     them: stack by stack, a task that returns the k_max largest eigenvalues
-    (descending), (stack, k_max), and the traces, (stack,), of the Grams of
-    its subpanels j: the first n_sub[j] series of ``perm`` over the first
-    t_sub[j] periods of the whitened (total_dim, T) matrix ``Z`` with series
-    row ``offsets``.
+    (descending), (stack, k_max), and the traces, (stack,), of the T x T
+    Grams of its subpanels j: the first n_sub[j] series of ``perm`` in the
+    whitened (total_dim, T) matrix ``Z`` with series row ``offsets``.
 
     One loop runs as the tasks are taken.  For each piece of ``stack_runs``
-    (consecutive subpanels of one t_j, cut to its byte budget), it adds each
+    (consecutive subpanels, cut to the byte budget), it adds each
     checkpoint's new series to the running sum S_n = sum_{i in perm[:n]}
     Z_i' Z_i and drops their rows, allocates the stack once the piece's
-    first checkpoint, the largest, is added, writes the Gram S_n / n_j, the
-    leading t_j x t_j block, into it, and yields a task that solves the
-    stack by one ``eigvalsh``.  Only that task then holds the stack, so the
-    next stack's sums can be accumulated while this one is solved; the
-    running sum lives until every stack is taken.
+    first checkpoint, the largest, is added, writes the Gram S_n / n_j into
+    it, and yields a task that solves the stack by one ``eigvalsh``.  Only
+    that task then holds the stack, so the next stack's sums can be
+    accumulated while this one is solved; the running sum lives until every
+    stack is taken.
     """
     dims = np.diff(offsets)[perm]
     off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
     rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
-    S, done = np.zeros((Z.shape[1], Z.shape[1])), 0
-    for lo, hi in stack_runs(t_sub.tolist(), lambda t: 8 * t * t):
-        t = t_sub[lo]
+    T = Z.shape[1]
+    S, done = np.zeros((T, T)), 0
+    for lo, hi in stack_runs([T] * n_sub.size, lambda t: 8 * t * t):
         for j in range(lo, hi):
             if n_sub[j] > done:  # S += Z_i' Z_i over the permuted series done..n_j - 1
                 block = Z[rows[off[done] : off[n_sub[j]]]]
@@ -326,8 +312,8 @@ def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_su
                 del block
                 done = n_sub[j]
             if j == lo:  # once the first checkpoint's block, the largest, is dropped
-                F = np.empty((hi - lo, t, t))
-            np.divide(S[:t, :t], n_sub[j], out=F[j - lo])
+                F = np.empty((hi - lo, T, T))
+            np.divide(S, n_sub[j], out=F[j - lo])
         yield partial(_stack_spectra, F, k_max)
         del F  # only the task holds the stack: it is freed once solved
 
@@ -403,18 +389,17 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     thread.  The results, gathered in order, do not depend on the thread
     count.
     """
-    sizes, permutations, n_sub, t_sub, g = _check_selection(panel.dims, panel.T, kind,
-                                                             cfg.k_max, cfg)
+    sizes, permutations, n_sub, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
-    I, J, P, k_max = c_grid.size, len(sizes), cfg.P, cfg.k_max
+    I, J, P, T, k_max = c_grid.size, len(sizes), cfg.P, panel.T, cfg.k_max
 
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = chain([panel.gram_spectrum], chain.from_iterable(
-        _subpanel_spectra(Z, panel.offsets, perm, n_sub, t_sub, k_max) for perm in permutations))
+        _subpanel_spectra(Z, panel.offsets, perm, n_sub, k_max) for perm in permutations))
     # threads pay only when one permutation's Grams fill a stack budget: numpy's
     # eigvalsh releases the GIL only for a call of more than 500 output values
     cap = thread_cap()
-    threads = min(cap, P + 1) if 8 * int(np.square(t_sub).sum()) >= _CHUNK_BYTES else 1
+    threads = min(cap, P + 1) if 8 * (J - 1) * T * T >= _CHUNK_BYTES else 1
     # the stacks' Grams run permutation by permutation, subpanel by subpanel
     top, traces = (np.concatenate(a) for a in zip(*run_in_order(tasks, threads)[1:]))
 
@@ -423,7 +408,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     # column comes from the panel's own spectrum, the one the fit reads
     r_full = _full_panel_profile(panel, c_grid, g[-1], k_max)
     r_table[:, -1, :] = r_full[:, None]
-    v = v_profile(top.reshape(P, J - 1, k_max), traces.reshape(P, J - 1), t_sub, k_max)
+    v = v_profile(top.reshape(P, J - 1, k_max), traces.reshape(P, J - 1), T, k_max)
     r_table[:, :-1, :] = _r_hat_profile(v, g[:-1], c_grid, k_max).T
 
     variance = r_table.var(axis=1)  # (I, P)
@@ -435,7 +420,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     r_final = sorted(r_per_p)[(P - 1) // 2]
     trace = SelectionTrace(
         c_grid=c_grid,
-        subpanel_sizes=tuple(sizes),
+        subpanel_sizes=sizes,
         permutations=permutations,
         r_hat_table=r_table,
         variance_profile=variance,

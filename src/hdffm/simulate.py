@@ -47,6 +47,11 @@ class DgpConfig:
             raise ValueError(f"dgp must be in {{1, 2, 3, 4}}, got {self.dgp}")
         if self.N < 1 or self.T < 2:
             raise ValueError("need N >= 1 and T >= 2")
+        for name in ("seed", "fixed_design_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_factors < 1:
+            raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
         if self.basis_dim < self.n_factors:
             raise ValueError("basis_dim must be >= n_factors")
         if not 0.0 < self.target_opnorm < 1.0:
@@ -170,8 +175,8 @@ def run_grid(cells, k_list, reps: int, select, replicate) -> tuple:
             for k in k_list:
                 _check_k(k, min(cell.N * cell.basis_dim, cell.T))
             if select is not None:
-                tuning = select["c"] if select["method"] == "fixed" else AbcConfig.for_panel(
-                    cell.N, cell.T, select["seed"], select["k_max"], select["P"])
+                tuning = select["c"] if select["method"] == "fixed" else AbcConfig(
+                    select["k_max"], select["P"], select["seed"])
                 _check_selection((cell.basis_dim,) * cell.N, cell.T, select["kind"],
                                  select["k_max"], tuning)
         except ValueError as exc:

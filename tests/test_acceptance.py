@@ -48,7 +48,7 @@ def run_selection(N, T, reps, seed0=1000):
     under = exact = over = 0
     for rep in range(reps):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=N, T=T, seed=seed0 + rep))
-        cfg = AbcConfig.for_panel(N, T, rng_seed=rep)
+        cfg = AbcConfig(rng_seed=rep)
         r, _ = abc_select_r(panel, cfg, "IC2a")
         if r < 3:
             under += 1

@@ -75,7 +75,7 @@ def run_cf():
 
 @pytest.mark.parametrize("module_name,attr,run", [
     ("numpy.linalg", "eigvalsh",
-     lambda: abc_select_r(dgp_panel(), AbcConfig.for_panel(10, 30, P=2))),
+     lambda: abc_select_r(dgp_panel(), AbcConfig(P=2))),
     ("numpy.linalg", "eigh", run_cf),
     # the AR-BIC explosiveness check on the exact fits of the picked orders
     ("numpy.linalg", "eigvals", run_tnh),

@@ -83,6 +83,20 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_factors", 0, "n_factors must be >= 1, got 0"),
+        ("n_factors", -1, "n_factors must be >= 1, got -1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("fixed_design_seed", -5, "fixed_design_seed must be >= 0, got -5"),
+    ], ids=["zero-factors", "negative-factors", "negative-seed", "negative-design-seed"])
+    def test_out_of_range_key_named(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_dgp_config(cfg_path, **{key: value})
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--config", str(cfg_path), "--out-panel", str(out)]) == 2
+        assert f"validation error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_key_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dgp": 1, "N": 10, "seed": 4}))
@@ -228,6 +242,12 @@ class TestSelectR:
         save_panel(gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))[0], ppath)
         assert main(["select-r", "--panel", str(ppath), *flags]) == 2
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        ppath = tmp_path / "p.json"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=10, T=40, seed=5))[0], ppath)
+        assert main(["select-r", "--panel", str(ppath), "--seed", "-2"]) == 2
+        assert "validation error: rng_seed must be >= 0, got -2\n" in capsys.readouterr().err
 
     def test_trace_manifest_fills_defaults(self, tmp_path):
         ppath = tmp_path / "p.json"
@@ -460,9 +480,10 @@ class TestBench:
         ({"k": [-1]}, "k=-1 out of range [0, 30]"),
         ({"N": [2], "k": [15]}, "k=15 out of range [0, 14]"),  # N x basis_dim
         ({"T": [30, 12], "k": [20]}, "k=20 out of range [0, 12]"),  # the second cell
-        ({"select": {"method": "fixed", "k_max": 99}}, "k_max=99 out of range for this panel"),
-        ({"select": {"k_max": 31}}, "k_max=31 out of range for this panel"),
-        ({"select": {"k_max": 0}}, "k_max=0 out of range for this panel"),
+        ({"select": {"method": "fixed", "k_max": 99}},
+         "k_max=99 out of range 1..30 for this panel"),
+        ({"select": {"k_max": 31}}, "k_max=31 out of range 1..30 for this panel"),
+        ({"select": {"k_max": 0}}, "k_max=0 out of range 1..30 for this panel"),
         ({"N": [2], "select": {}}, "k_max=10 exceeds the rank bound min(7, 30) of subpanel 1"),
         ({"N": [2, 20], "select": {"k_max": 3}},  # N_1 = 1: no penalty
          "cell dgp=1 N=2 T=30: subpanel 1 (1 series x 30 periods): penalty requires N, T >= 2"),
@@ -470,9 +491,14 @@ class TestBench:
         ({"select": {"P": 0}}, "P must be >= 1"),
         ({"N": [1], "select": {"k_max": 3}},  # N_1 = 0
          "cell dgp=1 N=1 T=30: invalid subpanel size (0, 30)"),
+        ({"seed": -1}, "validation error: seed must be >= 0, got -1"),
+        ({"fixed_design_seed": -5}, "fixed_design_seed must be >= 0, got -5"),
+        ({"n_factors": 0}, "n_factors must be >= 1, got 0"),
+        ({"select": {"seed": -2}}, "cell dgp=1 N=8 T=30: rng_seed must be >= 0, got -2"),
     ], ids=["k-over-T", "k-negative", "k-over-ND", "second-cell", "fixed-k_max", "abc-k_max",
             "zero-k_max", "abc-subpanel", "abc-subpanel-penalty", "fixed-c", "abc-P",
-            "abc-one-series"])
+            "abc-one-series", "negative-seed", "negative-design-seed", "zero-factors",
+            "negative-select-seed"])
     def test_k_out_of_range_before_any_replication(self, tmp_path, monkeypatch, capsys, threads,
                                                    change, message):
         monkeypatch.setenv("HDFFM_THREADS", threads)
@@ -574,6 +600,14 @@ class TestForecastCommand:
     def test_horizon_zero_rejected(self, tmp_path):
         assert main(["forecast", "--panel", str(tmp_path / "p.json"),
                      "--horizon", "0"]) == 2
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        ppath, out = tmp_path / "p.json", tmp_path / "fc.json"
+        save_panel(gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=12))[0], ppath)
+        assert main(["forecast", "--panel", str(ppath), "--horizon", "1", "--seed", "-2",
+                     "--out", str(out)]) == 2
+        assert "validation error: rng_seed must be >= 0, got -2\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_panel_forecast_file(self, tmp_path):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=12))

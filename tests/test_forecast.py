@@ -548,7 +548,7 @@ class TestTnhForecast:
                       [U @ rng.standard_normal(2) + 0.5 * rng.standard_normal(100)
                        for _ in range(12)])
         result = tnh_forecast(panel, ForecastConfig(horizon=2))
-        r, trace = abc_select_r(center(panel)[0], AbcConfig.for_panel(12, 100, k_max=9))
+        r, trace = abc_select_r(center(panel)[0], AbcConfig(k_max=9))
         assert result.r == r and result.trace.r_hat_table.tobytes() == trace.r_hat_table.tobytes()
         assert result.trace.r_hat_table.max() <= 9
 

@@ -68,7 +68,7 @@ def forecasts(panel) -> dict:
 
 def compute_values() -> dict:
     panel, truth = dgp_panel()
-    r_hat, trace = abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T))
+    r_hat, trace = abc_select_r(panel, AbcConfig())
     return {
         "gen_dgp_digest": digest(np.stack(panel.coeffs), truth.U, np.stack(truth.chi.coeffs)),
         "abc_r_hat": r_hat,

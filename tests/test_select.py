@@ -109,6 +109,18 @@ class TestSelectRFixed:
         with pytest.raises(ValueError):
             select_r_fixed(panel, 1.0, "IC2a", k_max=50)
 
+    @pytest.mark.parametrize("select_r", [
+        lambda panel, k_max: select_r_fixed(panel, 1.0, "IC2a", k_max),
+        lambda panel, k_max: abc_select_r(panel, AbcConfig(k_max=k_max)),
+    ], ids=["fixed", "tuned"])
+    def test_k_max_out_of_range_names_the_bound(self, select_r):
+        # the bound is min(D, T): three scalar series over eight periods
+        panel = Panel([scalar_space()] * 3, np.random.default_rng(0).standard_normal((3, 8, 1)))
+        with pytest.raises(ValueError, match=re.escape("k_max=4 out of range 1..3 for this")):
+            select_r(panel, 4)
+        with pytest.raises(ValueError, match=re.escape("k_max=0 out of range 1..3 for this")):
+            select_r(panel, 0)
+
     def test_negative_c_rejected(self, rng):
         # NaN passes a c < 0 test and used to select 1, as did inf
         for c in (-0.1, float("nan"), float("inf"), float("-inf")):
@@ -119,23 +131,28 @@ class TestSelectRFixed:
 class TestAbcConfig:
     def test_nested_subpanel_sizes(self):
         sizes = nested_subpanel_sizes(100, 200)
+        assert len(sizes) == 10
         assert sizes[0] == (80, 200)
         assert sizes[-1] == (100, 200)
         assert [n for n, _ in sizes] == sorted(n for n, _ in sizes)
 
     def test_default_grid(self):
-        cfg = AbcConfig.for_panel(50, 100)
+        cfg = AbcConfig()
         assert len(C_GRID) == 201
         assert C_GRID[0] == 0.0 and C_GRID[-1] == pytest.approx(10.0)
         assert cfg.k_max == 10 and cfg.P == 5
+
+    def test_bad_settings_rejected(self):
+        with pytest.raises(ValueError, match="P must be >= 1"):
+            AbcConfig(P=0)
+        with pytest.raises(ValueError, match=re.escape("rng_seed must be >= 0, got -1")):
+            AbcConfig(rng_seed=-1)
 
 
 class TestAbcSelect:
     def test_noiseless_rank3(self, rng):
         panel, _, _ = rank_k_panel(rng, N=8, T=24, k=3)
-        cfg = AbcConfig(
-            k_max=6, P=3, subpanel_sizes=((6, 24), (7, 24), (8, 24)), rng_seed=5
-        )
+        cfg = AbcConfig(k_max=6, P=3, rng_seed=5)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         assert r == 3
         # stable: zero variance on the whole plateau region
@@ -143,13 +160,13 @@ class TestAbcSelect:
 
     def test_dgp1_paper_config(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=100, seed=77))
-        cfg = AbcConfig.for_panel(50, 100, rng_seed=3)
+        cfg = AbcConfig(rng_seed=3)
         r, _ = abc_select_r(panel, cfg, "IC2a")
         assert r == 3
 
     def test_determinism(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=5))
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=11)
+        cfg = AbcConfig(rng_seed=11)
         r1, t1 = abc_select_r(panel, cfg, "IC2a")
         r2, t2 = abc_select_r(panel, cfg, "IC2a")
         assert r1 == r2
@@ -158,7 +175,7 @@ class TestAbcSelect:
 
     def test_trace_consistency(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=9))
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=2)
+        cfg = AbcConfig(rng_seed=2)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         redo = []
         for p, idx in enumerate(trace.chosen_c_index):
@@ -172,7 +189,7 @@ class TestAbcSelect:
     def test_permutations_are_the_callers_own(self):
         # the draws are cached: a trace's permutations must be copies of them
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=9))
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=2)
+        cfg = AbcConfig(rng_seed=2)
         _, trace = abc_select_r(panel, cfg)
         trace.permutations[0][:] = 0
         _, trace = abc_select_r(panel, cfg)
@@ -180,7 +197,7 @@ class TestAbcSelect:
 
     def test_full_panel_permutation_invariant(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=15, T=50, seed=13))
-        cfg = AbcConfig.for_panel(15, 50, rng_seed=4)
+        cfg = AbcConfig(rng_seed=4)
         _, trace = abc_select_r(panel, cfg, "IC2a")
         full = trace.r_hat_table[:, -1, :]
         assert np.all(full == full[:, :1])
@@ -193,7 +210,7 @@ class TestAbcSelect:
         # proper subpanels of each permutation are solved by eigvalsh (stacked,
         # so the matrices are counted, not the calls)
         panel = make_panel()
-        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=6, P=3)
+        cfg = AbcConfig(rng_seed=6, P=3)
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counting(a, *args, **kwargs):
@@ -204,33 +221,27 @@ class TestAbcSelect:
         _, trace = abc_select_r(panel, cfg, "IC2a")
         monkeypatch.undo()
         solved = sum(math.prod(shape[:-2]) for shape in calls)
-        assert solved == cfg.P * (len(cfg.subpanel_sizes) - 1)
+        assert solved == cfg.P * 9
         for i, c in enumerate(C_GRID):
             r = select_r_fixed(panel, float(c), "IC2a", cfg.k_max)
             assert trace.r_hat_table[i, -1].tolist() == [r] * cfg.P
 
     def test_variance_zero_kmax_at_c0(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=21))
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=1)
+        cfg = AbcConfig(rng_seed=1)
         _, trace = abc_select_r(panel, cfg, "IC2a")
         assert np.all(trace.variance_profile[0] == 0.0)
         assert np.all(trace.r_hat_table[0] == cfg.k_max)
 
     def test_large_c_selects_one(self):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=22))
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=1)
+        cfg = AbcConfig(rng_seed=1)
         _, trace = abc_select_r(panel, cfg, "IC2a")
         assert np.all(trace.r_hat_table[-1] == 1)
 
-    def test_last_subpanel_must_be_full(self, rng):
-        panel = random_mixed_panel(rng, N=6, T=10)
-        cfg = AbcConfig(k_max=3, P=2, subpanel_sizes=((4, 10), (5, 10)), rng_seed=0)
-        with pytest.raises(ValueError):
-            abc_select_r(panel, cfg)
-
     def test_export(self, tmp_path):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=12, T=40, seed=2))
-        cfg = AbcConfig.for_panel(12, 40, rng_seed=0, P=2)
+        cfg = AbcConfig(rng_seed=0, P=2)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         jpath = tmp_path / "trace.json"
         trace.save(jpath, manifest={"seed": 0})
@@ -322,7 +333,7 @@ class TestReadingC:
         for seed in range(300):
             panel = noise_panel(seed)
             trace = self.assert_matches_reference(
-                panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed, k_max=4))
+                panel, AbcConfig(rng_seed=seed, k_max=4))
             picks.update(trace.fallback)
         assert picks[None] and picks["min_variance"] and picks["fixed_c1"]
 
@@ -332,7 +343,7 @@ class TestReadingC:
         at_c0 = 0
         for seed in range(5):
             panel, _, _ = rank_k_panel(rng, N=8, T=24, k=3)
-            cfg = AbcConfig.for_panel(8, 24, rng_seed=seed, k_max=6)
+            cfg = AbcConfig(rng_seed=seed, k_max=6)
             trace = self.assert_matches_reference(panel, cfg)
             assert trace.fallback == [None] * cfg.P and trace.r_hat_final == 3
             for plateaus, idx in zip(trace.plateaus, trace.chosen_c_index):
@@ -347,7 +358,7 @@ class TestReadingC:
         # c = 1 (C_GRID[20]) included, so no c can be read off the table
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=3))
         panel = Panel(panel.spaces, [1e4 * c for c in panel.coeffs])
-        cfg = AbcConfig.for_panel(20, 60, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         assert trace.fallback == ["fixed_c1"] * 5
         assert trace.chosen_c_index == [None] * 5 and trace.chosen_c == [None] * 5
@@ -359,7 +370,7 @@ class TestReadingC:
         # no plateau off c = 0 in any permutation: each reads the least-variance
         # c among those where the full panel selects fewer than k_max = 4
         panel = noise_panel(66)
-        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=66, k_max=4)
+        cfg = AbcConfig(rng_seed=66, k_max=4)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         assert trace.fallback == ["min_variance"] * 5
         assert trace.chosen_c_index == [192, 192, 192, 192, 197]
@@ -375,7 +386,7 @@ def per_subpanel_r_table(panel, cfg, kind="IC2a"):
     """Reference for the proper-subpanel columns of the r-hat table: one
     concatenation, eigvalsh, V profile and argmin per (permutation, subpanel)."""
     Z, off = panel.stacked_white(), panel.offsets
-    sizes, ks = cfg.subpanel_sizes, np.arange(1, cfg.k_max + 1)
+    sizes, ks = nested_subpanel_sizes(panel.N, panel.T), np.arange(1, cfg.k_max + 1)
     table = np.zeros((C_GRID.size, len(sizes) - 1, cfg.P), dtype=int)
     for p in range(cfg.P):
         perm = np.random.default_rng(cfg.rng_seed + p).permutation(panel.N)
@@ -416,29 +427,21 @@ class TestStackedSelection:
     def test_dgp_panels(self, dgp, kind):
         for seed, (N, T) in enumerate([(20, 40), (30, 25), (15, 60)]):
             panel, _ = gen_dgp(DgpConfig(dgp=dgp, N=N, T=T, seed=40 + seed))
-            self.assert_matches_reference(panel, AbcConfig.for_panel(N, T, rng_seed=seed), kind)
+            self.assert_matches_reference(panel, AbcConfig(rng_seed=seed), kind)
 
     def test_mixed_bspline_panel(self):
         panel = mixed_bspline_panel()
         for seed in range(3):
-            cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=seed)
+            cfg = AbcConfig(rng_seed=seed)
             self.assert_matches_reference(panel, cfg)
-
-    def test_unequal_subpanel_lengths(self, rng):
-        # runs of equal t_j: (30, 30), (40), (45, 45), then the full panel
-        panel = center(random_mixed_panel(rng, N=24, T=50, max_dim=5, scalar_prob=0.4))[0]
-        sizes = ((18, 30), (19, 30), (20, 40), (21, 45), (22, 45), (24, 50))
-        for seed in range(3):
-            self.assert_matches_reference(panel, AbcConfig(k_max=6, P=4, subpanel_sizes=sizes,
-                                                           rng_seed=seed))
 
     def test_mortality_windows(self):
         for panel in mortality_windows():
-            self.assert_matches_reference(panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=1))
+            self.assert_matches_reference(panel, AbcConfig(rng_seed=1))
 
     def test_one_eigvalsh_per_permutation_on_short_panels(self, monkeypatch):
         panel = mortality_windows()[-1]
-        cfg = AbcConfig.for_panel(panel.N, panel.T, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         eigvalsh, calls = np.linalg.eigvalsh, []
 
         def counting(a, *args, **kwargs):
@@ -453,7 +456,7 @@ class TestStackedSelection:
         # mc-grid's largest cell, serial as in its bench workers
         monkeypatch.setenv("HDFFM_THREADS", "1")
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=100, T=200, seed=3))
-        cfg = AbcConfig.for_panel(100, 200, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         panel.gram_spectrum()  # shared by both; not part of either peak
 
         def peak(fn):
@@ -473,7 +476,7 @@ class TestStackedSelection:
         # TestRunInOrder::test_a_task_is_dropped_before_the_next_take sees it
         monkeypatch.setenv("HDFFM_THREADS", "2")
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=100, T=200, seed=3))
-        cfg = AbcConfig.for_panel(100, 200, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         panel.gram_spectrum()
 
         def peak(fn):
@@ -508,7 +511,7 @@ class TestThreadedSelection:
     def outputs(make_panel, cap, monkeypatch):
         monkeypatch.setenv("HDFFM_THREADS", cap)
         panel = make_panel()  # a fresh panel: its own spectrum is a task too
-        r, trace = abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T, rng_seed=2))
+        r, trace = abc_select_r(panel, AbcConfig(rng_seed=2))
         result = tnh_forecast(make_panel(), ForecastConfig(horizon=2, rng_seed=2))
         return [r, trace.r_hat_table.tobytes(), trace.variance_profile.tobytes(),
                 trace.plateaus, trace.chosen_c, trace.fallback, trace.r_hat_per_p,
@@ -538,14 +541,14 @@ class TestThreadedSelection:
         monkeypatch.setenv("HDFFM_THREADS", "2")
         idents = record_threads(monkeypatch)
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
-        abc_select_r(panel, AbcConfig.for_panel(50, 200))
+        abc_select_r(panel, AbcConfig())
         assert len(idents) == 5 and threading.get_ident() not in idents
 
     def test_serial_on_mortality_windows(self, monkeypatch):
         monkeypatch.setenv("HDFFM_THREADS", "2")
         idents = record_threads(monkeypatch)
         for panel in mortality_windows():
-            abc_select_r(panel, AbcConfig.for_panel(panel.N, panel.T))
+            abc_select_r(panel, AbcConfig())
         assert idents and set(idents) == {threading.get_ident()}
 
     @pytest.mark.parametrize("cap", ["1", "2"])
@@ -554,7 +557,7 @@ class TestThreadedSelection:
         idents = record_threads(monkeypatch)
         panel = Panel([scalar_space()] * 5, np.random.default_rng(0).standard_normal((5, 130, 1)))
         with pytest.raises(ValueError, match="k_max=6 out of range"):
-            abc_select_r(panel, AbcConfig.for_panel(5, 130, k_max=6))
+            abc_select_r(panel, AbcConfig(k_max=6))
         assert idents == [] and panel._spectrum is None
 
     @pytest.mark.parametrize("cap", ["1", "2"])
@@ -562,7 +565,7 @@ class TestThreadedSelection:
         # permutation 1 fails after permutation 3 does, but is raised first
         monkeypatch.setenv("HDFFM_THREADS", cap)
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
-        cfg = AbcConfig.for_panel(50, 200, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         perms = [np.random.default_rng(p).permutation(50) for p in range(cfg.P)]
         spectra = select._subpanel_spectra
 
@@ -581,16 +584,15 @@ class TestThreadedSelection:
     @pytest.mark.parametrize("cap", ["1", "2"])
     def test_first_rank_bound_error_raises(self, monkeypatch, cap):
         # a 20-dim and a 3-dim series among ten scalars, k_max = 14: of the four
-        # permutations, 2 fails with its first subpanel's rank bound 10 and 3
-        # with 12 (the 3-dim series among its first ten series)
+        # permutations, 2 fails with its first subpanel's rank bound 9 (its
+        # first nine series scalars) and 3 with 11 (the 3-dim series among them)
         monkeypatch.setenv("HDFFM_THREADS", cap)
         idents = record_threads(monkeypatch)
         rng = np.random.default_rng(4)
         spaces = [functional_space(20), functional_space(3)] + [scalar_space()] * 10
         panel = Panel(spaces, [rng.standard_normal((260, s.dim)) for s in spaces])
-        cfg = AbcConfig(k_max=14, P=4, subpanel_sizes=((10, 260), (11, 260), (12, 260)),
-                        rng_seed=7)
-        with pytest.raises(ValueError, match=r"min\(10, 260\) of subpanel 1"):
+        cfg = AbcConfig(k_max=14, P=4, rng_seed=7)
+        with pytest.raises(ValueError, match=r"min\(9, 260\) of subpanel 1"):
             abc_select_r(panel, cfg)
         assert idents == []
 
@@ -611,7 +613,7 @@ class TestThreadedSelection:
         # but is raised first; no pool thread outlives the call
         monkeypatch.setenv("HDFFM_THREADS", cap)
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
-        cfg = AbcConfig.for_panel(50, 200, rng_seed=0)
+        cfg = AbcConfig(rng_seed=0)
         perms = [np.random.default_rng(p).permutation(50) for p in range(cfg.P)]
         spectra = select._subpanel_spectra
 
@@ -643,13 +645,14 @@ class TestSubpanelSpectra:
                 alive.append([ref() is not None for ref in refs])
                 return super().__getitem__(index)
 
-        Z = np.random.default_rng(0).standard_normal((6, 10)).view(Rows)
-        n_sub, t_sub = np.array([2, 4, 6]), np.array([6, 8, 10])  # one stack per t_j
-        for task in select._subpanel_spectra(Z, np.arange(7), np.arange(6), n_sub, t_sub, 2):
+        # at T = 200 a stack holds three Grams: nine subpanels fill three stacks
+        Z = np.random.default_rng(0).standard_normal((9, 200)).view(Rows)
+        n_sub = np.arange(1, 10)
+        for task in select._subpanel_spectra(Z, np.arange(10), np.arange(9), n_sub, 2):
             refs.append(weakref.ref(task.args[0]))
             task()
             del task
-        assert alive == [[], [False], [False, False]]
+        assert alive == [[]] * 3 + [[False]] * 3 + [[False, False]] * 3
 
 
 class TestRunInOrder:
@@ -778,22 +781,10 @@ class TestChecksBeforeEigensolves:
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=N, T=T, seed=1))
         calls, idents = count_eigensolves(monkeypatch), record_threads(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(message)):
-            abc_select_r(panel, AbcConfig.for_panel(N, T, k_max=3))
+            abc_select_r(panel, AbcConfig(k_max=3))
         with pytest.raises(ValueError):
             tnh_forecast(panel, ForecastConfig(horizon=1))
         assert calls == {} and idents == []
-
-    @pytest.mark.parametrize("cap", ["1", "2"])
-    def test_tuned_without_a_proper_subpanel(self, monkeypatch, cap):
-        # the last size is (N, T) and no size comes before it
-        monkeypatch.setenv("HDFFM_THREADS", cap)
-        panel, _ = gen_dgp(DgpConfig(dgp=1, N=20, T=30, seed=1))
-        calls, idents = count_eigensolves(monkeypatch), record_threads(monkeypatch)
-        message = "no subpanel size before (N, T)=(20, 30)"
-        for sizes in [((20, 30),), nested_subpanel_sizes(20, 30, J=1)]:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                abc_select_r(panel, AbcConfig(k_max=3, subpanel_sizes=sizes))
-        assert calls == {} and idents == [] and panel._spectrum is None
 
     def test_fixed(self, monkeypatch):
         panel = Panel([scalar_space()], [np.array([[1.0], [2.0]])])  # N = 1, T = 2
@@ -818,22 +809,21 @@ class TestLargestKMax:
 
     def test_ten_where_every_subpanel_accepts_it(self):
         for N, T in [(50, 200), (47, 24), (13, 100)]:
-            cfg = AbcConfig.for_panel(N, T, rng_seed=3)
+            cfg = AbcConfig(rng_seed=3)
             assert select._largest_k_max((1,) * N, T, cfg) == 10
 
     def test_the_least_subpanel_rank_bound(self):
         # the panel of test_first_rank_bound_error_raises: permutation 2's
-        # first subpanel bounds k_max by 10
+        # first subpanel bounds k_max by 9
         spaces = [functional_space(20), functional_space(3)] + [scalar_space()] * 10
         rng = np.random.default_rng(4)
         panel = Panel(spaces, [rng.standard_normal((260, s.dim)) for s in spaces])
-        cfg = AbcConfig(k_max=14, P=4, subpanel_sizes=((10, 260), (11, 260), (12, 260)),
-                        rng_seed=7)
-        assert select._largest_k_max(panel.dims, panel.T, cfg) == 10
-        abc_select_r(panel, AbcConfig(**{**cfg.__dict__, "k_max": 10}))
-        with pytest.raises(ValueError, match="k_max=11 exceeds"):
-            abc_select_r(panel, AbcConfig(**{**cfg.__dict__, "k_max": 11}))
+        cfg = AbcConfig(k_max=14, P=4, rng_seed=7)
+        assert select._largest_k_max(panel.dims, panel.T, cfg) == 9
+        abc_select_r(panel, AbcConfig(k_max=9, P=4, rng_seed=7))
+        with pytest.raises(ValueError, match="k_max=10 exceeds"):
+            abc_select_r(panel, AbcConfig(k_max=10, P=4, rng_seed=7))
 
     def test_sizes_checked_first(self):
         with pytest.raises(ValueError, match=re.escape("invalid subpanel size (0, 30)")):
-            select._largest_k_max((7,), 30, AbcConfig.for_panel(1, 30))
+            select._largest_k_max((7,), 30, AbcConfig())
