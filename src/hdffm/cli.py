@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -261,8 +261,7 @@ def cmd_bench(args) -> int:
 def _forecast_panel(panel, args, horizon: int):
     if args.method == "cf":
         return cf_forecast(panel, horizon, args.n_components, p_max=args.p_max)
-    return tnh_forecast(panel, ForecastConfig(horizon=horizon, p_max=args.p_max,
-                                              fixed_r=args.fixed_r, rng_seed=args.seed))
+    return tnh_forecast(panel, replace(args.config, horizon=horizon))
 
 
 def _forecast_manifest(args, source: str) -> dict:
@@ -290,11 +289,12 @@ def _mortality_rolling(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    if args.horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if (args.mortality is None) == (args.panel is None):
         raise ValueError("provide exactly one of --panel or --mortality")
     _resolve_flags(args, FORECAST, {"mortality": args.mortality is not None})
+    # one config checks the horizon, p_max, fixed_r and seed before any file is opened
+    args.config = ForecastConfig(args.horizon, args.p_max, args.fixed_r,
+                                 0 if args.seed is None else args.seed)
     if args.mortality is not None:
         return _mortality_rolling(args)
     panel = _load_panel_arg(args.panel)

@@ -28,10 +28,6 @@ class BSplineBasis:
     dim: int
     gram: np.ndarray
 
-    @property
-    def degree(self) -> int:
-        return self.order - 1
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Design matrix of all basis functions at the points ``x``."""
         x = np.asarray(x, dtype=float)

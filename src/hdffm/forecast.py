@@ -169,6 +169,8 @@ class ForecastConfig:
             raise ValueError("p_max must be >= 0")
         if self.fixed_r is not None and self.fixed_r < 1:
             raise ValueError("fixed_r must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)

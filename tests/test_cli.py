@@ -10,6 +10,7 @@ from hdffm import (
     Panel,
     build_bspline,
     fit_factors,
+    fit_from_dict,
     functional_space,
     gen_dgp,
     load_panel,
@@ -120,6 +121,17 @@ class TestEstimate:
         assert float(capsys.readouterr().out.split("V=")[1]) < 1e-10
         doc = json.loads(out.read_text())
         assert doc["k"] == 1
+
+    def test_fit_json_reads_back(self, tmp_path, rng):
+        # README's API table: fit_from_dict reads the estimate command's output
+        panel, _, _ = rank_k_panel(rng, N=5, T=12, k=2)
+        ppath, out = tmp_path / "p.json", tmp_path / "fit.json"
+        save_panel(panel, ppath)
+        assert main(["estimate", "--panel", str(ppath), "--k", "2", "--out", str(out)]) == 0
+        back, fresh = fit_from_dict(json.loads(out.read_text())), fit_factors(load_panel(ppath), 2)
+        assert back.k == 2 and back.trace_F == fresh.trace_F
+        for name in ("lambda_hat", "factors", "e_hat", "b_tilde"):
+            assert np.array_equal(getattr(back, name), getattr(fresh, name)), name
 
     def test_k_zero_on_shared_gram_panel(self, tmp_path, rng):
         # adjacent B-spline series share one Gram, so they unwhiten as a run
@@ -608,6 +620,18 @@ class TestForecastCommand:
                      "--out", str(out)]) == 2
         assert "validation error: rng_seed must be >= 0, got -2\n" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_rejected_before_any_file(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_forecast_panel", lambda *args: calls.append(args))
+        mpath, out = tmp_path / "mort.csv", tmp_path / "table.csv"
+        write_synthetic_mortality(mpath, n_pref=4, n_years=26)
+        flags = ["--horizon", "1", "--seed", "-2", "--fixed-r", "2", "--sex", "F",
+                 "--out", str(out)]
+        for path in (mpath, tmp_path / "missing.csv"):
+            assert main(["forecast", "--mortality", str(path), *flags]) == 2
+            assert "validation error: rng_seed must be >= 0, got -2\n" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_panel_forecast_file(self, tmp_path):
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=8, T=60, seed=12))

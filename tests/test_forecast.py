@@ -567,6 +567,10 @@ class TestTnhForecast:
         with pytest.raises(ValueError):
             ForecastConfig(horizon=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("rng_seed must be >= 0, got -1")):
+            ForecastConfig(horizon=1, rng_seed=-1)
+
     def test_ar_orders(self):
         from hdffm import center, fit_factors, idiosyncratic_residual
 

@@ -17,13 +17,12 @@ from hdffm import (
     idiosyncratic_residual,
     load_panel,
     load_scalar_csv,
-    panel_from_dict,
-    panel_to_dict,
     save_panel,
     scalar_space,
     tnh_forecast,
 )
-from hdffm.panel import _CHUNK_BYTES, block_offsets, split_stacked, stack_runs, whiten_stacked
+from hdffm.panel import (_CHUNK_BYTES, block_offsets, panel_from_dict, panel_to_dict,
+                         split_stacked, stack_runs, whiten_stacked)
 from conftest import random_mixed_panel, random_spd
 
 

@@ -1,5 +1,6 @@
-"""The README's Python stays live: the quick tour runs as printed, and every
-``hf.<name>[.<attr>]`` chain of its Python blocks resolves in ``hdffm``.
+"""The README's Python stays live: the quick tour runs as printed, every
+``hf.<name>[.<attr>]`` chain of its Python blocks resolves in ``hdffm``, and
+its "API" table lists exactly the names that ``hdffm`` exports.
 
 The "Library workflows" block is only name-checked: it reads a mortality
 CSV, ``rates.csv``, that the repository does not hold.
@@ -7,6 +8,7 @@ CSV, ``rates.csv``, that the repository does not hold.
 
 import os
 import re
+import types
 
 import hdffm
 
@@ -48,3 +50,24 @@ def test_every_hf_chain_resolves():
             if obj is None or (attr and not hasattr(obj, attr)):
                 missing.append(f"{heading}: hf.{name}" + (f".{attr}" if attr else ""))
     assert missing == []
+
+
+def api_table_names() -> list:
+    """The first-column names of the table in the README's "API" section."""
+    names, in_api = [], False
+    with open(README, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("## "):
+                in_api = line.strip() == "## API"
+            elif in_api and line.startswith("| `"):
+                names.append(line.split("|")[1].strip().strip("`"))
+    return names
+
+
+def test_api_table_is_the_export_list():
+    exported = {name for name, obj in vars(hdffm).items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    table = api_table_names()
+    assert len(table) == len(set(table)), "a name has two rows"
+    assert sorted(set(table) - exported) == [], "in the table but not exported"
+    assert sorted(exported - set(table)) == [], "exported but not in the table"
