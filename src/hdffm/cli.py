@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
@@ -30,7 +29,7 @@ from .estimate import (RankDeficientError, common_component, fit_factors, fit_to
                        goodness_of_fit)
 from .forecast import ForecastConfig, cf_forecast, mortality_rolling_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
-from .panel import Panel, load_panel, load_scalar_csv, panel_to_dict, save_panel
+from .panel import Panel, _is_a, load_panel, load_scalar_csv, panel_to_dict, save_panel
 from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
 from .simulate import DgpConfig, gen_dgp, run_grid
 
@@ -64,15 +63,8 @@ FORECAST = {"method": ("tnh", ("tnh", "cf"), None), "p_max": (5, int, None),
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` has the JSON type ``kind``; JSON true and false are no numbers."""
-    if isinstance(kind, tuple):
-        return value in kind
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_a(v, kind[0]) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        return False
-    return kind is not float or math.isfinite(value)
+def _where(mode: tuple, name) -> str:
+    return name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
 
 
 def _settings(given: dict, table: dict, modes: dict, name) -> dict:
@@ -84,8 +76,7 @@ def _settings(given: dict, table: dict, modes: dict, name) -> dict:
     for key, (default, kind, mode) in table.items():
         if mode is not None and (modes | settings).get(mode[0]) != mode[1]:
             if key in given:
-                where = name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
-                raise ValueError(f"{name(key)} applies only to {where}")
+                raise ValueError(f"{name(key)} applies only to {_where(mode, name)}")
             settings[key] = None
         elif key in given and not _is_a(given[key], kind):
             what = (f"one of {list(kind)}" if isinstance(kind, tuple)
@@ -109,10 +100,23 @@ def _json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
     return _settings(doc, table, {}, name)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_flags(parser, table: dict) -> None:
+    """One flag per setting of ``table``, with the setting's default and mode as
+    its help; its argparse default None is what ``_resolve_flags`` reads as not given."""
+    for key, (default, kind, mode) in table.items():
+        check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        where = "" if mode is None else f"; only with {_where(mode, _flag)}"
+        parser.add_argument(_flag(key), **check, help=f"default {default}{where}")
+
+
 def _resolve_flags(args, table: dict, modes: dict) -> None:
-    """Replace ``table``'s flags in ``args`` (None: not given) by their settings."""
+    """Replace ``table``'s flags in ``args`` by their settings."""
     given = {key: getattr(args, key) for key in table if getattr(args, key) is not None}
-    vars(args).update(_settings(given, table, modes, lambda key: "--" + key.replace("_", "-")))
+    vars(args).update(_settings(given, table, modes, _flag))
 
 
 def _manifest(command: str, args: dict) -> dict:
@@ -338,13 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-r", help="select the number of factors")
     p.add_argument("--panel", required=True)
-    # None marks a flag as not given; cmd_select_r resolves them in SELECT
-    p.add_argument("--method", choices=SELECT["method"][1])
-    p.add_argument("--c", type=float, help="tuning constant for --method fixed")
-    p.add_argument("--kind", choices=PENALTY_KINDS)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--seed", type=int)
+    _add_flags(p, SELECT)
     p.add_argument("--trace", default=None, help="write the selection trace JSON here")
     p.add_argument("--variance-csv", default=None)
     p.set_defaults(func=cmd_select_r)
@@ -357,20 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="forecast a panel or a mortality CSV")
     p.add_argument("--panel", default=None)
     p.add_argument("--mortality", default=None, help="mortality-rate CSV")
-    p.add_argument("--sex", default=None, help="one sex's rows (mortality mode; default: all)")
     p.add_argument("--horizon", type=int, required=True)
-    # None marks a flag as not given; cmd_forecast resolves them in FORECAST
-    p.add_argument("--method", choices=FORECAST["method"][1])
-    p.add_argument("--fixed-r", type=int, default=None, help="factor count (tnh; default: tuned)")
-    p.add_argument("--n-components", type=int, default=None,
-                   help=f"score series per curve (cf; default {FORECAST['n_components'][0]})")
-    p.add_argument("--p-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"seed of the tuned selection (tnh; default {FORECAST['seed'][0]})")
-    p.add_argument("--delta-min", type=int, default=None,
-                   help="first rolling-origin training length (mortality mode)")
-    p.add_argument("--eval-age-max", type=int, help="oldest age scored (mortality mode; "
-                   f"default {FORECAST['eval_age_max'][0]})")
+    _add_flags(p, FORECAST)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_forecast)
     return parser

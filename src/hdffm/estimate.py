@@ -23,6 +23,7 @@ import numpy as np
 
 from .panel import (
     Panel,
+    _is_a,
     _minus,
     block_offsets,
     space_from_dict,
@@ -170,10 +171,8 @@ def goodness_of_fit(panel: Panel, k: int) -> float:
 
 def fit_to_dict(fit: FactorFit, manifest: dict | None = None) -> dict:
     offsets = block_offsets(fit.spaces)
-    e_blocks = [
-        {str(i): b.tolist() for i, b in enumerate(split_stacked(offsets, fit.e_hat[:, l]))}
-        for l in range(fit.k)
-    ]
+    e_blocks = [{str(i): b.tolist() for i, b in enumerate(split_stacked(offsets, column))}
+                for column in fit.e_hat.T]
     out = {
         "k": fit.k,
         "lambda_hat": fit.lambda_hat.tolist(),
@@ -188,21 +187,27 @@ def fit_to_dict(fit: FactorFit, manifest: dict | None = None) -> dict:
 
 
 def fit_from_dict(d: dict) -> FactorFit:
+    """The fit a dict of ``fit_to_dict`` describes.  Before any array is built,
+    a key that no fit of ``fit_factors`` holds raises a ``ValueError`` naming it."""
+    k, lam, rows, e_blocks = d["k"], d["lambda_hat"], d["factors"], d["e_hat"]
+    for key, ok, must in [
+            ("k", _is_a(k, int) and k >= 0, "a non-negative integer"),
+            ("lambda_hat", _is_a(lam, [float]) and len(lam) == k and min(lam, default=1) > 0,
+             f"a list of {k} finite values above 0"),
+            ("factors", _is_a(rows, [list]) and len(rows) == k and len(set(map(len, rows))) < 2,
+             f"a list of {k} rows of equal length"),
+            ("e_hat", _is_a(e_blocks, [dict]) and len(e_blocks) == k, f"a list of {k} entries"),
+            ("trace_F", _is_a(d["trace_F"], float), "a finite number")]:
+        if not ok:
+            raise ValueError(f"fit {key} must be {must}")
     spaces = tuple(space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(d["spaces"]))
-    k = int(d["k"])
-    lambda_hat = np.asarray(d["lambda_hat"], dtype=float)
-    factors = np.asarray(d["factors"], dtype=float).reshape(k, -1)
+    lambda_hat = np.asarray(lam, dtype=float)
     offsets = block_offsets(spaces)
     e_hat = np.zeros((offsets[-1], k))
-    for l, blocks in enumerate(d["e_hat"]):
-        for i, view in enumerate(split_stacked(offsets, e_hat[:, l])):
+    for column, blocks in zip(e_hat.T, e_blocks):
+        for i, view in enumerate(split_stacked(offsets, column)):
             view[:] = blocks[str(i)]  # a block of the wrong length raises
-    return FactorFit(
-        k=k,
-        lambda_hat=lambda_hat,
-        factors=factors,
-        e_hat=e_hat,
-        b_tilde=e_hat * np.sqrt(lambda_hat),
-        trace_F=float(d["trace_F"]),
-        spaces=spaces,
-    )
+    factors = np.asarray(rows, dtype=float).reshape(k, -1)
+    return FactorFit(k=k, lambda_hat=lambda_hat, factors=factors, e_hat=e_hat,
+                     b_tilde=e_hat * np.sqrt(lambda_hat), trace_F=float(d["trace_F"]),
+                     spaces=spaces)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -302,6 +303,17 @@ def _minus(panel: Panel, M: np.ndarray) -> Panel:
 # ---------------------------------------------------------------------------
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``; JSON true and false are no numbers."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_a(v, kind[0]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    return kind is not float or math.isfinite(value)
+
+
 def space_to_dict(spec: SpaceSpec) -> dict:
     out = {"kind": spec.kind, "dim": spec.dim}
     if not spec.is_identity_gram:
@@ -314,7 +326,7 @@ def space_from_dict(d: dict, name: str) -> SpaceSpec:
     integer or a ``gram`` that is not a numeric dim x dim list raises a
     ``ValueError`` that calls the space ``name``."""
     dim = d["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
+    if not _is_a(dim, int):
         raise ValueError(f"{name}.dim must be an integer, got {json.dumps(dim)}")
     if "gram" not in d:
         return SpaceSpec(d["kind"], dim, np.eye(dim))

@@ -70,16 +70,11 @@ class GroundTruth:
 
 def noise_covariance(dgp: int, basis_dim: int = 7) -> tuple:
     """Idiosyncratic scale c and the diagonal of E for a given design."""
+    if dgp not in (1, 2, 3, 4):
+        raise ValueError("dgp must be in {1, 2, 3, 4}")
     decay = 1.0 / np.arange(1, basis_dim + 1) ** 2
-    if dgp == 1:
-        return 1.0, decay
-    if dgp == 2:
-        return 1.0, decay[::-1].copy()
-    if dgp == 3:
-        return 7.0, decay
-    if dgp == 4:
-        return 7.0, decay[::-1].copy()
-    raise ValueError("dgp must be in {1, 2, 3, 4}")
+    # odd designs align the noise with the loadings; 3 and 4 scale it by 7
+    return (1.0 if dgp <= 2 else 7.0), (decay if dgp % 2 else decay[::-1].copy())
 
 
 def _ar1_path(a, z: np.ndarray, innov_sd, u0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -177,6 +178,26 @@ class TestEstimate:
         doc = json.loads(out.read_text())
         fresh = fit_factors(panel, 2)
         assert np.allclose(doc["lambda_hat"], fresh.lambda_hat, atol=1e-12)
+
+
+@pytest.mark.parametrize("command, table", [("select-r", cli.SELECT), ("forecast", cli.FORECAST)],
+                         ids=["select-r", "forecast"])
+def test_parser_flags_follow_settings_table(command, table):
+    # each setting has one flag, named after its key, checked as the table types it,
+    # and defaulting to None, which the command reads as not given
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    for key, (_, kind, _) in table.items():
+        flags = [a for a in actions if a.dest == key]
+        assert len(flags) == 1, key
+        flag = flags[0]
+        assert flag.option_strings == ["--" + key.replace("_", "-")]
+        if isinstance(kind, tuple):
+            assert tuple(flag.choices) == kind and flag.type is None, key
+        else:
+            assert flag.type is kind and flag.choices is None, key
+        assert flag.default is None, key
 
 
 class TestSelectR:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,37 @@ class TestPersistence:
         assert np.allclose(back.e_hat, fit.e_hat)
         assert np.allclose(back.b_tilde, fit.b_tilde)
         assert back.trace_F == pytest.approx(fit.trace_F)
+
+    def test_round_trip_through_json_is_exact(self, rng):
+        fit = fit_factors(random_mixed_panel(rng, N=4, T=6), 2)
+        back = fit_from_dict(json.loads(json.dumps(fit_to_dict(fit))))
+        for name in ("lambda_hat", "factors", "e_hat", "b_tilde"):
+            assert np.array_equal(getattr(back, name), getattr(fit, name)), name
+        assert back.trace_F == fit.trace_F and back.k == fit.k
+
+
+# fit JSON edits that no fit of fit_factors holds, and the key the error names
+MALFORMED_FITS = {
+    "one-lambda": ({"lambda_hat": [1.0]}, "lambda_hat"),
+    "negative-lambda": ({"lambda_hat": [-1, 0.5]}, "lambda_hat"),
+    "nan-lambda": ({"lambda_hat": [float("nan"), 0.5]}, "lambda_hat"),
+    "one-factor-e_hat": (lambda doc: {"e_hat": doc["e_hat"][:1]}, "e_hat"),
+    "nan-trace": ({"trace_F": float("nan")}, "trace_F"),
+    "k-3-two-rows": ({"k": 3}, "lambda_hat"),
+    "k-3-three-lambdas": ({"k": 3, "lambda_hat": [3.0, 2.0, 1.0]}, "factors"),
+    "ragged-factors": (lambda doc: {"factors": [doc["factors"][0], doc["factors"][1][:-1]]},
+                       "factors"),
+    "negative-k": ({"k": -1}, "k"),
+    "bool-k": ({"k": True}, "k"),
+    "float-k": ({"k": 2.0}, "k"),
+}
+
+
+@pytest.mark.parametrize("edit, key", MALFORMED_FITS.values(), ids=list(MALFORMED_FITS))
+def test_fit_from_dict_rejects_malformed_fit(edit, key):
+    # a k = 2 fit of DGP1, N=6, T=30, as hdffm estimate writes it
+    panel, _ = gen_dgp(DgpConfig(dgp=1, N=6, T=30, seed=0))
+    doc = json.loads(json.dumps(fit_to_dict(fit_factors(panel, 2))))
+    doc.update(edit(doc) if callable(edit) else edit)
+    with pytest.raises(ValueError, match=rf"^fit {key} must be "):
+        fit_from_dict(doc)
