@@ -29,7 +29,8 @@ from .estimate import (RankDeficientError, common_component, fit_factors, fit_to
                        goodness_of_fit)
 from .forecast import ForecastConfig, cf_forecast, mortality_rolling_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
-from .panel import Panel, _is_a, load_panel, load_scalar_csv, panel_to_dict, save_panel
+from .panel import (Panel, _json_settings, _settings, _where, load_panel, load_scalar_csv,
+                    panel_to_dict, save_panel)
 from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
 from .simulate import DgpConfig, gen_dgp, run_grid
 
@@ -41,10 +42,7 @@ EXIT_IO = 4
 BENCH_HEADER = ["dgp", "N", "T", "k", "replication", "delta_sq", "epsilon_sq", "phi"]
 SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
 
-# A command's settings table maps each flag or JSON key to (default, JSON type,
-# mode); MISSING marks a required key.  Types: int, float (a finite number), str,
-# [int] (a list of integers) or a tuple of allowed strings.  Mode (key, value)
-# limits a setting to where key, an earlier setting or a caller's mode, has that value.
+# each command's settings table, in the form ``panel._settings`` reads
 DGP = {f.name: (f.default, int if f.default is MISSING else type(f.default), None)
        for f in fields(DgpConfig)}
 # a bench spec lists dgp, N and T as a grid and sets every other DgpConfig field
@@ -60,44 +58,6 @@ FORECAST = {"method": ("tnh", ("tnh", "cf"), None), "p_max": (5, int, None),
             "n_components": (6, int, ("method", "cf")), "seed": (0, int, ("method", "tnh")),
             "sex": (None, str, ("mortality", True)), "delta_min": (None, int, ("mortality", True)),
             "eval_age_max": (89, int, ("mortality", True))}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _where(mode: tuple, name) -> str:
-    return name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
-
-
-def _settings(given: dict, table: dict, modes: dict, name) -> dict:
-    """Every setting of ``table`` under the ``given`` ones (a key left out is not
-    given), in table order.  A setting that applies is type-checked, or takes
-    its default; one that does not is None, and giving it is an error.
-    ``name(key)`` is how a message names a setting."""
-    settings = {}
-    for key, (default, kind, mode) in table.items():
-        if mode is not None and (modes | settings).get(mode[0]) != mode[1]:
-            if key in given:
-                raise ValueError(f"{name(key)} applies only to {_where(mode, name)}")
-            settings[key] = None
-        elif key in given and not _is_a(given[key], kind):
-            what = (f"one of {list(kind)}" if isinstance(kind, tuple)
-                    else "a list of integers" if isinstance(kind, list) else _TYPE_NAMES[kind])
-            raise ValueError(f"{name(key)} must be {what}, got {json.dumps(given[key])}")
-        elif key in given or default is not MISSING:
-            settings[key] = given.get(key, default)
-        else:
-            raise KeyError(key)
-    return settings
-
-
-def _json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
-    """``table``'s settings from the JSON object ``doc``, which may hold no key
-    outside the table but the ``extra`` ones."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
-    unknown = sorted(set(doc) - set(table) - set(extra))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted([*table, *extra])}")
-    return _settings(doc, table, {}, name)
 
 
 def _flag(key: str) -> str:

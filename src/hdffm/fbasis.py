@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import _CHUNK_BYTES, FUNCTIONAL, Panel, SpaceSpec
+from .panel import _CHUNK_BYTES, Panel, SpaceSpec, functional_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +37,7 @@ class BSplineBasis:
         return _design_matrix(self.knots, self.order, x)
 
     def space(self) -> SpaceSpec:
-        return SpaceSpec(FUNCTIONAL, self.dim, self.gram)
+        return functional_space(self.dim, self.gram)
 
 
 def _design_matrix(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +61,8 @@ class SpaceSpec:
         gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (self.dim, self.dim):
             raise ValueError(f"gram must be {self.dim}x{self.dim}, got {gram.shape}")
+        if not np.isfinite(gram).all():
+            raise ValueError("gram matrix has a non-finite entry")
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > _GRAM_SYM_RTOL * scale:
             raise ValueError("gram matrix is not symmetric")
@@ -303,6 +305,19 @@ def _minus(panel: Panel, M: np.ndarray) -> Panel:
 # ---------------------------------------------------------------------------
 
 
+# A settings table maps each flag or JSON key to (default, JSON type, mode);
+# MISSING marks a required key.  Types: int, float (a finite number), str, dict,
+# list, [type] (a list of that type) or a tuple of allowed strings.  Mode (key,
+# value) limits a setting to where key, an earlier setting or a caller's mode, has that value.
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), dict: ("an object", "objects"),
+               list: ("a list", "lists")}
+_SPACE = {"kind": (MISSING, (SCALAR, FUNCTIONAL), None), "dim": (MISSING, int, None),
+          "gram": (None, [[float]], None)}
+_PANEL = {"N": (MISSING, int, None), "T": (MISSING, int, None),
+          "spaces": (MISSING, list, None), "coeffs": (MISSING, list, None)}
+
+
 def _is_a(value, kind) -> bool:
     """Whether ``value`` has the JSON type ``kind``; JSON true and false are no numbers."""
     if isinstance(kind, tuple):
@@ -314,6 +329,48 @@ def _is_a(value, kind) -> bool:
     return kind is not float or math.isfinite(value)
 
 
+def _noun(kind, plural: bool = False) -> str:
+    """How a message names the JSON type ``kind``: a list type by its items."""
+    if isinstance(kind, list):
+        return ("lists" if plural else "a list") + " of " + _noun(kind[0], True)
+    return f"one of {list(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind][plural]
+
+
+def _where(mode: tuple, name) -> str:
+    return name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
+
+
+def _settings(given: dict, table: dict, modes: dict, name) -> dict:
+    """Every setting of ``table`` under the ``given`` ones (a key left out is not
+    given), in table order.  A setting that applies is type-checked, or takes
+    its default; one that does not is None, and giving it is an error.
+    ``name(key)`` is how a message names a setting."""
+    settings = {}
+    for key, (default, kind, mode) in table.items():
+        if mode is not None and (modes | settings).get(mode[0]) != mode[1]:
+            if key in given:
+                raise ValueError(f"{name(key)} applies only to {_where(mode, name)}")
+            settings[key] = None
+        elif key in given and not _is_a(given[key], kind):
+            raise ValueError(f"{name(key)} must be {_noun(kind)}, got {json.dumps(given[key])}")
+        elif key in given or default is not MISSING:
+            settings[key] = given.get(key, default)
+        else:
+            raise KeyError(key)
+    return settings
+
+
+def _json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
+    """``table``'s settings from the JSON object ``doc``, which may hold no key
+    outside the table but the ``extra`` ones."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
+    unknown = sorted(set(doc) - set(table) - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted([*table, *extra])}")
+    return _settings(doc, table, {}, name)
+
+
 def space_to_dict(spec: SpaceSpec) -> dict:
     out = {"kind": spec.kind, "dim": spec.dim}
     if not spec.is_identity_gram:
@@ -322,21 +379,12 @@ def space_to_dict(spec: SpaceSpec) -> dict:
 
 
 def space_from_dict(d: dict, name: str) -> SpaceSpec:
-    """The space a dict of ``space_to_dict`` describes; a ``dim`` that is not an
-    integer or a ``gram`` that is not a numeric dim x dim list raises a
-    ``ValueError`` that calls the space ``name``."""
-    dim = d["dim"]
-    if not _is_a(dim, int):
-        raise ValueError(f"{name}.dim must be an integer, got {json.dumps(dim)}")
-    if "gram" not in d:
-        return SpaceSpec(d["kind"], dim, np.eye(dim))
-    gram = d["gram"]
-    if not (isinstance(gram, list) and len(gram) == dim and all(
-            isinstance(row, list) and len(row) == dim
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-            for row in gram)):
+    """The space a dict of ``space_to_dict`` describes, read through ``_SPACE``; the
+    message of a bad key, or of a ``gram`` that is not dim x dim, calls it ``name``."""
+    kind, dim, gram = _json_settings(d, _SPACE, name, lambda key: f"{name}.{key}").values()
+    if gram is not None and (len(gram) != dim or any(len(row) != dim for row in gram)):
         raise ValueError(f"{name}.gram must be a {dim} x {dim} list of numbers")
-    return SpaceSpec(d["kind"], dim, np.asarray(gram, dtype=float))
+    return SpaceSpec(kind, dim, np.eye(dim) if gram is None else np.asarray(gram, dtype=float))
 
 
 def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
@@ -352,17 +400,17 @@ def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
 
 
 def panel_from_dict(d: dict) -> Panel:
+    """The panel a dict of ``panel_to_dict`` describes; ``Panel`` checks the coefficients."""
     if not isinstance(d, dict):
         raise ValueError(f"a panel must be a JSON object, got {type(d).__name__}")
-    for key in ("spaces", "coeffs"):
-        if not isinstance(d[key], list):
-            raise ValueError(f"panel {key!r} must be a list, got {type(d[key]).__name__}")
-    for i, s in enumerate(d["spaces"]):
+    N, T, space_docs, coeffs = _json_settings(d, _PANEL, "panel", lambda key: f"panel {key!r}",
+                                              ["manifest"]).values()
+    for i, s in enumerate(space_docs):
         if not isinstance(s, dict):
             raise ValueError(f"panel spaces[{i}] must be an object, got {type(s).__name__}")
-    spaces = [space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(d["spaces"])]
-    panel = Panel(spaces, [np.asarray(c, dtype=float) for c in d["coeffs"]])
-    if panel.N != d["N"] or panel.T != d["T"]:
+    spaces = [space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(space_docs)]
+    panel = Panel(spaces, [np.asarray(c, dtype=float) for c in coeffs])
+    if panel.N != N or panel.T != T:
         raise ValueError("panel header does not match coefficient arrays")
     return panel
 

@@ -4,10 +4,12 @@ Provides the two penalty functions adapted to mixed functional panels,
 the tuned information criterion IC(c, k) = V(k) + c*k*g(N, T), the plain
 argmin selector at fixed c, and the permutation/subpanel tuning procedure
 that scans a grid of c values, tracks the variance of the selected count
-across nested subpanels, and picks c in the middle of the second
-zero-variance plateau of that profile.  The subpanels are a rule of the
-panel, ``nested_subpanel_sizes(N, T)``: ten nested sets of series, each
-over all T periods.  One plain generator loop per permutation
+across nested subpanels, and picks c in the middle of the first
+zero-variance plateau of that profile other than a run at c = 0 that
+selects k_max (on an exact low-rank panel c = 0 selects fewer, and that run
+is the one read).  The subpanels are a rule of the panel,
+``nested_subpanel_sizes(N, T)``: ten nested sets of series, each over all T
+periods.  One plain generator loop per permutation
 (``_subpanel_spectra``) adds the permutation's series to one running sum
 and fills an eigensolve stack of T x T Grams from it as each task is taken.
 Where one permutation's subpanel Grams fill a stack budget, those stacks
@@ -378,9 +380,10 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     For each permutation p, selects r on every (c, subpanel) pair (the last
     subpanel, the full panel, is the fixed-c selection on the panel's own
     Gram spectrum for every p), reads r on the full panel at the middle c of
-    the second zero-variance plateau of the variance-over-subpanels profile
-    or at a fallback (``_read_c``), and returns the lower median across
-    permutations together with the full trace.  Everything it checks is
+    the first zero-variance plateau of the variance-over-subpanels profile
+    other than a run at c = 0 that selects k_max (on an exact low-rank panel,
+    that run itself), or at a fallback (``_read_c``), and returns the lower
+    median across permutations together with the full trace.  Everything it checks is
     checked first (``_check_selection``).  Where one permutation's Grams
     fill a stack budget, the panel's own spectrum and then every
     permutation's eigensolve stacks (``_subpanel_spectra``), one permutation

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimate import _check_k
-from .panel import FUNCTIONAL, Panel, SpaceSpec
+from .panel import Panel, functional_space
 from .select import AbcConfig, _check_selection, thread_cap
 
 
@@ -128,7 +128,7 @@ def gen_dgp(cfg: DgpConfig) -> tuple:
     chi = np.zeros((N, T, d))
     chi[:, :, :r] = b[:, None, :] * U.T[None, :, :]
 
-    spaces = [SpaceSpec(FUNCTIONAL, d, np.eye(d))] * N
+    spaces = [functional_space(d)] * N
     panel = Panel(spaces, list(chi + xi))
     chi_panel = Panel(spaces, list(chi))
 

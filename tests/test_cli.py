@@ -308,8 +308,24 @@ class TestSelectR:
                    '{"kind": "functional", "dim": 2, "gram": [[1.0, 0.0], [0.0]]}], '
                    '"coeffs": [[[0.0], [1.0]], [[0.0, 1.0], [1.0, 0.0]]]}',
          "spaces[1].gram must be a 2 x 2 list of numbers"),
+        *[("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "functional", "dim": 2, "gram": '
+                     + gram + '}], "coeffs": [[[0.0, 1.0], [1.0, 0.0]]]}',
+           "spaces[0].gram must be a list of lists of numbers, got " + gram)
+          for gram in ["[[NaN, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, Infinity]]",
+                       "[[true, 0.0], [0.0, 1.0]]"]],
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "functional", "dim": 2, '
+                   '"Gram": [[2.0, 0.0], [0.0, 1.0]]}], "coeffs": [[[0.0, 1.0], [1.0, 0.0]]]}',
+         "unknown spaces[0] keys ['Gram']; allowed: ['dim', 'gram', 'kind']"),
+        ("p.json", '{"N": true, "T": 2, "spaces": [{"kind": "scalar", "dim": 1}], '
+                   '"coeffs": [[[0.0], [1.0]]]}', "panel 'N' must be an integer, got true"),
+        ("p.json", '{"N": 1, "T": 2.0, "spaces": [{"kind": "scalar", "dim": 1}], '
+                   '"coeffs": [[[0.0], [1.0]]]}', "panel 'T' must be an integer, got 2.0"),
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "curve", "dim": 1}], '
+                   '"coeffs": [[[0.0], [1.0]]]}',
+         "spaces[0].kind must be one of ['scalar', 'functional'], got \"curve\""),
     ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv",
-            "null-dim", "list-dim", "fractional-dim", "ragged-gram"])
+            "null-dim", "list-dim", "fractional-dim", "ragged-gram", "nan-gram", "infinite-gram",
+            "bool-gram", "misspelt-gram", "bool-N", "float-T", "unknown-kind"])
     def test_bad_panel_file_exit_2(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)

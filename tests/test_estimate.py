@@ -251,6 +251,27 @@ class TestPersistence:
             assert np.array_equal(getattr(back, name), getattr(fit, name)), name
         assert back.trace_F == fit.trace_F and back.k == fit.k
 
+    def test_k_0_round_trip_keeps_T(self, rng):
+        fit = fit_factors(random_mixed_panel(rng, N=4, T=6), 0)
+        doc = json.loads(json.dumps(fit_to_dict(fit)))
+        back = fit_from_dict(doc)
+        assert back.k == 0 and back.T == 6 and back.factors.shape == (0, 6)
+        assert back.e_hat.shape == fit.e_hat.shape and back.trace_F == fit.trace_F
+        del doc["T"]  # a k = 0 fit has no factor row to tell T
+        with pytest.raises(ValueError, match=r"^fit T must be "):
+            fit_from_dict(doc)
+
+    def test_T_is_optional_for_k_above_0(self, rng):
+        fit = fit_factors(random_mixed_panel(rng, N=4, T=6), 2)
+        doc = fit_to_dict(fit)
+        del doc["T"]
+        assert np.array_equal(fit_from_dict(doc).factors, fit.factors)
+
+    def test_unknown_key_rejected(self, rng):
+        doc = {**fit_to_dict(fit_factors(random_mixed_panel(rng, N=4, T=6), 1)), "lambda": [1.0]}
+        with pytest.raises(ValueError, match=r"^unknown fit keys \['lambda'\]"):
+            fit_from_dict(doc)
+
 
 # fit JSON edits that no fit of fit_factors holds, and the key the error names
 MALFORMED_FITS = {
@@ -266,6 +287,9 @@ MALFORMED_FITS = {
     "negative-k": ({"k": -1}, "k"),
     "bool-k": ({"k": True}, "k"),
     "float-k": ({"k": 2.0}, "k"),
+    "T-not-the-row-length": ({"T": 29}, "T"),
+    "float-T": ({"T": 30.0}, "T"),
+    "k-0-negative-T": ({"k": 0, "T": -1, "lambda_hat": [], "factors": [], "e_hat": []}, "T"),
 }
 
 

@@ -55,6 +55,13 @@ class TestSpaceSpec:
         with pytest.raises(ValueError, match="positive definite"):
             functional_space(2, g)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        # before the symmetry check, whose subtraction would warn on inf
+        g = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="gram matrix has a non-finite entry"):
+            functional_space(2, g)
+
 
 class TestGramMatrix:
     def test_zero_panel(self):
