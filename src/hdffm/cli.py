@@ -197,6 +197,9 @@ def cmd_bench(args) -> int:
     grid = _json_settings(spec, BENCH, "bench spec", extra=["select"])
     select = (_json_settings(spec["select"], SELECT, "bench select", lambda key: "select." + key)
               if "select" in spec else None)
+    for key in ("dgps", "N", "T", "k"):
+        if len(set(grid[key])) < len(grid[key]):
+            raise ValueError(f"{key} must not repeat a value, got {json.dumps(grid[key])}")
     dgps, n_list, t_list, k_list, reps = map(grid.pop, ["dgps", "N", "T", "k", "replications"])
     # the rest of the grid is the seed and the design keys (n_factors, basis_dim, ...)
     cells = [DgpConfig(dgp, n, t, **grid) for dgp in dgps for n in n_list for t in t_list]

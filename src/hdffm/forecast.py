@@ -13,8 +13,9 @@ The AR family is AR(p) with intercept, fitted by conditional least squares
 on a common effective sample so BIC values are comparable across orders.
 ``fit_ar_bic`` fits every order of a stack of series with one QR of each
 series' lag matrix (Golub & Van Loan, section 5.3), and ``ar_forecast``
-runs the h-step recursion over the series of one order; the pipelines fit
-all their series with ``_ar_bic_forecasts``, one chunk after another.
+runs the h-step recursion over series of one order, or each at its own
+order; ``_ar_bic_forecasts`` fits and forecasts all of a pipeline's series
+with one call of each.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .estimate import RankDeficientError, fit_factors, idiosyncratic_residual
 from .fbasis import AGE_GRID, GROUP_AGE, build_bspline, ingest_mortality, load_mortality_csv
 from .metrics import mafe_msfe
-from .panel import Panel, center, split_stacked, stack_runs, whiten_stacked
+from .panel import _CHUNK_BYTES, Panel, center, split_stacked, stack_runs, whiten_stacked
 from .select import IC2A, AbcConfig, SelectionTrace, _largest_k_max, abc_select_r
 
 # An AR fit is explosive when its companion radius is at least 1 + _RADIUS_TOL.
@@ -79,9 +80,12 @@ def fit_ar_bic(Y: np.ndarray, p_max: int = 5) -> tuple:
 
     Every order is fitted by conditional least squares on the common
     effective sample of the last t_eff = T - p_max observations, with
-    BIC = t_eff * log(RSS / t_eff) + (p + 2) * log(t_eff).  One QR of the
-    stack of augmented lag matrices (``_lag_matrices``) fits every order:
-    order p regresses the last column on the first p + 1, so its RSS is the
+    BIC = t_eff * log(RSS / t_eff) + (p + 2) * log(t_eff).  One QR of each
+    row's augmented lag matrix (``_lag_matrices``) fits every order; the
+    QRs run on stacks of rows whose lag matrices and numpy's copy of them
+    take at most ``_CHUNK_BYTES``, into one (rows, p_max + 2, p_max + 2)
+    stack of R factors, and the orders are then picked once over all rows.
+    Order p regresses the last column on the first p + 1, so its RSS is the
     sum of squares of R's last column below row p, and its coefficients solve
     R's leading (p + 1) block against that column.  An RSS at most 1e-24
     times the target's sum of squares is an exact fit, with BIC -inf and zero
@@ -101,9 +105,13 @@ def fit_ar_bic(Y: np.ndarray, p_max: int = 5) -> tuple:
     finite = np.isfinite(Y).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} of Y has a non-finite value")
-    A = _lag_matrices(Y, p_max)
-    rows, t_eff, k = A.shape
-    R = np.linalg.qr(A, mode="r")
+    rows, T = Y.shape
+    t_eff, k = T - p_max, p_max + 2
+    # twice a row's lag-matrix bytes: np.linalg.qr copies the stack it factors
+    step = max(1, _CHUNK_BYTES // (16 * t_eff * k))
+    R = np.empty((rows, k, k))
+    for lo in range(0, rows, step):
+        R[lo : lo + step] = np.linalg.qr(_lag_matrices(Y[lo : lo + step], p_max), mode="r")
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))[:, :-1]
     col_norm = np.linalg.norm(R[:, :, :-1], axis=1)  # the norms of A's columns
     full_rank = np.logical_and.accumulate(diag > _RANK_RTOL * t_eff * col_norm, axis=1)
@@ -132,23 +140,29 @@ def fit_ar_bic(Y: np.ndarray, p_max: int = 5) -> tuple:
     return orders, beta, sigma2
 
 
-def ar_forecast(beta: np.ndarray, last: np.ndarray, h: int) -> np.ndarray:
-    """(rows, h) plug-in forecasts for steps 1..h of rows sharing one AR
-    order p: beta (rows, p + 1) holds each row's intercept, then its
-    coefficients, as ``fit_ar_bic`` gives them; last (rows, p) holds each
-    row's p most recent values, oldest first."""
+def ar_forecast(beta: np.ndarray, last: np.ndarray, h: int,
+                orders: np.ndarray | None = None) -> np.ndarray:
+    """(rows, h) plug-in forecasts for steps 1..h of AR rows: beta
+    (rows, p + 1) holds each row's intercept, then its coefficients, as
+    ``fit_ar_bic`` gives them; last (rows, p) holds each row's p most recent
+    values, oldest first.  Every row has order p unless ``orders`` gives
+    each row's own order, at most p; a row then adds only the lag terms of
+    its order, so its forecasts are bitwise those of its order alone."""
     rows, p = np.shape(last)
     if np.shape(beta) != (rows, p + 1):
         raise ValueError(f"beta of shape {np.shape(beta)} does not fit last values of shape "
                          f"{(rows, p)}: need (rows, p + 1) and (rows, p)")
     if h < 1:
         raise ValueError("h must be >= 1")
+    orders = np.full(rows, p) if orders is None else np.asarray(orders)
+    if orders.shape != (rows,) or not np.all((0 <= orders) & (orders <= p)):
+        raise ValueError(f"orders must be {rows} values in 0..{p}, got shape {orders.shape}")
     hist = np.empty((rows, p + h))  # last p values, then the steps
     hist[:, :p] = last
     for step in range(p, p + h):
         val = beta[:, 0].copy()
         for j in range(p):
-            val += beta[:, 1 + j] * hist[:, step - 1 - j]
+            np.add(val, beta[:, 1 + j] * hist[:, step - 1 - j], out=val, where=j < orders)
         hist[:, step] = val
     return hist[:, p:]
 
@@ -258,24 +272,13 @@ def _ar_bic_forecasts(series: np.ndarray, p_max: int, h: int) -> tuple:
     """AR-BIC forecasts for steps 1..h of every row of a (rows, T) matrix.
 
     Returns the (rows, h) forecasts and the (rows,) chosen orders, bitwise
-    those of ``fit_ar_bic`` and ``ar_forecast`` row by row: the rows are
-    fitted by ``fit_ar_bic`` in chunks cut to the byte budget of
-    ``stack_runs``, one after another on the calling thread, so one chunk's
-    fit is held at a time; ``ar_forecast`` runs over all rows of one order
-    at once.
+    those of ``fit_ar_bic`` and ``ar_forecast`` row by row: one
+    ``fit_ar_bic`` call fits every row, on the calling thread, and one
+    ``ar_forecast`` call runs each row's recursion at its own order.
     """
     Y = np.asarray(series, dtype=float)
-    rows, T = Y.shape
-    orders = np.empty(rows, dtype=int)
-    beta = np.empty((rows, p_max + 1))  # intercept, then coefficients
-    # twice a row's lag-matrix bytes: np.linalg.qr copies the stack it factors
-    for lo, hi in stack_runs([T - p_max] * rows, lambda t_eff: 16 * t_eff * (p_max + 2)):
-        orders[lo:hi], beta[lo:hi], _ = fit_ar_bic(Y[lo:hi], p_max)
-    out = np.empty((rows, h))
-    for p in np.flatnonzero(np.bincount(orders)):
-        group = orders == p
-        out[group] = ar_forecast(beta[group, : p + 1], Y[group, T - p :], h)
-    return out, orders
+    orders, beta, _ = fit_ar_bic(Y, p_max)
+    return ar_forecast(beta, Y[:, Y.shape[1] - p_max :], h, orders), orders
 
 
 def _check_origins(delta_min: int, T: int, shortest: int = 2) -> None:

@@ -400,7 +400,8 @@ def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
 
 
 def panel_from_dict(d: dict) -> Panel:
-    """The panel a dict of ``panel_to_dict`` describes; ``Panel`` checks the coefficients."""
+    """The panel a dict of ``panel_to_dict`` describes.  Each coefficient block
+    must read as one array of JSON numbers; ``Panel`` checks its shape and values."""
     if not isinstance(d, dict):
         raise ValueError(f"a panel must be a JSON object, got {type(d).__name__}")
     N, T, space_docs, coeffs = _json_settings(d, _PANEL, "panel", lambda key: f"panel {key!r}",
@@ -409,7 +410,19 @@ def panel_from_dict(d: dict) -> Panel:
         if not isinstance(s, dict):
             raise ValueError(f"panel spaces[{i}] must be an object, got {type(s).__name__}")
     spaces = [space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(space_docs)]
-    panel = Panel(spaces, [np.asarray(c, dtype=float) for c in coeffs])
+    blocks = []
+    for i, c in enumerate(coeffs):
+        try:
+            block = np.asarray(c)  # JSON numbers give an integer or float array
+            if block.dtype == object:  # integers beyond 64 bits, or null
+                block = np.asarray(c, dtype=float)
+        except (TypeError, ValueError):  # lists of unequal lengths, or no numbers
+            block = None
+        if block is None or block.dtype.kind not in "iuf":
+            raise ValueError(f"panel coeffs[{i}] must be a list of equal-length lists of "
+                             "numbers (not true, false or strings)")
+        blocks.append(block)
+    panel = Panel(spaces, blocks)
     if panel.N != N or panel.T != T:
         raise ValueError("panel header does not match coefficient arrays")
     return panel

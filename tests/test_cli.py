@@ -323,9 +323,15 @@ class TestSelectR:
         ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "curve", "dim": 1}], '
                    '"coeffs": [[[0.0], [1.0]]]}',
          "spaces[0].kind must be one of ['scalar', 'functional'], got \"curve\""),
+        *[("p.json", '{"N": 2, "T": 2, "spaces": [{"kind": "scalar", "dim": 1}, '
+                     '{"kind": "functional", "dim": 2}], "coeffs": [[[0.0], [1.0]], ' + block + ']}',
+           "panel coeffs[1] must be a list of equal-length lists of numbers")
+          for block in ["[[true, false], [false, true]]", '[["1.5", "2"], ["0", "1"]]',
+                        "[[0.0, 1.0], [1.0]]"]],
     ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv",
             "null-dim", "list-dim", "fractional-dim", "ragged-gram", "nan-gram", "infinite-gram",
-            "bool-gram", "misspelt-gram", "bool-N", "float-T", "unknown-kind"])
+            "bool-gram", "misspelt-gram", "bool-N", "float-T", "unknown-kind", "bool-coeffs",
+            "string-coeffs", "ragged-coeffs"])
     def test_bad_panel_file_exit_2(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -503,6 +509,20 @@ class TestBench:
                                      "k": [1], **change}))
         assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, values", [("dgps", [1, 2, 1]), ("N", [8, 8]), ("T", [30, 30]),
+                                             ("k", [1, 1])])
+    def test_repeated_grid_value_rejected_before_any_replication(self, tmp_path, monkeypatch,
+                                                                 capsys, key, values):
+        calls = []
+        monkeypatch.setattr(cli, "_bench_replication", calls.append)
+        spath, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        spath.write_text(json.dumps({"dgps": [1], "N": [8], "T": [30], "replications": 1,
+                                     "k": [1], key: values}))
+        assert main(["bench", "--spec", str(spath), "--out", str(out)]) == 2
+        assert f"{key} must not repeat a value, got {json.dumps(values)}" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_bad_dgp_rejected_before_any_replication(self, tmp_path, monkeypatch, capsys):

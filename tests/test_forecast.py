@@ -1,9 +1,12 @@
 import re
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from hdffm import (
@@ -289,6 +292,27 @@ def degenerate_rows(T):
     return np.array([np.full(T, 2.5), np.zeros(T), 1.05**t, 3.0 - 0.5 * t])
 
 
+def mixed_rows(rng, kinds, T, p_max):
+    """One row per kind: "ar" an AR(q), q = 0..p_max at random, with stationary
+    roots; "constant", "zero" and "linear" exact fits; "explosive" an AR(1) of
+    coefficient 1 + 1/T..5/T, noisy or the exact geometric path."""
+    t = np.arange(T, dtype=float)
+    rows = []
+    for kind in kinds:
+        if kind == "ar":
+            q = int(rng.integers(0, p_max + 1))
+            poly = np.poly(rng.uniform(-0.95, 0.95, q)) if q else [1.0]
+            rows.append(rng.normal() + lfilter([1.0], poly, rng.standard_normal(T + 100))[100:])
+        elif kind == "explosive":
+            noise = rng.integers(0, 2) * rng.standard_normal(T)
+            noise[0] = 1.0
+            rows.append(lfilter([1.0], [1.0, -1.0 - rng.uniform(1, 5) / T], noise))
+        else:
+            rows.append({"constant": np.full(T, rng.normal()), "zero": np.zeros(T),
+                         "linear": rng.normal() + rng.normal() * t}[kind])
+    return np.array(rows)
+
+
 class TestBatchedArBic:
     """``_ar_bic_forecasts`` against the scalar path: same orders, same bits."""
 
@@ -362,6 +386,24 @@ class TestBatchedArBic:
         assert set(scalar_ar_bic_forecasts(Y, 1, 2)[1]) == {0, 1}
         self.assert_agrees(Y, 1, 2)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_one_pass_matches_row_by_row(self, p_max, per_chunk, n_chunks, h, data):
+        # rows long enough that a QR chunk holds per_chunk of them (or a few
+        # more): n_chunks chunks of the byte budget
+        t_eff = _CHUNK_BYTES // (16 * per_chunk * (p_max + 2))
+        cap = _CHUNK_BYTES // (16 * t_eff * (p_max + 2))
+        kinds = data.draw(st.lists(st.sampled_from(["ar", "ar", "constant", "zero", "linear",
+                                                    "explosive"]),
+                                   min_size=(n_chunks - 1) * cap + 1, max_size=n_chunks * cap))
+        Y = mixed_rows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), kinds,
+                       t_eff + p_max, p_max)
+        with mock.patch.object(forecast, "_lag_matrices", wraps=forecast._lag_matrices) as lags:
+            fc, orders = _ar_bic_forecasts(Y, p_max, h)
+        assert lags.call_count == n_chunks
+        want_fc, want_orders = scalar_ar_bic_forecasts(Y, p_max, h)
+        assert orders.tolist() == want_orders.tolist() and fc.tobytes() == want_fc.tobytes()
+
     def test_empty(self):
         fc, orders = _ar_bic_forecasts(np.zeros((0, 30)), 3, 2)
         assert fc.shape == (0, 2) and orders.shape == (0,)
@@ -417,28 +459,34 @@ class TestBatchedArBic:
         assert peak(_ar_bic_forecasts, Y, 5, 1) <= serial + 64 * 1024
 
     def test_chunk_fit_within_budget(self, monkeypatch):
-        # each chunk's fit holds its lag matrices, numpy's qr copy of them and
-        # R at once: within the byte budget plus 64 KiB for R and the small arrays
+        # each QR chunk holds its lag matrices and numpy's qr copy of them within
+        # the byte budget; the call holds one chunk at a time beside R for all rows,
+        # plus 64 KiB for the chunk's own R, the (rows, p_max + 2) arrays and small objects
         Y, runs = self.chunked_rows()
-        fit, peaks = forecast.fit_ar_bic, []
+        lag_matrices, chunks = forecast._lag_matrices, []
 
-        def traced_fit(*args):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            result = fit(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return result
+        def recorded(*args):
+            A = lag_matrices(*args)
+            chunks.append(A.nbytes)
+            return A
 
-        _ar_bic_forecasts(Y, 5, 1)  # numpy's first call allocates more
-        monkeypatch.setattr(forecast, "fit_ar_bic", traced_fit)
-        monkeypatch.setenv("HDFFM_THREADS", "1")
+        fit_ar_bic(Y, 5)  # numpy's first call allocates more
+        monkeypatch.setattr(forecast, "_lag_matrices", recorded)
         tracemalloc.start()
         try:
-            _ar_bic_forecasts(Y, 5, 1)
+            fit_ar_bic(Y, 5)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(peaks) == len(runs)
-        assert max(peaks) <= _CHUNK_BYTES + 64 * 1024
+        assert len(chunks) == len(runs) and 2 * max(chunks) <= _CHUNK_BYTES
+        assert peak <= _CHUNK_BYTES + len(Y) * (5 + 2) ** 2 * 8 + 64 * 1024
+
+    def test_one_fit_and_one_recursion(self):
+        Y, _ = self.chunked_rows()
+        with (mock.patch.object(forecast, "fit_ar_bic", wraps=forecast.fit_ar_bic) as fit,
+              mock.patch.object(forecast, "ar_forecast", wraps=forecast.ar_forecast) as rec):
+            _ar_bic_forecasts(Y, 5, 3)
+        assert fit.call_count == 1 and rec.call_count == 1
 
 
 class TestArForecast:
@@ -467,6 +515,21 @@ class TestArForecast:
     def test_h_below_1_rejected(self, h):
         with pytest.raises(ValueError, match="h must be >= 1"):
             ar_forecast(np.array([[0.0, 0.5]]), np.array([[4.0]]), h)
+
+    def test_per_row_orders(self, rng):
+        # rows of orders 0..3, zero past their order, forecast at their own order
+        orders = np.arange(4)
+        beta = np.where(np.arange(4) <= orders[:, None], 0.3 * rng.standard_normal((4, 4)), 0.0)
+        last = rng.standard_normal((4, 3))
+        fc = ar_forecast(beta, last, 5, orders)
+        for i, p in enumerate(orders):
+            want = ar_forecast(beta[i : i + 1, : p + 1], last[i : i + 1, 3 - p :], 5)
+            assert fc[i].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("orders", [[0, 4], [-1, 0], [1]])
+    def test_orders_out_of_range_rejected(self, orders):
+        with pytest.raises(ValueError, match="orders must be 2 values in 0..3"):
+            ar_forecast(np.zeros((2, 4)), np.zeros((2, 3)), 2, np.array(orders))
 
 
 def ar1_rank1_panel(N, T, a=0.8, seed=0):

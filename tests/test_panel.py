@@ -350,6 +350,13 @@ class TestPersistence:
         q = panel_from_dict(doc)
         assert all(s.is_identity_gram for s in q.spaces)
 
+    def test_integer_coefficients_read_as_numbers(self):
+        # JSON integers, also beyond 64 bits, are numbers like any other
+        doc = {"N": 1, "T": 3, "spaces": [{"kind": "functional", "dim": 2}],
+               "coeffs": [[[1, 2], [3, 10**30], [0.5, -2**64]]]}
+        q = panel_from_dict(json.loads(json.dumps(doc)))
+        assert q.coeffs[0].tolist() == [[1.0, 2.0], [3.0, 1e30], [0.5, -2.0**64]]
+
     def test_header_mismatch_rejected(self, rng):
         doc = panel_to_dict(random_mixed_panel(rng))
         doc["N"] += 1
