@@ -9,10 +9,11 @@ The names exported here are exactly those of README's "API" table; every
 other name is internal to its module.
 """
 
-from .panel import (Panel, SpaceSpec, center, functional_space, gram_matrix, load_panel,
-                    load_scalar_csv, save_panel, scalar_space)
+__version__ = "0.1.0"
+
+from .panel import Panel, SpaceSpec, center, functional_space, gram_matrix, scalar_space
 from .estimate import (FactorFit, RankDeficientError, common_component, fit_factors,
-                       fit_from_dict, fit_to_dict, goodness_of_fit, idiosyncratic_residual)
+                       goodness_of_fit, idiosyncratic_residual)
 from .select import (IC1A, IC2A, AbcConfig, SelectionTrace, abc_select_r, nested_subpanel_sizes,
                      penalty, select_r_fixed)
 from .simulate import (DgpConfig, GroundTruth, design_parameters, gen_dgp, noise_covariance,
@@ -23,5 +24,4 @@ from .forecast import (ForecastConfig, ForecastResult, ar_forecast, cf_forecast,
                        tnh_forecast)
 from .fbasis import (BSplineBasis, MortalityData, MortalityRecords, build_bspline,
                      ingest_mortality, load_mortality_csv, project_curve)
-
-__version__ = "0.1.0"
+from .files import fit_from_dict, fit_to_dict, load_panel, load_scalar_csv, save_panel

@@ -1,13 +1,13 @@
 """Command-line surface: simulate, estimate, select-r, bench, forecast.
 
 Each command reads its flags or JSON input through one settings table, calls
-the library, and writes outputs that embed a manifest (command, flags, seeds,
-package version); it is deterministic given its flags and seeds.  ``bench``
-runs ``simulate.run_grid`` and ``forecast --mortality`` runs
-``forecast.mortality_rolling_eval``, each given this module's op function as
-it is at call time.  ``HDFFM_THREADS`` caps the cores one command uses
-(default: the CPUs the process may run on; anything but a positive integer
-exits 2); outputs do not depend on it.
+the library, and writes its outputs through ``files``, each with a manifest
+(command, flags, seeds, package version); it is deterministic given its flags
+and seeds.  ``bench`` runs ``simulate.run_grid`` and ``forecast --mortality``
+runs ``forecast.mortality_rolling_eval``, each given this module's op
+function as it is at call time.  ``HDFFM_THREADS`` caps the cores one
+command uses (default: the CPUs the process may run on; anything but a
+positive integer exits 2); outputs do not depend on it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error
 (rank-deficient panel), 4 I/O error.
@@ -16,21 +16,17 @@ Exit codes: 0 success, 2 validation error, 3 numerical error
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import MISSING, fields, replace
 
-import numpy as np
-
-from . import __version__
-from .estimate import (RankDeficientError, common_component, fit_factors, fit_to_dict,
-                       goodness_of_fit)
+from .estimate import RankDeficientError, common_component, fit_factors, goodness_of_fit
+from .files import (fit_to_dict, json_settings, load_panel_file, manifest, read_json,
+                    save_forecast, save_panel, save_trace, save_truth, save_variance_csv,
+                    settings, where, write_csv, write_json)
 from .forecast import ForecastConfig, cf_forecast, mortality_rolling_eval, tnh_forecast
 from .metrics import LoadingMatrix, delta_nt, epsilon_nt, phi_nt
-from .panel import (Panel, _json_settings, _settings, _where, load_panel, load_scalar_csv,
-                    panel_to_dict, save_panel)
 from .select import IC2A, PENALTY_KINDS, AbcConfig, abc_select_r, select_r_fixed, thread_cap
 from .simulate import DgpConfig, gen_dgp, run_grid
 
@@ -42,7 +38,7 @@ EXIT_IO = 4
 BENCH_HEADER = ["dgp", "N", "T", "k", "replication", "delta_sq", "epsilon_sq", "phi"]
 SELECTION_HEADER = ["dgp", "N", "T", "replication", "r_hat"]
 
-# each command's settings table, in the form ``panel._settings`` reads
+# each command's settings table, in the form ``files.settings`` reads
 DGP = {f.name: (f.default, int if f.default is MISSING else type(f.default), None)
        for f in fields(DgpConfig)}
 # a bench spec lists dgp, N and T as a grid and sets every other DgpConfig field
@@ -69,33 +65,14 @@ def _add_flags(parser, table: dict) -> None:
     its help; its argparse default None is what ``_resolve_flags`` reads as not given."""
     for key, (default, kind, mode) in table.items():
         check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-        where = "" if mode is None else f"; only with {_where(mode, _flag)}"
-        parser.add_argument(_flag(key), **check, help=f"default {default}{where}")
+        only = "" if mode is None else f"; only with {where(mode, _flag)}"
+        parser.add_argument(_flag(key), **check, help=f"default {default}{only}")
 
 
 def _resolve_flags(args, table: dict, modes: dict) -> None:
     """Replace ``table``'s flags in ``args`` by their settings."""
     given = {key: getattr(args, key) for key in table if getattr(args, key) is not None}
-    vars(args).update(_settings(given, table, modes, _flag))
-
-
-def _manifest(command: str, args: dict) -> dict:
-    return {"command": command, "version": __version__, "args": args}
-
-
-def _write_csv(path, header, rows, manifest: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _load_panel_arg(path) -> Panel:
-    """Panel files are JSON; all-scalar panels may come as N x T CSV."""
-    if str(path).lower().endswith(".csv"):
-        return load_scalar_csv(path)
-    return load_panel(path)
+    vars(args).update(settings(given, table, modes, _flag))
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +81,13 @@ def _load_panel_arg(path) -> Panel:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        cfg_dict = json.load(fh)
-    cfg = DgpConfig(**_json_settings(cfg_dict, DGP, "simulate config"))
+    cfg_dict = read_json(args.config)
+    cfg = DgpConfig(**json_settings(cfg_dict, DGP, "simulate config"))
     panel, truth = gen_dgp(cfg)
-    manifest = _manifest("simulate", cfg_dict)
-    save_panel(panel, args.out_panel, manifest=manifest)
+    doc_manifest = manifest("simulate", cfg_dict)
+    save_panel(panel, args.out_panel, manifest=doc_manifest)
     if args.out_truth:
-        truth_doc = {
-            "manifest": manifest,
-            "U": truth.U.tolist(),
-            "B_coeffs": truth.B_coeffs.tolist(),
-            "a": truth.a.tolist(),
-            "chi": panel_to_dict(truth.chi),
-        }
-        with open(args.out_truth, "w") as fh:
-            json.dump(truth_doc, fh)
+        save_truth(truth, args.out_truth, doc_manifest)
     print(json.dumps({"seed": cfg.seed, "fixed_design_seed": cfg.fixed_design_seed,
                       "dgp": cfg.dgp, "N": cfg.N, "T": cfg.T}, sort_keys=True))
     return EXIT_OK
@@ -131,12 +99,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    panel = _load_panel_arg(args.panel)
+    panel = load_panel_file(args.panel)
     fit = fit_factors(panel, args.k)
     v = goodness_of_fit(panel, args.k)
-    manifest = _manifest("estimate", {"panel": str(args.panel), "k": args.k})
-    with open(args.out, "w") as fh:
-        json.dump({**fit_to_dict(fit, manifest), "V": v}, fh)
+    doc_manifest = manifest("estimate", {"panel": str(args.panel), "k": args.k})
+    write_json(args.out, {**fit_to_dict(fit, doc_manifest), "V": v})
     print(f"k={args.k} V={v:.10g}")
     return EXIT_OK
 
@@ -157,14 +124,14 @@ def cmd_select_r(args) -> int:
     _resolve_flags(args, SELECT, {})
     if args.method == "fixed" and (args.trace or args.variance_csv):
         raise ValueError("--trace and --variance-csv need --method abc")
-    panel = _load_panel_arg(args.panel)
+    panel = load_panel_file(args.panel)
     r, trace = _select_r(panel, args.method, args.c, args.kind, args.k_max, args.P, args.seed)
     if args.trace:
-        manifest = _manifest("select-r", {"panel": str(args.panel), "kind": args.kind,
-                                          "k_max": args.k_max, "P": args.P, "seed": args.seed})
-        trace.save(args.trace, manifest=manifest)
+        save_trace(trace, args.trace, manifest("select-r", {
+            "panel": str(args.panel), "kind": args.kind, "k_max": args.k_max, "P": args.P,
+            "seed": args.seed}))
     if args.variance_csv:
-        trace.save_variance_csv(args.variance_csv)
+        save_variance_csv(trace, args.variance_csv)
     print(r)
     return EXIT_OK
 
@@ -192,10 +159,9 @@ def _bench_replication(job: tuple) -> tuple:
 
 
 def cmd_bench(args) -> int:
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    grid = _json_settings(spec, BENCH, "bench spec", extra=["select"])
-    select = (_json_settings(spec["select"], SELECT, "bench select", lambda key: "select." + key)
+    spec = read_json(args.spec)
+    grid = json_settings(spec, BENCH, "bench spec", extra=["select"])
+    select = (json_settings(spec["select"], SELECT, "bench select", lambda key: "select." + key)
               if "select" in spec else None)
     for key in ("dgps", "N", "T", "k"):
         if len(set(grid[key])) < len(grid[key]):
@@ -207,11 +173,11 @@ def cmd_bench(args) -> int:
     metric_rows, select_rows, (workers, threads) = run_grid(cells, k_list, reps, select,
                                                             _bench_replication)
 
-    manifest = _manifest("bench", spec)
-    _write_csv(args.out, BENCH_HEADER, metric_rows, manifest)
+    doc_manifest = manifest("bench", spec)
+    write_csv(args.out, BENCH_HEADER, metric_rows, doc_manifest)
     if select_rows:
         sel_path = os.path.splitext(str(args.out))[0] + ".selection.csv"
-        _write_csv(sel_path, SELECTION_HEADER, select_rows, manifest)
+        write_csv(sel_path, SELECTION_HEADER, select_rows, doc_manifest)
         r = grid["n_factors"]
         under, over = sum(row[4] < r for row in select_rows), sum(row[4] > r for row in select_rows)
         print(f"selection: {len(select_rows)} runs, {under} under, {over} over (r={r})")
@@ -231,14 +197,7 @@ def _forecast_panel(panel, args, horizon: int):
     return tnh_forecast(panel, replace(args.config, horizon=horizon))
 
 
-def _forecast_manifest(args, source: str) -> dict:
-    """The manifest of a forecast from the ``source`` flag's file: every flag that
-    can change its output, each ``FORECAST`` setting null where it does not apply."""
-    return _manifest("forecast", {source: str(getattr(args, source)), "horizon": args.horizon,
-                                  **{key: getattr(args, key) for key in FORECAST}})
-
-
-def _mortality_rolling(args) -> int:
+def _mortality_rolling(args, flags: dict) -> int:
     # _forecast_panel is looked up per call: one call per origin is one op
     rows = mortality_rolling_eval(
         args.mortality, lambda train, steps: _forecast_panel(train, args, steps),
@@ -249,9 +208,8 @@ def _mortality_rolling(args) -> int:
         print(f"sex={sex} h={h} method={args.method} MAFE={mafe:.6f} MSFE={msfe:.6f}")
     if args.out:
         # delta_min null: the per-sex default
-        manifest = {**_forecast_manifest(args, "mortality"), "numpy": np.__version__,
-                    "threads": thread_cap()}
-        _write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows, manifest)
+        write_csv(args.out, ["sex", "h", "method", "mafe", "msfe"], table_rows,
+                  manifest("forecast", flags, ("numpy", "threads")))
     return EXIT_OK
 
 
@@ -262,18 +220,16 @@ def cmd_forecast(args) -> int:
     # one config checks the horizon, p_max, fixed_r and seed before any file is opened
     args.config = ForecastConfig(args.horizon, args.p_max, args.fixed_r,
                                  0 if args.seed is None else args.seed)
+    # the manifest's args: the input file and every flag that can change the
+    # output, each FORECAST setting null where it does not apply
+    source = "panel" if args.mortality is None else "mortality"
+    flags = {source: str(getattr(args, source)), "horizon": args.horizon,
+             **{key: getattr(args, key) for key in FORECAST}}
     if args.mortality is not None:
-        return _mortality_rolling(args)
-    panel = _load_panel_arg(args.panel)
-    result = _forecast_panel(panel, args, args.horizon)
-    doc = {
-        "manifest": {**_forecast_manifest(args, "panel"), "threads": thread_cap()},
-        "r": result.r,
-        "forecasts": [s.tolist() for s in result.steps],
-    }
+        return _mortality_rolling(args, flags)
+    result = _forecast_panel(load_panel_file(args.panel), args, args.horizon)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+        save_forecast(result, args.out, manifest("forecast", flags, ("threads",)))
     print(f"r={result.r} horizon={args.horizon} method={args.method}")
     return EXIT_OK
 

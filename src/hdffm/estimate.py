@@ -12,26 +12,17 @@ and f_hat_l the eigenvectors rescaled to norm sqrt(T):
 
 The rank-k fit ``b_tilde @ factors`` is the k-term truncated singular value
 decomposition of the panel operator, so the goodness of fit V(k) is
-available in closed form from the eigenvalues alone.
+available in closed form from the eigenvalues alone.  The fit's JSON
+document is ``files.fit_to_dict`` / ``files.fit_from_dict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import (
-    Panel,
-    _json_settings,
-    _minus,
-    block_offsets,
-    space_from_dict,
-    space_to_dict,
-    spaces_match,
-    split_stacked,
-    whiten_stacked,
-)
+from .panel import Panel, _minus, spaces_match, whiten_stacked
 
 RANK_EPS = 1e-12
 
@@ -162,61 +153,3 @@ def goodness_of_fit(panel: Panel, k: int) -> float:
     _check_k(k, min(panel.total_dim, panel.T))
     vals, _, trace = panel.gram_spectrum()
     return float(v_profile(vals, trace, panel.T, k)[k])
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def fit_to_dict(fit: FactorFit, manifest: dict | None = None) -> dict:
-    offsets = block_offsets(fit.spaces)
-    e_blocks = [{str(i): b.tolist() for i, b in enumerate(split_stacked(offsets, column))}
-                for column in fit.e_hat.T]
-    out = {
-        "k": fit.k,
-        "T": fit.T,
-        "lambda_hat": fit.lambda_hat.tolist(),
-        "factors": fit.factors.tolist(),
-        "e_hat": e_blocks,
-        "trace_F": fit.trace_F,
-        "spaces": [space_to_dict(s) for s in fit.spaces],
-    }
-    if manifest is not None:
-        out["manifest"] = manifest
-    return out
-
-
-_FIT = {"k": (MISSING, int, None), "T": (None, int, None), "lambda_hat": (MISSING, [float], None),
-        "factors": (MISSING, [list], None), "e_hat": (MISSING, [dict], None),
-        "trace_F": (MISSING, float, None), "spaces": (MISSING, list, None)}
-
-
-def fit_from_dict(d: dict) -> FactorFit:
-    """The fit a dict of ``fit_to_dict`` describes, read through ``_FIT``; before any
-    array is built, a key that no fit of ``fit_factors`` holds raises a ``ValueError``
-    naming it (``T``, the factors' row length, may be left out unless k is 0)."""
-    k, T, lam, rows, e_blocks, trace_F, space_docs = _json_settings(
-        d, _FIT, "fit", lambda key: "fit " + key, ["manifest", "V"]).values()
-    n = len(rows[0]) if rows else T
-    for key, ok, must in [
-            ("k", k >= 0, "a non-negative integer"),
-            ("lambda_hat", len(lam) == k and min(lam, default=1) > 0,
-             f"a list of {k} finite values above 0"),
-            ("factors", len(rows) == k and len(set(map(len, rows))) < 2,
-             f"a list of {k} rows of equal length"),
-            ("T", n is not None and n >= 0 and T in (None, n),
-             "the factors' row length, and given when k is 0"),
-            ("e_hat", len(e_blocks) == k, f"a list of {k} entries")]:
-        if not ok:
-            raise ValueError(f"fit {key} must be {must}")
-    spaces = tuple(space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(space_docs))
-    lambda_hat = np.asarray(lam, dtype=float)
-    offsets = block_offsets(spaces)
-    e_hat = np.zeros((offsets[-1], k))
-    for column, blocks in zip(e_hat.T, e_blocks):
-        for i, view in enumerate(split_stacked(offsets, column)):
-            view[:] = blocks[str(i)]  # a block of the wrong length raises
-    factors = np.asarray(rows, dtype=float).reshape(k, n)
-    return FactorFit(k=k, lambda_hat=lambda_hat, factors=factors, e_hat=e_hat,
-                     b_tilde=e_hat * np.sqrt(lambda_hat), trace_F=float(trace_F), spaces=spaces)

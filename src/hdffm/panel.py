@@ -8,15 +8,13 @@ non-orthonormal bases (e.g. B-splines) are handled uniformly.
 
 A panel is stored as one stacked (total_dim, T) matrix: the rows of series
 ``i`` are ``offsets[i]:offsets[i + 1]`` and column ``t`` is the panel at time
-``t``.  Per-series coefficient blocks are views into it.
+``t``.  Per-series coefficient blocks are views into it.  The panel's JSON
+and CSV files are read and written by ``files``.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -298,161 +296,3 @@ def _minus(panel: Panel, M: np.ndarray) -> Panel:
     """Panel of ``panel``'s stacked coefficients minus ``M`` (broadcast), which
     adopts the difference it computes in the panel's layout instead of copying it."""
     return Panel._adopt(panel.spaces, np.subtract(panel.stacked_coeffs(), M, order="F"))
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-# A settings table maps each flag or JSON key to (default, JSON type, mode);
-# MISSING marks a required key.  Types: int, float (a finite number), str, dict,
-# list, [type] (a list of that type) or a tuple of allowed strings.  Mode (key,
-# value) limits a setting to where key, an earlier setting or a caller's mode, has that value.
-_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-               str: ("a string", "strings"), dict: ("an object", "objects"),
-               list: ("a list", "lists")}
-_SPACE = {"kind": (MISSING, (SCALAR, FUNCTIONAL), None), "dim": (MISSING, int, None),
-          "gram": (None, [[float]], None)}
-_PANEL = {"N": (MISSING, int, None), "T": (MISSING, int, None),
-          "spaces": (MISSING, list, None), "coeffs": (MISSING, list, None)}
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` has the JSON type ``kind``; JSON true and false are no numbers."""
-    if isinstance(kind, tuple):
-        return value in kind
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_a(v, kind[0]) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        return False
-    return kind is not float or math.isfinite(value)
-
-
-def _noun(kind, plural: bool = False) -> str:
-    """How a message names the JSON type ``kind``: a list type by its items."""
-    if isinstance(kind, list):
-        return ("lists" if plural else "a list") + " of " + _noun(kind[0], True)
-    return f"one of {list(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind][plural]
-
-
-def _where(mode: tuple, name) -> str:
-    return name(mode[0]) + ("" if mode[1] is True else f" {mode[1]}")
-
-
-def _settings(given: dict, table: dict, modes: dict, name) -> dict:
-    """Every setting of ``table`` under the ``given`` ones (a key left out is not
-    given), in table order.  A setting that applies is type-checked, or takes
-    its default; one that does not is None, and giving it is an error.
-    ``name(key)`` is how a message names a setting."""
-    settings = {}
-    for key, (default, kind, mode) in table.items():
-        if mode is not None and (modes | settings).get(mode[0]) != mode[1]:
-            if key in given:
-                raise ValueError(f"{name(key)} applies only to {_where(mode, name)}")
-            settings[key] = None
-        elif key in given and not _is_a(given[key], kind):
-            raise ValueError(f"{name(key)} must be {_noun(kind)}, got {json.dumps(given[key])}")
-        elif key in given or default is not MISSING:
-            settings[key] = given.get(key, default)
-        else:
-            raise KeyError(key)
-    return settings
-
-
-def _json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
-    """``table``'s settings from the JSON object ``doc``, which may hold no key
-    outside the table but the ``extra`` ones."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(doc)}")
-    unknown = sorted(set(doc) - set(table) - set(extra))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted([*table, *extra])}")
-    return _settings(doc, table, {}, name)
-
-
-def space_to_dict(spec: SpaceSpec) -> dict:
-    out = {"kind": spec.kind, "dim": spec.dim}
-    if not spec.is_identity_gram:
-        out["gram"] = spec.gram.tolist()
-    return out
-
-
-def space_from_dict(d: dict, name: str) -> SpaceSpec:
-    """The space a dict of ``space_to_dict`` describes, read through ``_SPACE``; the
-    message of a bad key, or of a ``gram`` that is not dim x dim, calls it ``name``."""
-    kind, dim, gram = _json_settings(d, _SPACE, name, lambda key: f"{name}.{key}").values()
-    if gram is not None and (len(gram) != dim or any(len(row) != dim for row in gram)):
-        raise ValueError(f"{name}.gram must be a {dim} x {dim} list of numbers")
-    return SpaceSpec(kind, dim, np.eye(dim) if gram is None else np.asarray(gram, dtype=float))
-
-
-def panel_to_dict(panel: Panel, manifest: dict | None = None) -> dict:
-    out = {
-        "N": panel.N,
-        "T": panel.T,
-        "spaces": [space_to_dict(s) for s in panel.spaces],
-        "coeffs": [c.tolist() for c in panel.coeffs],
-    }
-    if manifest is not None:
-        out["manifest"] = manifest
-    return out
-
-
-def panel_from_dict(d: dict) -> Panel:
-    """The panel a dict of ``panel_to_dict`` describes.  Each coefficient block
-    must read as one array of JSON numbers; ``Panel`` checks its shape and values."""
-    if not isinstance(d, dict):
-        raise ValueError(f"a panel must be a JSON object, got {type(d).__name__}")
-    N, T, space_docs, coeffs = _json_settings(d, _PANEL, "panel", lambda key: f"panel {key!r}",
-                                              ["manifest"]).values()
-    for i, s in enumerate(space_docs):
-        if not isinstance(s, dict):
-            raise ValueError(f"panel spaces[{i}] must be an object, got {type(s).__name__}")
-    spaces = [space_from_dict(s, f"spaces[{i}]") for i, s in enumerate(space_docs)]
-    blocks = []
-    for i, c in enumerate(coeffs):
-        try:
-            block = np.asarray(c)  # JSON numbers give an integer or float array
-            if block.dtype == object:  # integers beyond 64 bits, or null
-                block = np.asarray(c, dtype=float)
-        except (TypeError, ValueError):  # lists of unequal lengths, or no numbers
-            block = None
-        if block is None or block.dtype.kind not in "iuf":
-            raise ValueError(f"panel coeffs[{i}] must be a list of equal-length lists of "
-                             "numbers (not true, false or strings)")
-        blocks.append(block)
-    panel = Panel(spaces, blocks)
-    if panel.N != N or panel.T != T:
-        raise ValueError("panel header does not match coefficient arrays")
-    return panel
-
-
-def save_panel(panel: Panel, path, manifest: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(panel_to_dict(panel, manifest), fh)
-
-
-def load_panel(path) -> Panel:
-    with open(path) as fh:
-        return panel_from_dict(json.load(fh))
-
-
-def load_scalar_csv(path) -> Panel:
-    """Read an all-scalar panel from CSV laid out as N rows x T columns."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"line {reader.line_num}: ragged CSV panel, "
-                                 f"{len(row)} values where earlier rows have {len(rows[0])}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ValueError("empty CSV panel")
-    return Panel.from_stacked([scalar_space()] * len(rows), rows)

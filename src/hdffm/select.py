@@ -16,13 +16,12 @@ Where one permutation's subpanel Grams fill a stack budget, those stacks
 and the panel's own ``eigh`` run as tasks on up to ``thread_cap()``
 threads (``run_in_order``), the only work a command runs on threads: on t
 threads a selection holds one running sum (8T^2 bytes) and at most t
-stacks, and its outputs are byte-identical at every cap.
+stacks, and its outputs are byte-identical at every cap.  The trace JSON
+and variance CSV are written by ``files``.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import threading
@@ -208,7 +207,8 @@ def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
 
 @dataclass
 class SelectionTrace:
-    """Everything the tuning sweep computed, for diagnostics and audits."""
+    """Everything the tuning sweep computed, for diagnostics and audits; a plain
+    record, which ``files.save_trace`` and ``files.save_variance_csv`` write."""
 
     c_grid: np.ndarray
     subpanel_sizes: tuple
@@ -224,36 +224,6 @@ class SelectionTrace:
     @property
     def chosen_c(self) -> list:
         return [None if i is None else float(self.c_grid[i]) for i in self.chosen_c_index]
-
-    def to_dict(self, manifest: dict | None = None) -> dict:
-        out = {
-            "c_grid": self.c_grid.tolist(),
-            "subpanel_sizes": [list(s) for s in self.subpanel_sizes],
-            "permutations": [list(map(int, p)) for p in self.permutations],
-            "r_hat_table": self.r_hat_table.tolist(),
-            "variance_profile": self.variance_profile.tolist(),
-            "plateaus": self.plateaus,
-            "chosen_c_index": self.chosen_c_index,
-            "chosen_c": self.chosen_c,
-            "fallback": self.fallback,
-            "r_hat_per_p": self.r_hat_per_p,
-            "r_hat_final": self.r_hat_final,
-        }
-        if manifest is not None:
-            out["manifest"] = manifest
-        return out
-
-    def save(self, path, manifest: dict | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(manifest), fh)
-
-    def save_variance_csv(self, path) -> None:
-        P = self.variance_profile.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c"] + [f"var_p{p + 1}" for p in range(P)])
-            for c, row in zip(self.c_grid.tolist(), self.variance_profile.tolist()):
-                writer.writerow([c, *row])
 
 
 def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:

@@ -892,6 +892,7 @@ class TestForecastCommand:
         assert main(["forecast", "--panel", "a.json", "--mortality", "b.csv",
                      "--horizon", "1"]) == 2
 
+    @pytest.mark.kernel_bytes
     @pytest.mark.parametrize("table", ["cf", "tnh_fixed_r2"])
     def test_mortality_tables_pinned(self, tmp_path, table):
         # recorded once before the rolling-origin loop moved out of the CLI

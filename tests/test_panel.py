@@ -21,8 +21,8 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.panel import (_CHUNK_BYTES, block_offsets, panel_from_dict, panel_to_dict,
-                         split_stacked, stack_runs, whiten_stacked)
+from hdffm.files import panel_from_dict, panel_to_dict
+from hdffm.panel import _CHUNK_BYTES, block_offsets, split_stacked, stack_runs, whiten_stacked
 from conftest import random_mixed_panel, random_spd
 
 

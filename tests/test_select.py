@@ -27,6 +27,7 @@ from hdffm import (
     tnh_forecast,
 )
 from hdffm import select
+from hdffm.files import save_trace, save_variance_csv
 from hdffm.panel import _CHUNK_BYTES, stack_runs
 from hdffm.select import C_GRID, run_in_order
 from hdffm.simulate import DgpConfig, gen_dgp
@@ -244,13 +245,13 @@ class TestAbcSelect:
         cfg = AbcConfig(rng_seed=0, P=2)
         r, trace = abc_select_r(panel, cfg, "IC2a")
         jpath = tmp_path / "trace.json"
-        trace.save(jpath, manifest={"seed": 0})
+        save_trace(trace, jpath, manifest={"seed": 0})
         doc = json.loads(jpath.read_text())
         assert doc["r_hat_final"] == r
         assert doc["c_grid"] == C_GRID.tolist()
         assert len(doc["r_hat_table"]) == len(trace.c_grid)
         cpath = tmp_path / "var.csv"
-        trace.save_variance_csv(cpath)
+        save_variance_csv(trace, cpath)
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "c,var_p1,var_p2"
         assert len(lines) == 1 + len(trace.c_grid)
