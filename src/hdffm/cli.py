@@ -1,13 +1,14 @@
 """Command-line surface: simulate, estimate, select-r, bench, forecast.
 
-Each command reads its flags or JSON input through one settings table, calls
-the library, and writes its outputs through ``files``, each with a manifest
-(command, flags, seeds, package version); it is deterministic given its flags
-and seeds.  ``bench`` runs ``simulate.run_grid`` and ``forecast --mortality``
-runs ``forecast.mortality_rolling_eval``, each given this module's op
-function as it is at call time.  ``HDFFM_THREADS`` caps the cores one
-command uses (default: the CPUs the process may run on; anything but a
-positive integer exits 2); outputs do not depend on it.
+Each command's flags come from its table in ``COMMANDS`` and its JSON input
+from a settings table; it calls the library and writes its outputs through
+``files``, each with a manifest (command, flags, seeds, package version); it
+is deterministic given its flags and seeds.  ``bench`` runs
+``simulate.run_grid`` and ``forecast --mortality`` runs
+``forecast.mortality_rolling_eval``, each given this module's op function as
+it is at call time.  ``HDFFM_THREADS`` caps the cores one command uses
+(default: the CPUs the process may run on; anything but a positive integer
+exits 2); outputs do not depend on it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error
 (rank-deficient panel), 4 I/O error.
@@ -54,6 +55,9 @@ FORECAST = {"method": ("tnh", ("tnh", "cf"), None), "p_max": (5, int, None),
             "n_components": (6, int, ("method", "cf")), "seed": (0, int, ("method", "tnh")),
             "sex": (None, str, ("mortality", True)), "delta_min": (None, int, ("mortality", True)),
             "eval_age_max": (89, int, ("mortality", True))}
+# select-r's flags: the panel, SELECT, and the tuned selection's outputs
+SELECT_R = {"panel": (MISSING, str, None), **SELECT, "trace": (None, str, ("method", "abc")),
+            "variance_csv": (None, str, ("method", "abc"))}
 
 
 def _flag(key: str) -> str:
@@ -61,12 +65,15 @@ def _flag(key: str) -> str:
 
 
 def _add_flags(parser, table: dict) -> None:
-    """One flag per setting of ``table``, with the setting's default and mode as
-    its help; its argparse default None is what ``_resolve_flags`` reads as not given."""
+    """One flag per setting of ``table``: a setting without a default is a required
+    flag, any other has its default and mode as its help; its argparse default
+    None is what ``_resolve_flags`` reads as not given."""
     for key, (default, kind, mode) in table.items():
         check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         only = "" if mode is None else f"; only with {where(mode, _flag)}"
-        parser.add_argument(_flag(key), **check, help=f"default {default}{only}")
+        required = default is MISSING
+        parser.add_argument(_flag(key), **check, required=required,
+                            help=None if required else f"default {default}{only}")
 
 
 def _resolve_flags(args, table: dict, modes: dict) -> None:
@@ -121,17 +128,15 @@ def _select_r(panel, method: str, c: float, kind: str, k_max: int, P: int, seed:
 
 
 def cmd_select_r(args) -> int:
-    _resolve_flags(args, SELECT, {})
-    if args.method == "fixed" and (args.trace or args.variance_csv):
-        raise ValueError("--trace and --variance-csv need --method abc")
+    _resolve_flags(args, SELECT_R, {})
     panel = load_panel_file(args.panel)
     r, trace = _select_r(panel, args.method, args.c, args.kind, args.k_max, args.P, args.seed)
+    doc_manifest = manifest("select-r", {"panel": str(args.panel), "kind": args.kind,
+                                         "k_max": args.k_max, "P": args.P, "seed": args.seed})
     if args.trace:
-        save_trace(trace, args.trace, manifest("select-r", {
-            "panel": str(args.panel), "kind": args.kind, "k_max": args.k_max, "P": args.P,
-            "seed": args.seed}))
+        save_trace(trace, args.trace, doc_manifest)
     if args.variance_csv:
-        save_variance_csv(trace, args.variance_csv)
+        save_variance_csv(trace, args.variance_csv, doc_manifest)
     print(r)
     return EXIT_OK
 
@@ -239,6 +244,25 @@ def cmd_forecast(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each command's function, flag table and help; a flag table composes SELECT or
+# FORECAST, which a bench spec's "select" object and the forecast manifests read
+COMMANDS = {
+    "simulate": (cmd_simulate, {"config": (MISSING, str, None), "out_panel": (MISSING, str, None),
+                                "out_truth": (None, str, None)},
+                 "generate a benchmark panel draw"),
+    "estimate": (cmd_estimate, {"panel": (MISSING, str, None), "k": (MISSING, int, None),
+                                "out": (MISSING, str, None)},
+                 "fit k factors to a panel file"),
+    "select-r": (cmd_select_r, SELECT_R, "select the number of factors"),
+    "bench": (cmd_bench, {"spec": (MISSING, str, None), "out": (MISSING, str, None)},
+              "run a Monte Carlo benchmark grid"),
+    "forecast": (cmd_forecast, {"panel": (None, str, None), "mortality": (None, str, None),
+                                "horizon": (MISSING, int, None), **FORECAST,
+                                "out": (None, str, None)},
+                 "forecast a panel or a mortality CSV"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdffm",
@@ -246,38 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "factor-count selection, benchmarking, forecasting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a benchmark panel draw")
-    p.add_argument("--config", required=True, help="DGP config JSON")
-    p.add_argument("--out-panel", required=True)
-    p.add_argument("--out-truth", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("estimate", help="fit k factors to a panel file")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("select-r", help="select the number of factors")
-    p.add_argument("--panel", required=True)
-    _add_flags(p, SELECT)
-    p.add_argument("--trace", default=None, help="write the selection trace JSON here")
-    p.add_argument("--variance-csv", default=None)
-    p.set_defaults(func=cmd_select_r)
-
-    p = sub.add_parser("bench", help="run a Monte Carlo benchmark grid")
-    p.add_argument("--spec", required=True, help="bench spec JSON")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("forecast", help="forecast a panel or a mortality CSV")
-    p.add_argument("--panel", default=None)
-    p.add_argument("--mortality", default=None, help="mortality-rate CSV")
-    p.add_argument("--horizon", type=int, required=True)
-    _add_flags(p, FORECAST)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_forecast)
+    for name, (func, table, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_flags(p, table)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -48,8 +48,6 @@ class FactorFit:
 
     Attributes
     ----------
-    k : int
-        Number of fitted factors.
     lambda_hat : ndarray of shape (k,)
         Rescaled eigenvalues, nonincreasing.
     factors : ndarray of shape (k, T)
@@ -57,25 +55,32 @@ class FactorFit:
     e_hat : ndarray of shape (total_dim, k)
         Normalized loading columns in stacked coefficient form
         (H_N-norm sqrt(N) each).
-    b_tilde : ndarray of shape (total_dim, k)
-        Scaled loading columns ``lambda_hat**0.5 * e_hat``.
     trace_F : float
         Trace of the panel Gram matrix.
     spaces : tuple of SpaceSpec
         Per-series spaces of the fitted panel.
+
+    ``k`` (the number of fitted factors), ``T`` and ``b_tilde`` (the scaled
+    loading columns ``lambda_hat**0.5 * e_hat``) follow from these.
     """
 
-    k: int
     lambda_hat: np.ndarray
     factors: np.ndarray
     e_hat: np.ndarray
-    b_tilde: np.ndarray
     trace_F: float
     spaces: tuple
 
     @property
+    def k(self) -> int:
+        return self.lambda_hat.size
+
+    @property
     def T(self) -> int:
         return self.factors.shape[1]
+
+    @property
+    def b_tilde(self) -> np.ndarray:
+        return self.e_hat * np.sqrt(self.lambda_hat)
 
 
 def _check_k(k: int, bound: int) -> None:
@@ -110,16 +115,7 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
     # e_hat_l = lambda_hat_l**-0.5 / T * sum_t (f_hat_l)_t x_t
     e_white = (Z @ factors.T) / (T * np.sqrt(lambda_hat))
     e_hat = whiten_stacked(panel.spaces, e_white, inverse=True)
-    b_tilde = e_hat * np.sqrt(lambda_hat)
-    return FactorFit(
-        k=k,
-        lambda_hat=lambda_hat,
-        factors=factors,
-        e_hat=e_hat,
-        b_tilde=b_tilde,
-        trace_F=trace_F,
-        spaces=panel.spaces,
-    )
+    return FactorFit(lambda_hat, factors, e_hat, trace_F, panel.spaces)
 
 
 def common_component(fit: FactorFit) -> Panel:

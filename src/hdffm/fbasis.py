@@ -272,7 +272,7 @@ def _read_csv_rows(path) -> list:
     """(prefecture_id, year, sex, age, rate-or-None) tuples of a CSV, line by line."""
     records = []
     append = records.append
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].startswith("#"):

@@ -92,12 +92,12 @@ def json_settings(doc, table: dict, what: str, name=str, extra=()) -> dict:
 
 
 def read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark may lead
         return json.load(fh)
 
 
 def write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
@@ -169,7 +169,7 @@ def load_panel(path) -> Panel:
 def load_scalar_csv(path) -> Panel:
     """Read an all-scalar panel from CSV laid out as N rows x T columns."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].startswith("#"):
@@ -237,8 +237,7 @@ def fit_from_dict(d: dict) -> FactorFit:
         for i, view in enumerate(split_stacked(offsets, column)):
             view[:] = blocks[str(i)]  # a block of the wrong length raises
     factors = np.asarray(rows, dtype=float).reshape(k, n)
-    return FactorFit(k=k, lambda_hat=lambda_hat, factors=factors, e_hat=e_hat,
-                     b_tilde=e_hat * np.sqrt(lambda_hat), trace_F=float(trace_F), spaces=spaces)
+    return FactorFit(lambda_hat, factors, e_hat, float(trace_F), spaces)
 
 
 # what a manifest may record of the environment its command ran in
@@ -252,11 +251,10 @@ def manifest(command: str, args: dict, environment=()) -> dict:
             **{key: ENVIRONMENT[key]() for key in environment}}
 
 
-def write_csv(path, header, rows, manifest: dict | None) -> None:
-    """A CSV table, under a ``# manifest:`` line if one is given."""
-    with open(path, "w", newline="") as fh:
-        if manifest is not None:
-            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+def write_csv(path, header, rows, manifest: dict) -> None:
+    """A CSV table under a ``# manifest:`` line."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -280,11 +278,11 @@ def save_trace(trace, path, manifest: dict) -> None:
     })
 
 
-def save_variance_csv(trace, path) -> None:
+def save_variance_csv(trace, path, manifest: dict) -> None:
     """A ``SelectionTrace``'s variance profile as CSV: a row per c, a column per permutation."""
     header = ["c"] + [f"var_p{p + 1}" for p in range(trace.variance_profile.shape[1])]
     write_csv(path, header, ([c, *row] for c, row in zip(trace.c_grid.tolist(),
-                                                         trace.variance_profile.tolist())), None)
+                                                         trace.variance_profile.tolist())), manifest)
 
 
 def save_truth(truth, path, manifest: dict) -> None:

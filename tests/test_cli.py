@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ class TestEstimate:
     @pytest.mark.parametrize("text, message", [
         ("1.0,2.0,3.0\n4.0,abc,6.0\n", "line 2: could not convert string to float: 'abc'"),
         ("# panel\n1.0,2.0,3.0\n4.0,5.0\n", "line 3: ragged CSV panel, 2 values where earlier rows have 3"),
-    ], ids=["non-numeric", "ragged"])
+        ("# only a comment\n\n", "empty CSV panel"),
+    ], ids=["non-numeric", "ragged", "no-rows"])
     def test_malformed_csv_names_the_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "panel.csv"
         path.write_text(text)
@@ -180,15 +182,19 @@ class TestEstimate:
         assert np.allclose(doc["lambda_hat"], fresh.lambda_hat, atol=1e-12)
 
 
-@pytest.mark.parametrize("command, table", [("select-r", cli.SELECT), ("forecast", cli.FORECAST)],
-                         ids=["select-r", "forecast"])
-def test_parser_flags_follow_settings_table(command, table):
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_parser_flags_follow_settings_table(command):
     # each setting has one flag, named after its key, checked as the table types it,
-    # and defaulting to None, which the command reads as not given
+    # required exactly when it has no default, and defaulting to None, which the
+    # command reads as not given; the parser declares no flag outside the table
+    func, table, _ = cli.COMMANDS[command]
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    actions = subparsers.choices[command]._actions
-    for key, (_, kind, _) in table.items():
+    parser = subparsers.choices[command]
+    assert parser.get_default("func") is func
+    actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+    assert [a.dest for a in actions] == list(table)
+    for key, (default, kind, _) in table.items():
         flags = [a for a in actions if a.dest == key]
         assert len(flags) == 1, key
         flag = flags[0]
@@ -198,6 +204,7 @@ def test_parser_flags_follow_settings_table(command, table):
         else:
             assert flag.type is kind and flag.choices is None, key
         assert flag.default is None, key
+        assert flag.required is (default is MISSING), key
 
 
 class TestSelectR:
@@ -244,10 +251,11 @@ class TestSelectR:
         assert main(["select-r", "--panel", str(ppath), "--trace", str(trace_path),
                      "--variance-csv", str(csv_path)]) == 0
         lines = csv_path.read_text().splitlines()
-        assert len(lines) == 202
-        assert lines[0] == "c,var_p1,var_p2,var_p3,var_p4,var_p5"
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(lines) == 203
         doc = json.loads(trace_path.read_text())
+        assert lines[0] == "# manifest: " + json.dumps(doc["manifest"], sort_keys=True)
+        assert lines[1] == "c,var_p1,var_p2,var_p3,var_p4,var_p5"
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
         assert [row[0] for row in rows] == doc["c_grid"]
         assert [row[1:] for row in rows] == doc["variance_profile"]
 
@@ -323,6 +331,8 @@ class TestSelectR:
         ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "curve", "dim": 1}], '
                    '"coeffs": [[[0.0], [1.0]]]}',
          "spaces[0].kind must be one of ['scalar', 'functional'], got \"curve\""),
+        ("p.json", '{"N": 1, "T": 2, "spaces": [{"kind": "scalar", "dim": 2}], '
+                   '"coeffs": [[[0.0, 1.0], [1.0, 0.0]]]}', "scalar series must have dim=1"),
         *[("p.json", '{"N": 2, "T": 2, "spaces": [{"kind": "scalar", "dim": 1}, '
                      '{"kind": "functional", "dim": 2}], "coeffs": [[[0.0], [1.0]], ' + block + ']}',
            "panel coeffs[1] must be a list of equal-length lists of numbers")
@@ -330,7 +340,7 @@ class TestSelectR:
                         "[[0.0, 1.0], [1.0]]"]],
     ], ids=["top-level-list", "spaces-not-a-list", "null-space", "malformed-json", "one-period-csv",
             "null-dim", "list-dim", "fractional-dim", "ragged-gram", "nan-gram", "infinite-gram",
-            "bool-gram", "misspelt-gram", "bool-N", "float-T", "unknown-kind", "bool-coeffs",
+            "bool-gram", "misspelt-gram", "bool-N", "float-T", "unknown-kind", "scalar-dim-2", "bool-coeffs",
             "string-coeffs", "ragged-coeffs"])
     def test_bad_panel_file_exit_2(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
@@ -808,6 +818,7 @@ class TestForecastCommand:
             (["--eval-age-max", "200"], "--eval-age-max must lie in 0..95, got 200"),
             (["--delta-min", "0"], "delta_min=0 must be >= 2"),
             (["--delta-min", "-3"], "delta_min=-3 must be >= 2"),
+            (["--fixed-r", "0"], "fixed_r must be >= 1"),
         ]:
             assert main(["forecast", "--mortality", str(mpath), "--sex", "F", "--horizon", "1",
                          "--p-max", "2", *flags]) == 2, flags

@@ -18,7 +18,7 @@ from hdffm import (
     idiosyncratic_residual,
     scalar_space,
 )
-from hdffm.estimate import _oriented
+from hdffm.estimate import _oriented, v_profile
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, random_spd, rank_k_panel
 
@@ -230,6 +230,10 @@ class TestGoodnessOfFit:
         panel = random_mixed_panel(rng, N=3, T=4)
         with pytest.raises(ValueError):
             goodness_of_fit(panel, min(panel.total_dim, panel.T) + 1)
+
+    def test_v_profile_k_max_beyond_eigenvalues(self):
+        with pytest.raises(ValueError, match="k_max=4 exceeds number of eigenvalues 3"):
+            v_profile(np.ones(3), 3.0, 10, 4)
 
 
 class TestPersistence:

@@ -54,6 +54,13 @@ class TestBuildBspline:
             build_bspline((0.0, 1.0), dim=3, order=4)
         with pytest.raises(ValueError):
             build_bspline((1.0, 0.0), dim=6, order=4)
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            build_bspline((0.0, 1.0), dim=6, order=1)
+
+    @pytest.mark.parametrize("x", [[-0.5, 10.0], [95.0, 95.5]], ids=["below", "above"])
+    def test_evaluate_outside_domain_rejected(self, basis9, x):
+        with pytest.raises(ValueError, match=re.escape("points outside the basis domain [0.0, 95.0]")):
+            basis9.evaluate(x)
 
 
 def scipy_gram(basis):
@@ -407,6 +414,16 @@ class TestPlainLoader:
         path.write_bytes(text.encode())
         assert (fbasis._load_plain_csv(path) is not None) == plain
         assert_same_records(load_mortality_csv(path), line_loader(path))
+
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        text = (f"{HEADER}\n" if header else "") + "01,1975,F,0,0.01\n01,1975,M,1,0.02\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert fbasis._load_plain_csv(bom) is None  # the line reader takes it
+        assert_same_records(load_mortality_csv(bom), load_mortality_csv(plain))
 
     @pytest.mark.parametrize("row, message", [
         ("01,1975,F,0,abc", "line 3: could not convert string to float: 'abc'"),

@@ -19,6 +19,7 @@ from hdffm import (
     cf_forecast,
     fit_ar_bic,
     functional_space,
+    mortality_rolling_eval,
     persistence_forecast,
     rolling_origin_eval,
     scalar_space,
@@ -634,6 +635,16 @@ class TestTnhForecast:
         with pytest.raises(ValueError, match=re.escape("rng_seed must be >= 0, got -1")):
             ForecastConfig(horizon=1, rng_seed=-1)
 
+    def test_fixed_r_below_1_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("fixed_r must be >= 1")):
+            ForecastConfig(horizon=1, fixed_r=0)
+
+    def test_p_max_too_large_for_t(self, rng):
+        # orders up to 5 need 3 (5 + 2) = 21 periods
+        panel = random_mixed_panel(rng, N=3, T=20)
+        with pytest.raises(ValueError, match=re.escape("p_max=5 too large for T=20")):
+            tnh_forecast(panel, ForecastConfig(horizon=1, p_max=5, fixed_r=1))
+
     def test_ar_orders(self):
         from hdffm import center, fit_factors, idiosyncratic_residual
 
@@ -730,6 +741,21 @@ class TestCfForecast:
         panel = random_mixed_panel(rng, N=2, T=40, scalar_prob=0.0, max_dim=3)
         with pytest.raises(ValueError):
             cf_forecast(panel, 1, n_components=10)
+
+    @pytest.mark.parametrize("h, p_max, message", [
+        (0, 5, "h must be >= 1"),
+        (1, 5, "p_max=5 too large for T=20"),
+    ], ids=["h-0", "p-max-too-large"])
+    def test_bad_arguments_rejected(self, rng, h, p_max, message):
+        panel = random_mixed_panel(rng, N=2, T=20, scalar_prob=0.0, max_dim=3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cf_forecast(panel, h, n_components=1, p_max=p_max)
+
+
+def test_mortality_rolling_eval_rejects_negative_p_max(tmp_path):
+    # before the file is read: this one does not exist
+    with pytest.raises(ValueError, match=re.escape("p_max must be >= 0")):
+        mortality_rolling_eval(tmp_path / "missing.csv", None, 1, -1, 89)
 
 
 class TestAgainstPersistence:

@@ -85,3 +85,17 @@ def test_model_modules_read_and_write_no_files():
     for module in ("panel", "estimate", "select"):
         modules = {source for source, _ in imported_names(trees[module])}
         assert not modules & {"json", "csv"}, module
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10: no grammar newer than 3.10 (such
+    # as except*) in the package, its tests or the benchmark; names the 3.10
+    # standard library lacks are not checked here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [os.path.join(folder, name) for top in ("src", "tests", "perfbench")
+             for folder, _, names in os.walk(os.path.join(root, top))
+             for name in sorted(names) if name.endswith(".py")]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), path, feature_version=(3, 10))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hdffm import (
     functional_space,
     mafe_msfe,
     phi_nt,
+    scalar_space,
 )
 from hdffm.simulate import DgpConfig, gen_dgp
 from conftest import random_mixed_panel, random_spd
@@ -160,6 +163,14 @@ class TestSpaceChecks:
         assert epsilon_nt(LoadingMatrix(spaces=copies, columns=B.columns), B) < 1e-10
         p = Panel(spaces, [rng.standard_normal((5, 3)) for _ in spaces])
         assert phi_nt(Panel(copies, p.coeffs), p) == 0.0
+
+    @pytest.mark.parametrize("columns, message", [
+        (np.zeros(2), "columns must be a (total_dim, r) array"),
+        (np.zeros((3, 1)), "columns have 3 rows, spaces require 2"),
+    ], ids=["1-d", "row-count"])
+    def test_bad_columns_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LoadingMatrix(spaces=(scalar_space(), scalar_space()), columns=columns)
 
     def test_different_gram_rejected(self, rng):
         spaces = [functional_space(3, random_spd(rng, 3))] * 4

@@ -1,4 +1,6 @@
+import codecs
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from hdffm import (
     scalar_space,
     tnh_forecast,
 )
-from hdffm.files import panel_from_dict, panel_to_dict
+from hdffm.files import load_panel_file, panel_from_dict, panel_to_dict
 from hdffm.panel import _CHUNK_BYTES, block_offsets, split_stacked, stack_runs, whiten_stacked
 from conftest import random_mixed_panel, random_spd
 
@@ -54,6 +56,16 @@ class TestSpaceSpec:
         g = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             functional_space(2, g)
+
+    @pytest.mark.parametrize("kind, dim, gram, message", [
+        ("curve", 1, np.eye(1), "unknown space kind 'curve'"),
+        ("functional", 0, np.eye(0), "dim must be a positive integer"),
+        ("functional", 2, np.eye(3), "gram must be 2x2, got (3, 3)"),
+        ("scalar", 2, np.eye(2), "scalar series must have dim=1"),
+    ], ids=["unknown-kind", "zero-dim", "gram-shape", "scalar-dim"])
+    def test_bad_space_rejected(self, kind, dim, gram, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpaceSpec(kind, dim, gram)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
@@ -149,6 +161,15 @@ class TestValidation:
     def test_no_series(self):
         with pytest.raises(ValueError, match="at least one series"):
             Panel([], [])
+
+    def test_block_count_mismatch(self):
+        with pytest.raises(ValueError, match="coeffs and spaces length mismatch"):
+            Panel([scalar_space(), scalar_space()], [np.zeros((4, 1))])
+
+    def test_stacked_row_count_mismatch(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "stacked coefficients have shape (3, 5), expected (2, T)")):
+            Panel.from_stacked([functional_space(2)], np.zeros((3, 5)))
 
     def test_ragged_time(self):
         with pytest.raises(ValueError):
@@ -362,6 +383,19 @@ class TestPersistence:
         doc["N"] += 1
         with pytest.raises(ValueError):
             panel_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["panel.json", "panel.csv"])
+    def test_byte_order_mark_skipped(self, tmp_path, name):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        plain, bom = tmp_path / name, tmp_path / ("bom_" + name)
+        if name.endswith(".csv"):
+            plain.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        else:
+            save_panel(random_mixed_panel(np.random.default_rng(3), N=4, T=5), plain)
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        p, q = load_panel_file(plain), load_panel_file(bom)
+        assert p.stacked_coeffs().tobytes() == q.stacked_coeffs().tobytes()
+        assert all(a.matches(b) for a, b in zip(p.spaces, q.spaces))
 
     def test_scalar_csv(self, tmp_path):
         path = tmp_path / "panel.csv"

@@ -251,10 +251,10 @@ class TestAbcSelect:
         assert doc["c_grid"] == C_GRID.tolist()
         assert len(doc["r_hat_table"]) == len(trace.c_grid)
         cpath = tmp_path / "var.csv"
-        save_variance_csv(trace, cpath)
+        save_variance_csv(trace, cpath, manifest={"seed": 0})
         lines = cpath.read_text().strip().splitlines()
-        assert lines[0] == "c,var_p1,var_p2"
-        assert len(lines) == 1 + len(trace.c_grid)
+        assert lines[:2] == ['# manifest: {"seed": 0}', "c,var_p1,var_p2"]
+        assert len(lines) == 2 + len(trace.c_grid)
 
 
 def noise_panel(seed):
@@ -507,6 +507,14 @@ def record_threads(monkeypatch):
 class TestThreadedSelection:
     """The permutations run on threads where the Grams fill a stack budget
     (T >= 121 at the reference sizes); nothing a caller sees depends on it."""
+
+    @pytest.mark.parametrize("cpus, cap", [(3, 3), (None, 1)])
+    def test_default_cap_without_affinity(self, monkeypatch, cpus, cap):
+        # where os.sched_getaffinity is missing, the CPU count, or 1 if unknown
+        monkeypatch.delenv("HDFFM_THREADS", raising=False)
+        monkeypatch.delattr(select.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(select.os, "cpu_count", lambda: cpus)
+        assert select.thread_cap() == cap
 
     @staticmethod
     def outputs(make_panel, cap, monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ class TestNoiseCovariance:
         assert c3 == 7.0 and np.allclose(e3, decay)
         c4, e4 = noise_covariance(4)
         assert c4 == 7.0 and np.allclose(e4, decay[::-1])
+
+    def test_unknown_dgp_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("dgp must be in {1, 2, 3, 4}")):
+            noise_covariance(5)
 
 
 class TestArBurnInDraw:
@@ -118,6 +123,9 @@ class TestGenDgp:
     def test_validation(self):
         with pytest.raises(ValueError):
             DgpConfig(dgp=5, N=10, T=50, seed=0)
+        for N, T in [(0, 50), (10, 1)]:
+            with pytest.raises(ValueError, match="need N >= 1 and T >= 2"):
+                DgpConfig(dgp=1, N=N, T=T, seed=0)
         with pytest.raises(ValueError):
             DgpConfig(dgp=1, N=10, T=50, seed=0, target_opnorm=1.5)
         with pytest.raises(ValueError):
