@@ -196,9 +196,10 @@ def _as_records(rows: list) -> MortalityRecords:
 
 
 # The plain shape of a mortality CSV: ASCII letters, digits and ",.+-_" between
-# line breaks, and an optional header.  Quotes, "#", blanks and other bytes are
-# left to the csv module.
+# line breaks, after an optional byte-order mark and header.  Quotes, "#",
+# blanks and other bytes are left to the csv module.
 _PLAIN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ,.+-_\r\n"
+_BOM = "\ufeff".encode()  # UTF-8 byte-order mark: a spreadsheet's "CSV UTF-8" export
 _DATA_BYTE = re.compile(rb"[^\r\n]")
 _HEADER_WORDS = ("prefecture_id", "prefecture")  # first fields of the rows both readers skip
 _HEADERS = tuple(word.encode() + b"," for word in _HEADER_WORDS)
@@ -212,16 +213,17 @@ def _load_plain_csv(path) -> MortalityRecords | None:
     line reader would reject (it then reports the line)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    header = data[: max(map(len, _HEADERS))].lower().startswith(_HEADERS)
-    if data.translate(None, _PLAIN_BYTES):
+    bom = len(_BOM) if data.startswith(_BOM) else 0  # skipped, as by the line reader
+    header = data[bom : bom + max(map(len, _HEADERS))].lower().startswith(_HEADERS)
+    if data.translate(None, _PLAIN_BYTES) != data[:bom]:
         return None
-    start = (data.find(b"\n") + 1 or len(data)) if header else 0  # after the header
+    start = (data.find(b"\n") + 1 or len(data)) if header else bom  # after the header
     if not _DATA_BYTE.search(data, start):
         return None  # no data rows: nothing but line breaks after the header
     del data  # the parse below holds the table; the raw bytes are not needed
     try:
         table = np.loadtxt(path, dtype=_PLAIN_FIELDS, delimiter=",", comments=None,
-                           skiprows=int(header), encoding="ascii", ndmin=1)
+                           skiprows=int(header), encoding="utf-8-sig", ndmin=1)
         # the fields are strided views of the table; the records copy what they keep
         rows = table.view(np.uint8).reshape(table.size, table.itemsize)
         fields = table.dtype.fields

@@ -278,8 +278,7 @@ def spaces_match(a: Sequence[SpaceSpec], b: Sequence[SpaceSpec]) -> bool:
 def gram_matrix(panel: Panel) -> np.ndarray:
     """T x T panel Gram matrix with entries <x_s, x_t> / N."""
     Z = panel.stacked_white()
-    F = (Z.T @ Z) / panel.N
-    return 0.5 * (F + F.T)
+    return (Z.T @ Z) / panel.N  # one symmetric rank-k update, mirrored: exactly symmetric
 
 
 def center(panel: Panel) -> tuple:

@@ -11,12 +11,12 @@ is the one read).  The subpanels are a rule of the panel,
 ``nested_subpanel_sizes(N, T)``: ten nested sets of series, each over all T
 periods.  One plain generator loop per permutation
 (``_subpanel_spectra``) adds the permutation's series to one running sum
-and fills an eigensolve stack of T x T Grams from it as each task is taken.
-Where one permutation's subpanel Grams fill a stack budget, those stacks
-and the panel's own ``eigh`` run as tasks on up to ``thread_cap()``
-threads (``run_in_order``), the only work a command runs on threads: on t
-threads a selection holds one running sum (8T^2 bytes) and at most t
-stacks, and its outputs are byte-identical at every cap.  The trace JSON
+and fills eigensolve stacks of T x T Grams, one per distinct subpanel size,
+from it as each task is taken.  Where a stack returns more than 500
+eigenvalues, the stacks and the panel's own ``eigh`` run as tasks on up to
+``thread_cap()`` threads (``run_in_order``), the only work a command runs
+on threads: on t threads a selection holds one running sum (8T^2 bytes)
+and at most t stacks, and its outputs are byte-identical at every cap.  The trace JSON
 and variance CSV are written by ``files``.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .estimate import v_profile
-from .panel import _CHUNK_BYTES, Panel, stack_runs
+from .panel import Panel, stack_runs
 
 IC1A = "IC1a"
 IC2A = "IC2a"
@@ -89,18 +89,12 @@ def _r_hat_profile(v: np.ndarray, g, c_grid: np.ndarray, k_max: int) -> np.ndarr
     return np.argmin(ic, axis=-1) + 1
 
 
-def _full_panel_profile(panel: Panel, c_grid: np.ndarray, g: float, k_max: int) -> np.ndarray:
-    """argmin_k of V(k) + c*k*g on the full panel for every c in the grid, read
-    from the panel's cached Gram spectrum."""
+def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
+    """Smallest k in 1..k_max minimizing IC(c, k) on the panel's Gram spectrum."""
+    g = _check_selection(panel.dims, panel.T, kind, k_max, c)[-1]
     vals, _, trace = panel.gram_spectrum()
     v = v_profile(vals, trace, panel.T, k_max)
-    return _r_hat_profile(v, g, c_grid, k_max)
-
-
-def select_r_fixed(panel: Panel, c: float, kind: str = IC2A, k_max: int = 10) -> int:
-    """Smallest k in 1..k_max minimizing IC(c, k) on the full panel."""
-    g = _check_selection(panel.dims, panel.T, kind, k_max, c)[-1]
-    return int(_full_panel_profile(panel, np.asarray([c], dtype=float), g[-1], k_max)[0])
+    return int(_r_hat_profile(v, g[-1], np.asarray([c], dtype=float), k_max)[0])
 
 
 def nested_subpanel_sizes(N: int, T: int) -> tuple:
@@ -143,8 +137,9 @@ def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
     """The subpanel sizes ``nested_subpanel_sizes(N, T)`` of a tuned selection
     with ``cfg`` on a panel of series of stacked dimensions ``dims`` over T
     periods, checked (N_1 >= 1, which a one-series panel fails), its
-    permutations, the N_j of the proper subpanels, (J - 1,), and the stacked
-    dimension D_j of each permutation's proper subpanels, (P, J - 1).
+    permutations, the N_j of the proper subpanels, (J - 1,), and the row
+    offsets of each permutation's series in permuted order, (P, N + 1), so
+    ``off[:, n_sub]`` holds the stacked dimensions D_j of its subpanels.
     """
     dims = np.asarray(dims)
     N = dims.size
@@ -153,8 +148,9 @@ def _tuned_subpanels(dims, T: int, cfg: AbcConfig) -> tuple:
         raise ValueError(f"invalid subpanel size {sizes[0]}")
     permutations = [perm.copy() for perm in _permutations(N, cfg.P, cfg.rng_seed)]
     n_sub = np.array([n_j for n_j, _ in sizes[:-1]])
-    d_sub = np.array([np.cumsum(dims[perm])[n_sub - 1] for perm in permutations])
-    return sizes, permutations, n_sub, d_sub
+    off = np.zeros((cfg.P, N + 1), dtype=int)
+    np.cumsum(dims[np.array(permutations)], axis=1, out=off[:, 1:])
+    return sizes, permutations, n_sub, off
 
 
 def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
@@ -163,8 +159,8 @@ def _largest_k_max(dims, T: int, cfg: AbcConfig) -> int:
     T periods: the least rank bound min(D_j, T) of the panel and of every
     permutation's subpanels (D_j <= D).  Its subpanel sizes are checked
     first."""
-    *_, d_sub = _tuned_subpanels(dims, T, cfg)
-    return int(min(cfg.k_max, T, d_sub.min()))
+    _, _, n_sub, off = _tuned_subpanels(dims, T, cfg)
+    return int(min(cfg.k_max, T, off[:, n_sub].min()))
 
 
 def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
@@ -178,23 +174,23 @@ def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
     order; the ``kind`` penalty on the panel, then on each proper subpanel.
 
     Returns the subpanel sizes (the panel alone for a fixed selection), the
-    permutations (none for a fixed selection), the N_j of the proper
-    subpanels and the penalty of each size.
+    permutations and their row offsets (none for a fixed selection), the N_j
+    of the proper subpanels and the penalty of each size.
     """
     N, D = len(dims), int(sum(dims))
     if isinstance(tuning, AbcConfig):
-        sizes, permutations, n_sub, d_sub = _tuned_subpanels(dims, T, tuning)
+        sizes, permutations, n_sub, off = _tuned_subpanels(dims, T, tuning)
     else:
         if not (math.isfinite(tuning) and tuning >= 0):
             raise ValueError(f"c must be nonnegative and finite, got {tuning!r}")
-        sizes, permutations, n_sub, d_sub = ((N, T),), [], np.zeros(0, int), np.zeros((0, 0), int)
+        sizes, permutations, n_sub, off = ((N, T),), [], np.zeros(0, int), np.zeros((0, 1), int)
     if not 1 <= k_max <= min(D, T):
         raise ValueError(f"k_max={k_max} out of range 1..{min(D, T)} for this panel")
-    over = np.argwhere(k_max > d_sub)  # (p, j), permutation by permutation; k_max <= T
+    over = np.argwhere(k_max > off[:, n_sub])  # (p, j), permutation by permutation; k_max <= T
     if over.size:
         p, j = over[0]
         raise ValueError(f"k_max={k_max} exceeds the rank bound "
-                         f"min({d_sub[p, j]}, {T}) of subpanel {j + 1}")
+                         f"min({off[p, n_sub[j]]}, {T}) of subpanel {j + 1}")
     g_panel = penalty(kind, N, T)
     g = []
     for j, n_j in enumerate(n_sub.tolist()):
@@ -202,7 +198,7 @@ def _check_selection(dims, T: int, kind: str, k_max: int, tuning) -> tuple:
             g.append(penalty(kind, n_j, T))
         except ValueError as exc:
             raise ValueError(f"subpanel {j + 1} ({n_j} series x {T} periods): {exc}") from None
-    return sizes, permutations, n_sub, np.array(g + [g_panel])
+    return sizes, permutations, off, n_sub, np.array(g + [g_panel])
 
 
 @dataclass
@@ -253,39 +249,36 @@ def _read_c(r_full: np.ndarray, variance: np.ndarray, k_max: int) -> tuple:
     return plateaus, None, "fixed_c1"
 
 
-def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, n_sub: np.ndarray,
-                      k_max: int):
+def _subpanel_spectra(Z: np.ndarray, offsets: np.ndarray, perm: np.ndarray, off: np.ndarray,
+                      stacks: list, k_max: int):
     """The tasks of one permutation, in the order ``run_in_order`` takes
-    them: stack by stack, a task that returns the k_max largest eigenvalues
-    (descending), (stack, k_max), and the traces, (stack,), of the T x T
-    Grams of its subpanels j: the first n_sub[j] series of ``perm`` in the
-    whitened (total_dim, T) matrix ``Z`` with series row ``offsets``.
+    them: for each stack of increasing subpanel sizes in ``stacks``, a task
+    that returns the k_max largest eigenvalues (descending), (stack, k_max),
+    and the traces, (stack,), of the T x T Grams of its subpanels: the first
+    n_j series of ``perm``, whose rows start at ``off`` in permuted order, in
+    the whitened (total_dim, T) matrix ``Z`` with series row ``offsets``.
 
-    One loop runs as the tasks are taken.  For each piece of ``stack_runs``
-    (consecutive subpanels, cut to the byte budget), it adds each
+    One loop runs as the tasks are taken.  For each stack, it adds each
     checkpoint's new series to the running sum S_n = sum_{i in perm[:n]}
-    Z_i' Z_i and drops their rows, allocates the stack once the piece's
-    first checkpoint, the largest, is added, writes the Gram S_n / n_j into
-    it, and yields a task that solves the stack by one ``eigvalsh``.  Only
-    that task then holds the stack, so the next stack's sums can be
-    accumulated while this one is solved; the running sum lives until every
-    stack is taken.
+    Z_i' Z_i and drops their rows, allocates the stack once its first
+    checkpoint, the largest, is added, writes the Gram S_n / n_j into it,
+    and yields a task that solves the stack by one ``eigvalsh``.  Only that
+    task then holds the stack, so the next stack's sums can be accumulated
+    while this one is solved; the running sum lives until every stack is
+    taken.
     """
-    dims = np.diff(offsets)[perm]
-    off = np.concatenate([[0], np.cumsum(dims)])  # row offsets of the permuted series
-    rows = np.repeat(offsets[:-1][perm] - off[:-1], dims) + np.arange(off[-1])
+    rows = np.repeat(offsets[:-1][perm] - off[:-1], np.diff(off)) + np.arange(off[-1])
     T = Z.shape[1]
     S, done = np.zeros((T, T)), 0
-    for lo, hi in stack_runs([T] * n_sub.size, lambda t: 8 * t * t):
-        for j in range(lo, hi):
-            if n_sub[j] > done:  # S += Z_i' Z_i over the permuted series done..n_j - 1
-                block = Z[rows[off[done] : off[n_sub[j]]]]
-                np.add(S, block.T @ block, out=S)
-                del block
-                done = n_sub[j]
-            if j == lo:  # once the first checkpoint's block, the largest, is dropped
-                F = np.empty((hi - lo, T, T))
-            np.divide(S, n_sub[j], out=F[j - lo])
+    for n_stack in stacks:
+        for i, n_j in enumerate(n_stack):  # S += Z_i' Z_i over the permuted series done..n_j - 1
+            block = Z[rows[off[done] : off[n_j]]]
+            np.add(S, block.T @ block, out=S)
+            del block
+            done = n_j
+            if i == 0:  # once the first checkpoint's block, the largest, is dropped
+                F = np.empty((len(n_stack), T, T))
+            np.divide(S, n_j, out=F[i])
         yield partial(_stack_spectra, F, k_max)
         del F  # only the task holds the stack: it is freed once solved
 
@@ -353,36 +346,40 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     the first zero-variance plateau of the variance-over-subpanels profile
     other than a run at c = 0 that selects k_max (on an exact low-rank panel,
     that run itself), or at a fallback (``_read_c``), and returns the lower
-    median across permutations together with the full trace.  Everything it checks is
-    checked first (``_check_selection``).  Where one permutation's Grams
-    fill a stack budget, the panel's own spectrum and then every
-    permutation's eigensolve stacks (``_subpanel_spectra``), one permutation
-    after another, run as tasks of one iterator on up to ``thread_cap()``
-    threads: one running sum is held at a time, and at most one stack per
-    thread.  The results, gathered in order, do not depend on the thread
-    count.
+    median across permutations together with the full trace.  Everything it
+    checks is checked first (``_check_selection``).  A permutation solves one
+    Gram per distinct proper subpanel size.  Where its first, largest,
+    eigensolve stack returns more than 500 values, the panel's own spectrum
+    and then every permutation's stacks (``_subpanel_spectra``) run as tasks
+    of one iterator on up to ``thread_cap()`` threads: one running sum is
+    held at a time, and at most one stack per thread.  The results, gathered
+    in order, do not depend on the thread count.
     """
-    sizes, permutations, n_sub, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
+    sizes, perms, off, n_sub, g = _check_selection(panel.dims, panel.T, kind, cfg.k_max, cfg)
     c_grid = C_GRID.copy()  # the trace keeps its own
-    I, J, P, T, k_max = c_grid.size, len(sizes), cfg.P, panel.T, cfg.k_max
+    P, T, k_max = cfg.P, panel.T, cfg.k_max
+    # one Gram per distinct size (N <= 40 repeats them), the full panel's last:
+    # subpanel j of each permutation reads its Gram column[j]
+    n_gram, column = np.unique(np.append(n_sub, panel.N), return_inverse=True)
+    stacks = [n_gram[lo:hi] for lo, hi in stack_runs([T] * (n_gram.size - 1),
+                                                      lambda t: 8 * t * t)]
 
     Z = panel.stacked_white()  # materialised once, before the tasks share it
     tasks = chain([panel.gram_spectrum], chain.from_iterable(
-        _subpanel_spectra(Z, panel.offsets, perm, n_sub, k_max) for perm in permutations))
-    # threads pay only when one permutation's Grams fill a stack budget: numpy's
-    # eigvalsh releases the GIL only for a call of more than 500 output values
-    cap = thread_cap()
-    threads = min(cap, P + 1) if 8 * (J - 1) * T * T >= _CHUNK_BYTES else 1
-    # the stacks' Grams run permutation by permutation, subpanel by subpanel
-    top, traces = (np.concatenate(a) for a in zip(*run_in_order(tasks, threads)[1:]))
-
-    r_table = np.zeros((I, J, P), dtype=int)
-    # the last subpanel is the full panel whatever the permutation: its
+        _subpanel_spectra(Z, panel.offsets, perm, off_p, stacks, k_max)
+        for perm, off_p in zip(perms, off)))
+    # threads pay only where the stacks' eigvalsh lets go of the GIL, which
+    # numpy's does only for a call of more than 500 output values
+    threads = min(thread_cap(), P + 1) if len(stacks[0]) * T > 500 else 1
+    (vals, _, panel_trace), *spectra = run_in_order(tasks, threads)
+    # the full panel is the last subpanel whatever the permutation: its
     # column comes from the panel's own spectrum, the one the fit reads
-    r_full = _full_panel_profile(panel, c_grid, g[-1], k_max)
-    r_table[:, -1, :] = r_full[:, None]
-    v = v_profile(top.reshape(P, J - 1, k_max), traces.reshape(P, J - 1), T, k_max)
-    r_table[:, :-1, :] = _r_hat_profile(v, g[:-1], c_grid, k_max).T
+    top, traces = (np.concatenate(a) for a in zip(*spectra))
+    top = np.append(top.reshape(P, -1, k_max), np.tile(vals[:k_max], (P, 1, 1)), axis=1)
+    traces = np.append(traces.reshape(P, -1), np.full((P, 1), panel_trace), axis=1)
+    v = v_profile(top[:, column], traces[:, column], T, k_max)  # (P, J, k_max + 1)
+    r_table = np.ascontiguousarray(_r_hat_profile(v, g, c_grid, k_max).T)  # (I, J, P)
+    r_full = r_table[:, -1, 0]
 
     variance = r_table.var(axis=1)  # (I, P)
     plateaus, chosen_idx, fallback = (list(a) for a in zip(
@@ -394,7 +391,7 @@ def abc_select_r(panel: Panel, cfg: AbcConfig, kind: str = IC2A) -> tuple:
     trace = SelectionTrace(
         c_grid=c_grid,
         subpanel_sizes=sizes,
-        permutations=permutations,
+        permutations=perms,
         r_hat_table=r_table,
         variance_profile=variance,
         plateaus=plateaus,

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import json
 import math
 import re
@@ -207,9 +208,9 @@ class TestAbcSelect:
         lambda: gen_dgp(DgpConfig(dgp=1, N=20, T=60, seed=9))[0], mixed_bspline_panel,
     ], ids=["dgp1", "mixed_bspline"])
     def test_full_panel_column_is_the_fixed_c_selection(self, monkeypatch, make_panel):
-        # the full-panel column reads the panel's own spectrum: only the J - 1
-        # proper subpanels of each permutation are solved by eigvalsh (stacked,
-        # so the matrices are counted, not the calls)
+        # the full-panel column reads the panel's own spectrum: only the
+        # distinct proper subpanel sizes of each permutation are solved by
+        # eigvalsh (stacked, so the matrices are counted, not the calls)
         panel = make_panel()
         cfg = AbcConfig(rng_seed=6, P=3)
         eigvalsh, calls = np.linalg.eigvalsh, []
@@ -222,7 +223,8 @@ class TestAbcSelect:
         _, trace = abc_select_r(panel, cfg, "IC2a")
         monkeypatch.undo()
         solved = sum(math.prod(shape[:-2]) for shape in calls)
-        assert solved == cfg.P * 9
+        distinct = {n_j for n_j, _ in nested_subpanel_sizes(panel.N, panel.T)[:-1]}
+        assert solved == cfg.P * len(distinct)
         for i, c in enumerate(C_GRID):
             r = select_r_fixed(panel, float(c), "IC2a", cfg.k_max)
             assert trace.r_hat_table[i, -1].tolist() == [r] * cfg.P
@@ -453,6 +455,28 @@ class TestStackedSelection:
         abc_select_r(panel, cfg)
         assert calls == [(9, 39, 39)] * cfg.P
 
+    @pytest.mark.parametrize("N, grams, digest", [
+        (12, 15, "d6b74d7b281a4776d601465803a68bfd55b3ad5c06fdfae4abcbcf3be99c2e07"),
+        (50, 45, "ec78a70ae32298d91497c047d2890c220182f7d239e575f6a4155a4f63f83f14"),
+    ], ids=["N12", "N50"])
+    def test_one_eigensolve_per_distinct_subpanel_size(self, monkeypatch, tmp_path, N, grams,
+                                                       digest):
+        # N = 12 has 3 distinct proper subpanel sizes of 9, N = 50 all 9: each
+        # is one Gram per permutation; the digest is of the trace file written
+        # when every one of the nine was solved
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=N, T=60, seed=8))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _, trace = abc_select_r(panel, AbcConfig())
+        assert sum(math.prod(shape[:-2]) for shape in calls) == grams
+        save_trace(trace, tmp_path / "trace.json", {})
+        assert hashlib.sha256((tmp_path / "trace.json").read_bytes()).hexdigest() == digest
+
     def test_memory_within_the_byte_budget(self, monkeypatch):
         # mc-grid's largest cell, serial as in its bench workers
         monkeypatch.setenv("HDFFM_THREADS", "1")
@@ -505,8 +529,9 @@ def record_threads(monkeypatch):
 
 
 class TestThreadedSelection:
-    """The permutations run on threads where the Grams fill a stack budget
-    (T >= 121 at the reference sizes); nothing a caller sees depends on it."""
+    """The permutations run on threads where a permutation's largest
+    eigensolve stack returns more than 500 values (T >= 56 at N >= 41, where
+    a permutation solves nine Grams); nothing a caller sees depends on it."""
 
     @pytest.mark.parametrize("cpus, cap", [(3, 3), (None, 1)])
     def test_default_cap_without_affinity(self, monkeypatch, cpus, cap):
@@ -552,6 +577,20 @@ class TestThreadedSelection:
         panel, _ = gen_dgp(DgpConfig(dgp=1, N=50, T=200, seed=5))
         abc_select_r(panel, AbcConfig())
         assert len(idents) == 5 and threading.get_ident() not in idents
+
+    @pytest.mark.parametrize("N, T, pooled", [
+        (50, 100, True), (50, 56, True), (50, 55, False), (12, 100, False),
+        (50, 253, True), (50, 240, False),
+    ])
+    def test_threads_where_a_stack_returns_over_500_values(self, monkeypatch, N, T, pooled):
+        # one stack of nine Grams at N = 50 (9T values) and of three at N = 12
+        # (3T); at T = 210..256 stacks of two Grams (2T) and a last of one
+        monkeypatch.setenv("HDFFM_THREADS", "2")
+        idents = record_threads(monkeypatch)
+        panel, _ = gen_dgp(DgpConfig(dgp=1, N=N, T=T, seed=5))
+        abc_select_r(panel, AbcConfig())
+        main = threading.get_ident()
+        assert len(idents) == 5 and (main not in idents if pooled else set(idents) == {main})
 
     def test_serial_on_mortality_windows(self, monkeypatch):
         monkeypatch.setenv("HDFFM_THREADS", "2")
@@ -654,10 +693,11 @@ class TestSubpanelSpectra:
                 alive.append([ref() is not None for ref in refs])
                 return super().__getitem__(index)
 
-        # at T = 200 a stack holds three Grams: nine subpanels fill three stacks
+        # nine subpanels in three stacks of three Grams, as at T = 200
         Z = np.random.default_rng(0).standard_normal((9, 200)).view(Rows)
-        n_sub = np.arange(1, 10)
-        for task in select._subpanel_spectra(Z, np.arange(10), np.arange(9), n_sub, 2):
+        stacks = np.arange(1, 10).reshape(3, 3)
+        rows = np.arange(10)  # series i is row i, in order and permuted
+        for task in select._subpanel_spectra(Z, rows, np.arange(9), rows, stacks, 2):
             refs.append(weakref.ref(task.args[0]))
             task()
             del task
