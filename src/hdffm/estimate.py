@@ -119,8 +119,8 @@ def fit_factors(panel: Panel, k: int) -> FactorFit:
 
 
 def common_component(fit: FactorFit) -> Panel:
-    """Panel of fitted common components ``chi_hat = b_tilde @ factors``."""
-    return Panel.from_stacked(fit.spaces, fit.b_tilde @ fit.factors)
+    """Panel of fitted common components ``chi_hat = b_tilde @ factors``, formed column-major."""
+    return Panel._adopt(fit.spaces, (fit.factors.T @ fit.b_tilde.T).T)
 
 
 def idiosyncratic_residual(panel: Panel, fit: FactorFit) -> Panel:

@@ -8,13 +8,13 @@ products of splines) carries the L2 geometry into the coefficient representation
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import csv_rows
 from .panel import _CHUNK_BYTES, Panel, SpaceSpec, functional_space
 
 
@@ -115,6 +115,7 @@ def project_curve(design: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 GROUP_AGE = 95
 AGE_GRID = np.arange(GROUP_AGE + 1, dtype=float)
+_LAST_AGE = 110  # the CSV schema's last single age; "110+" reads as one more
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +163,11 @@ def _factorize(col: np.ndarray) -> tuple:
 
 def _age(text: str) -> int:
     """An age field: an integer in 0..110, or "110+", which reads as 111."""
-    if text == "110+":
-        return GROUP_AGE + 16
+    if text == f"{_LAST_AGE}+":
+        return _LAST_AGE + 1
     age = int(text)
-    if not (text.isdigit() and age <= GROUP_AGE + 15):  # no sign, "_" or out of range
-        raise ValueError(f"age must be 0..110 or '110+', got {text!r}")
+    if not (text.isdigit() and age <= _LAST_AGE):  # no sign, "_" or out of range
+        raise ValueError(f"age must be 0..{_LAST_AGE} or '{_LAST_AGE}+', got {text!r}")
     return age
 
 
@@ -204,7 +205,7 @@ _DATA_BYTE = re.compile(rb"[^\r\n]")
 _HEADER_WORDS = ("prefecture_id", "prefecture")  # first fields of the rows both readers skip
 _HEADERS = tuple(word.encode() + b"," for word in _HEADER_WORDS)
 _PLAIN_FIELDS = [("pref", "S16"), ("year", "i8"), ("sex", "S8"), ("age", "S8"), ("rate", "S32")]
-_AGE_SPELLINGS = np.array([str(a) for a in range(GROUP_AGE + 16)] + ["110+"], dtype="S8")  # 0..111
+_AGE_SPELLINGS = np.array([str(a) for a in range(_LAST_AGE + 1)] + [f"{_LAST_AGE}+"], dtype="S8")
 
 
 def _load_plain_csv(path) -> MortalityRecords | None:
@@ -273,27 +274,22 @@ def load_mortality_csv(path) -> MortalityRecords:
 def _read_csv_rows(path) -> list:
     """(prefecture_id, year, sex, age, rate-or-None) tuples of a CSV, line by line."""
     records = []
-    append = records.append
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            pref = row[0].strip()
-            if pref.lower() in _HEADER_WORDS:
-                continue
-            if len(row) < 5:
-                raise ValueError(f"line {reader.line_num}: expected 5 columns "
-                                 f"(prefecture_id, year, sex, age, rate), got {len(row)}")
-            text = row[4].strip()
-            try:
-                year, age = _year(row[1].strip()), _age(row[3].strip())
-                rate = float(text) if text else None
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            if rate is not None and not math.isfinite(rate):
-                raise ValueError(f"line {reader.line_num}: rate must be finite, got {text!r}")
-            append((pref, year, row[2].strip(), age, rate))
+    for line, row in csv_rows(path):
+        pref = row[0].strip()
+        if pref.lower() in _HEADER_WORDS:
+            continue
+        if len(row) < 5:
+            raise ValueError(f"line {line}: expected 5 columns "
+                             f"(prefecture_id, year, sex, age, rate), got {len(row)}")
+        text = row[4].strip()
+        try:
+            year, age = _year(row[1].strip()), _age(row[3].strip())
+            rate = float(text) if text else None
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
+        if rate is not None and not math.isfinite(rate):
+            raise ValueError(f"line {line}: rate must be finite, got {text!r}")
+        records.append((pref, year, row[2].strip(), age, rate))
     if not records:
         raise ValueError("mortality CSV has no data rows")
     return records
@@ -359,9 +355,9 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
     (prefecture, year) curve of a sex is projected onto ``basis`` by one
     ``project_curve`` call.  Of repeated records for one age, the last wins.
     A negative age in tuple records raises; ages above 110 join the 95+ group.
-    Records may come in any order: prefecture codes and ages below 95 index
-    the curves directly, and only the runs of equal years and the records of
-    ages >= 95 are sorted.
+    Records may come in any order: ages below 95 index the curves directly,
+    and only the runs of equal prefectures and years and the records of ages
+    >= 95 are sorted.
     """
     cols = records if isinstance(records, MortalityRecords) else _as_records(records)
     design = basis.evaluate(AGE_GRID)
@@ -371,11 +367,9 @@ def ingest_mortality(records, basis: BSplineBasis, sexes=None) -> dict:
         if sexes is not None and sex not in sexes:
             continue
         rows = cols.sex == s
-        pref = cols.pref[rows]
-        present = np.bincount(pref, minlength=len(cols.prefectures)) > 0
-        p = (np.cumsum(present) - 1)[pref]  # the rank of each code among those present
+        codes, p = _factorize(cols.pref[rows])
         years, y = _factorize(cols.year[rows])
-        prefs = tuple(cols.prefectures[i] for i in np.flatnonzero(present))
+        prefs = tuple(cols.prefectures[i] for i in codes)
         N, T = len(prefs), len(years)
         log_rates = _log_rate_curves(p * T + y, cols.age[rows], cols.rate[rows], N * T,
                                      lambda c: (sex, prefs[c // T], years[c % T]))

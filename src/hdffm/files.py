@@ -3,8 +3,7 @@ each CLI flag, config, spec and JSON document against its table
 (``settings``, ``json_settings``); the panel JSON and the all-scalar panel
 CSV; the fit JSON; and the outputs (selection trace JSON and variance CSV,
 simulation truth JSON, panel forecast JSON, CSV tables) with the one
-``manifest`` each embeds.  The mortality-rate CSV reader is
-``fbasis.load_mortality_csv``.
+``manifest`` each embeds.  ``fbasis.load_mortality_csv`` shares ``csv_rows``.
 """
 
 from __future__ import annotations
@@ -166,21 +165,25 @@ def load_panel(path) -> Panel:
     return panel_from_dict(read_json(path))
 
 
+def csv_rows(path):
+    """(line number, fields) of each data row of a CSV, skipping a leading byte-order
+    mark, blank rows and rows whose first field starts with "#"."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        yield from ((reader.line_num, row) for row in reader if row and not row[0].startswith("#"))
+
+
 def load_scalar_csv(path) -> Panel:
     """Read an all-scalar panel from CSV laid out as N rows x T columns."""
     rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"line {reader.line_num}: ragged CSV panel, "
-                                 f"{len(row)} values where earlier rows have {len(rows[0])}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    for line, row in csv_rows(path):
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {line}: ragged CSV panel, "
+                             f"{len(row)} values where earlier rows have {len(rows[0])}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
     if not rows:
         raise ValueError("empty CSV panel")
     return Panel.from_stacked([scalar_space()] * len(rows), rows)

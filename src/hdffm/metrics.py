@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimate import FactorFit
 from .panel import Panel, spaces_match, whiten_stacked
-from .simulate import GroundTruth
+
+if TYPE_CHECKING:  # named in annotations only
+    from .estimate import FactorFit
+    from .simulate import GroundTruth
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ vector x_it and basis Gram G_i, so <x_is, x_it> = x_is' G_i x_it.  The panel
 Gram is F[s, t] = (1/N) sum_i <x_is, x_it>; V(k) is the mean squared norm of
 what is left after projecting every series on the k leading eigenvectors of
 F in time, and the IC2a criterion is IC(c, k) = V(k) + c k g(N, T) with
-g = sqrt((N + T)/(NT)) log(min(N, T)).  Nothing here stacks or whitens the
-panel or reads its cached spectrum: only ``panel.coeffs`` and each space's
-``gram`` are used.
+g = sqrt((N + T)/(NT)) log(min(N, T)); the rank-k fit projects each series
+on the same k eigenvectors.  Nothing here stacks or whitens the panel or
+reads its cached spectrum: only ``panel.coeffs`` and each space's ``gram``
+are used.
 """
 
 import math
@@ -43,6 +44,31 @@ def v_of_k(panel, k_max: int) -> np.ndarray:
             total += np.einsum("td,de,te->", R, space.gram, R)  # sum_t r_it' G_i r_it
         v.append(total / (panel.N * panel.T))
     return np.array(v)
+
+
+def fit(panel, k: int):
+    """The rank-k least-squares fit, one series at a time: the factors f_l
+    (rows of a (k, T) array) are the k leading eigenvectors of the panel Gram
+    scaled to norm sqrt(T), and lambda_hat_l = lambda_l / T.  Per series, in
+    its own coefficients: the loading columns e_il = sum_t f_lt x_it /
+    (T sqrt(lambda_hat_l)) (a (dim_i, k) array), the common component
+    chi_it = sum_l sqrt(lambda_hat_l) e_il f_lt and the residual x_it - chi_it
+    (both (T, dim_i), row t for time t).  Returns (factors, lambda_hat,
+    loadings, common, residual), the last three as lists over the series."""
+    lam, vecs = np.linalg.eigh(gram(panel))
+    T = panel.T
+    lambda_hat = lam[::-1][:k] / T
+    factors = np.sqrt(T) * vecs[:, ::-1][:, :k].T
+    loadings, common, residual = [], [], []
+    for X in panel.coeffs:
+        E = np.column_stack([factors[l] @ X / (T * np.sqrt(lambda_hat[l])) for l in range(k)])
+        chi = np.zeros_like(X)
+        for l in range(k):
+            chi += np.sqrt(lambda_hat[l]) * np.outer(factors[l], E[:, l])
+        loadings.append(E)
+        common.append(chi)
+        residual.append(X - chi)
+    return factors, lambda_hat, loadings, common, residual
 
 
 def ic2a_penalty(N: int, T: int) -> float:

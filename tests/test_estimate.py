@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ class TestCommonAndResidual:
         xi = idiosyncratic_residual(panel, fit)
         for a, b, c in zip(panel.coeffs, chi.coeffs, xi.coeffs):
             assert np.allclose(a, b + c, atol=1e-12)
+
+    def test_common_component_in_one_allocation(self, rng):
+        # the fitted matrix is formed column-major and kept as the panel's own
+        panel = Panel([functional_space(5)] * 200, rng.standard_normal((200, 400, 5)))
+        fit = fit_factors(panel, 5)
+        tracemalloc.start()
+        try:
+            chi = common_component(fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * chi.stacked_coeffs().nbytes
 
     def test_noiseless_zero_residual(self, rng):
         panel, _, _ = rank_k_panel(rng, N=5, T=9, k=3)

@@ -425,6 +425,12 @@ class TestPlainLoader:
         assert fbasis._load_plain_csv(bom) is not None  # the column reader takes it
         assert_same_records(load_mortality_csv(bom), load_mortality_csv(plain))
 
+    def test_ages_are_the_schema_not_the_grouping(self, monkeypatch):
+        # a file may hold ages 0..110 and "110+", whatever age the model groups from
+        monkeypatch.setattr(fbasis, "GROUP_AGE", 90)
+        assert fbasis._age("110") == 110
+        assert fbasis._age("110+") == 111
+
     @pytest.mark.parametrize("row, message", [
         ("01,1975,F,0,abc", "line 3: could not convert string to float: 'abc'"),
         ("01,1975,F,0,inf", "line 3: rate must be finite, got 'inf'"),

@@ -87,6 +87,25 @@ def test_model_modules_read_and_write_no_files():
         assert not modules & {"json", "csv"}, module
 
 
+def test_only_files_reads_csv():
+    # which rows of a CSV are data is decided once, in hdffm.files.csv_rows
+    readers = [module for module, tree in src_modules().items()
+               if "csv" in {source for source, _ in imported_names(tree)}]
+    assert readers == ["files"]
+
+
+def test_metrics_imports_only_panel_at_run_time():
+    # the error functionals name fits and ground truths in annotations only,
+    # so importing them loads neither the estimator nor the generator
+    tree = src_modules()["metrics"]
+    guarded = {id(node) for stmt in tree.body if isinstance(stmt, ast.If)
+               and ast.unparse(stmt.test) == "TYPE_CHECKING" for node in ast.walk(stmt)}
+    run_time = {source for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in guarded
+                for source, _ in imported_names(node) if source.startswith(".")}
+    assert run_time == {".panel"}
+
+
 def test_every_file_parses_as_python_3_10():
     # pyproject.toml requires Python >= 3.10: no grammar newer than 3.10 (such
     # as except*) in the package, its tests or the benchmark; names the 3.10
