@@ -2,8 +2,10 @@
 # The README's CLI lines on numpy alone, pyproject.toml's one dependency:
 # simulate, estimate, tuned select-r with its trace and variance CSV, bench,
 # forecast --panel, forecast --mortality by tnh and by cf on a table that
-# perfbench's generator writes, both --help pages and the flags built from the
-# SELECT and FORECAST tables.  Each must exit 0.
+# perfbench's generator writes, the tnh forecast again from the parsed-table
+# cache (its table must equal the first byte for byte), both --help pages and
+# the flags built from the SELECT and FORECAST tables.  Each must exit 0.  The
+# cache lives under the script's temporary directory, removed on exit.
 #
 #   ci/numpy_only_cli.sh --venv   installs the package, without the test extra,
 #                                 into a fresh venv (needs the package index)
@@ -13,6 +15,7 @@ set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+export XDG_CACHE_HOME="$work/cache"
 if [ "${1:-}" = --venv ]; then
   mode="a fresh venv without scipy"
   python -m venv "$work/venv"
@@ -44,8 +47,11 @@ echo '{"dgps":[1],"N":[10,25],"T":[50],"replications":10,"k":[3],"seed":0}' > be
 "$py" -c "import sys; sys.path.insert(0, '$repo/perfbench'); import mortality_csv; mortality_csv.write_csv('rates.csv', 1, 4, 26)"
 "${hdffm[@]}" forecast --mortality rates.csv --sex F --horizon 5 --method tnh --out table.csv
 "${hdffm[@]}" forecast --mortality rates.csv --sex F --horizon 5 --method cf --out table_cf.csv
+"${hdffm[@]}" forecast --mortality rates.csv --sex F --horizon 5 --method tnh --out table_warm.csv
+ls "$XDG_CACHE_HOME"/hdffm/*.npz  # the entry the second tnh run read its records from
+cmp table.csv table_warm.csv
 "${hdffm[@]}" select-r --help > /dev/null
 "${hdffm[@]}" forecast --help > /dev/null
 "${hdffm[@]}" select-r --panel panel.json --method fixed --c 1.0 --k-max 8
 "${hdffm[@]}" forecast --panel panel.json --horizon 2 --method cf --n-components 3 --p-max 3
-echo "numpy-only CLI: 12 commands exited 0 on $mode"
+echo "numpy-only CLI: 13 commands exited 0 on $mode"

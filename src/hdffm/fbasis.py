@@ -9,12 +9,13 @@ products of splines) carries the L2 geometry into the coefficient representation
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import csv_rows
+from .files import cache_arrays, cache_key, cached_arrays, csv_rows
 from .panel import _CHUNK_BYTES, Panel, SpaceSpec, functional_space
 
 
@@ -176,6 +177,8 @@ def _year(text: str) -> int:
     year = int(text)
     if not (text.isascii() and text.lstrip("+-").isdigit()):  # no "_" or other digits
         raise ValueError(f"year must be an integer of ASCII digits, got {text!r}")
+    if not -(2**63) <= year < 2**63:  # the records hold years as int64
+        raise ValueError(f"year out of range, got {text!r}")
     return year
 
 
@@ -266,9 +269,58 @@ def load_mortality_csv(path) -> MortalityRecords:
     the schema's spellings, and only the runs of equal prefectures and sexes
     are sorted, so a table listed key by key costs linear passes.  Any other
     file goes line by line, which names the line of a malformed row.
+
+    The records are cached by content: the entry's key covers the file's
+    bytes and this loader's code (``files.cache_key``), so a table loaded
+    before is read back from its entry, bitwise the records its parse gave.
+    A table the loaders reject is not cached.
     """
-    records = _load_plain_csv(path)
-    return _as_records(_read_csv_rows(path)) if records is None else records
+    with open(path, "rb") as fh:
+        key, stat = cache_key(fh.read(), __file__), os.fstat(fh.fileno())
+    records = _records_from_arrays(cached_arrays(key))
+    if records is None:
+        records = _load_plain_csv(path)
+        if records is None:
+            records = _as_records(_read_csv_rows(path))
+        arrays = _records_to_arrays(records)
+        if arrays is not None:
+            cache_arrays(key, arrays, path, stat)
+    return records
+
+
+# A cache entry of records: MortalityRecords' fields, each label tuple as a str array.
+_ENTRY = {"prefectures": str, "pref": np.int64, "year": np.int64, "sexes": str,
+          "sex": np.int64, "age": np.int64, "rate": np.float64}
+_LABELS = {"pref": "prefectures", "sex": "sexes"}  # each code column and its labels
+
+
+def _records_to_arrays(records: MortalityRecords) -> dict | None:
+    """The cache entry of ``records``: int64 codes, years and ages, float64
+    rates with NaN for a missing rate, and the label tuples as str arrays;
+    None where a label would not read back as itself (a str array drops
+    trailing NULs)."""
+    arrays = {name: np.asarray(getattr(records, name), dtype=dtype)
+              for name, dtype in _ENTRY.items()}
+    if any(tuple(arrays[name].tolist()) != getattr(records, name) for name in _LABELS.values()):
+        return None
+    return arrays
+
+
+def _records_from_arrays(arrays: dict | None) -> MortalityRecords | None:
+    """The records of a cache entry of ``_records_to_arrays``; None for no
+    entry or one of another layout, such as another program's file."""
+    if arrays is None or set(arrays) != set(_ENTRY):
+        return None
+    n = arrays["rate"].shape
+    for name, dtype in _ENTRY.items():
+        a = arrays[name]
+        if a.ndim != 1 or (a.dtype.kind != "U" if dtype is str else a.dtype != dtype or a.shape != n):
+            return None
+    for codes, labels in _LABELS.items():
+        if not 0 <= arrays[codes].min(initial=0) <= arrays[codes].max(initial=0) < arrays[labels].size:
+            return None
+    return MortalityRecords(**{name: tuple(a.tolist()) if a.dtype.kind == "U" else a
+                               for name, a in arrays.items()})
 
 
 def _read_csv_rows(path) -> list:

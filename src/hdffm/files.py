@@ -3,14 +3,20 @@ each CLI flag, config, spec and JSON document against its table
 (``settings``, ``json_settings``); the panel JSON and the all-scalar panel
 CSV; the fit JSON; and the outputs (selection trace JSON and variance CSV,
 simulation truth JSON, panel forecast JSON, CSV tables) with the one
-``manifest`` each embeds.  ``fbasis.load_mortality_csv`` shares ``csv_rows``.
+``manifest`` each embeds; and the cache of parsed tables (``cache_key``,
+``cached_arrays``, ``cache_arrays``).  ``fbasis.load_mortality_csv`` shares
+``csv_rows`` and keeps its parsed records in that cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import tempfile
+import time
 from dataclasses import MISSING
 
 import numpy as np
@@ -299,3 +305,101 @@ def save_forecast(result, path, manifest: dict) -> None:
     """The JSON of a panel's ``ForecastResult``: r and the per-series forecasts."""
     write_json(path, {"manifest": manifest, "r": result.r,
                       "forecasts": [s.tolist() for s in result.steps]})
+
+
+# ---------------------------------------------------------------------------
+# The cache of parsed tables: one .npz of arrays per entry, named by its key
+# ---------------------------------------------------------------------------
+
+_CACHE_ENTRIES = 4  # the least recently used entries beyond these are removed
+_STAMP = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+def _cache_dir() -> str | None:
+    """$XDG_CACHE_HOME/hdffm, by default ~/.cache/hdffm; None when neither is set."""
+    if os.environ.get("XDG_CACHE_HOME"):
+        return os.path.join(os.environ["XDG_CACHE_HOME"], "hdffm")
+    home = os.environ.get("HOME")
+    return os.path.join(home, ".cache", "hdffm") if home else None
+
+
+def _touch(path) -> None:
+    """Mark a cache entry as just used: its mtime, to the clock's nanosecond
+    (a file system stamps writes more coarsely)."""
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
+
+
+def cache_key(data: bytes, *sources) -> str | None:
+    """The name of the cache entry of what is parsed from ``data``: the SHA-256
+    of ``data``, numpy's version and the bytes of this module and of each
+    ``sources`` file (the parser's code), so edited data or code never reads
+    an old entry.  None where a source cannot be read."""
+    import hashlib  # only where the cache runs: importing hdffm does not load it
+
+    digest = hashlib.sha256(hashlib.sha256(data).digest() + np.__version__.encode())
+    try:
+        for path in (__file__, *sources):
+            with open(path, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def cached_arrays(key: str | None) -> dict | None:
+    """The arrays of the cache entry ``key``, read by ``np.load`` without
+    pickles, each owning its memory (``np.load`` gives views), or None: no
+    cache, no such entry, or one that cannot be read.  A read marks the entry
+    as the most recently used."""
+    directory = _cache_dir()
+    if key is None or directory is None:
+        return None
+    path = os.path.join(directory, key + ".npz")
+    try:
+        # np.load of a path leaves the file open when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: np.require(npz[name], requirements="O") for name in npz.files}
+    except Exception:  # missing, truncated, foreign or unreadable: the caller parses
+        return None
+    with contextlib.suppress(OSError):
+        _touch(path)
+    return arrays
+
+
+def cache_arrays(key: str | None, arrays: dict, source, stat: os.stat_result) -> None:
+    """Store ``arrays``, parsed from the file ``source``, as the cache entry
+    ``key``, unless that file has changed since ``os.fstat`` gave ``stat`` as
+    its bytes were read for the key.  The entry is written to a temporary file
+    in the cache directory, then renamed over the entry, so a reader sees a
+    whole entry or none; entries beyond the ``_CACHE_ENTRIES`` most recently
+    used are then removed.  No error is raised: a failed write stores nothing."""
+    directory = _cache_dir()
+    if key is None or directory is None:
+        return
+    path = os.path.join(directory, key + ".npz")
+    try:
+        now = os.stat(source)  # a change of content moves the size, the inode or ctime
+        if any(getattr(now, f) != getattr(stat, f) for f in _STAMP):
+            return
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        _touch(path)
+        others = []
+        with os.scandir(directory) as found:
+            for entry in found:
+                if entry.name.endswith(".npz") and entry.path != path:
+                    with contextlib.suppress(OSError):  # another process may remove it first
+                        others.append((entry.stat().st_mtime_ns, entry.path))
+        for _, old in sorted(others, reverse=True)[_CACHE_ENTRIES - 1 :]:
+            with contextlib.suppress(OSError):
+                os.unlink(old)
+    except (OSError, ValueError):  # ValueError: a path the OS refuses, such as one with NUL
+        pass

@@ -53,3 +53,13 @@ def ar_burn_in_draw(a, innov_sd, T, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cache_home(tmp_path_factory):
+    """Point XDG_CACHE_HOME, for the session and the processes it starts, at a
+    fresh directory: the parsed-table cache starts empty, and no test writes
+    the user's ~/.cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache_home")))
+        yield

@@ -9,6 +9,14 @@ g = sqrt((N + T)/(NT)) log(min(N, T)); the rank-k fit projects each series
 on the same k eigenvectors.  Nothing here stacks or whitens the panel or
 reads its cached spectrum: only ``panel.coeffs`` and each space's ``gram``
 are used.
+
+The AR part works on one series y at a time.  AR(p) with intercept regresses
+y_t on 1, y_{t-1}, ..., y_{t-p} over the common sample t = p_max..T-1 of
+t_eff = T - p_max values, by one least-squares solve per order; BIC(p) =
+t_eff log(RSS_p / t_eff) + (p + 2) log(t_eff), and AR-BIC takes the first
+minimum among the orders whose companion matrix has spectral radius below
+1 + 1e-8.  Its h-step forecasts run the fitted recursion forward, each step
+standing in for the value not yet observed.
 """
 
 import math
@@ -84,3 +92,50 @@ def ic2a_criteria(panel, c_grid, k_max: int) -> np.ndarray:
 def ic2a_r_hat(criteria: np.ndarray) -> np.ndarray:
     """The smallest k minimizing each row of ``ic2a_criteria``."""
     return np.array([min(range(row.size), key=lambda j: (row[j], j)) + 1 for row in criteria])
+
+
+def companion_radius(coefs) -> float:
+    """Spectral radius of the companion matrix of an AR coefficient vector."""
+    p = coefs.size
+    if p == 0:
+        return 0.0
+    comp = np.eye(p, k=-1)
+    comp[0] = coefs
+    return float(np.abs(np.linalg.eigvals(comp)).max())
+
+
+def ar_fits(y, p_max: int) -> list:
+    """(bic, order, intercept, coefficients, variance, radius) of every AR
+    order, written out directly: a fresh lag matrix and lstsq per order."""
+    T = y.size
+    t_eff, target = T - p_max, y[p_max:]
+    rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
+    fits = []
+    for p in range(p_max + 1):
+        X = np.ones((t_eff, p + 1))
+        for j in range(1, p + 1):
+            X[:, j] = y[p_max - j : T - j]
+        beta = np.linalg.lstsq(X, target, rcond=None)[0]
+        resid = target - X @ beta
+        rss = float(resid @ resid)
+        if rss <= rss_floor:
+            bic, sigma2 = -np.inf, 0.0
+        else:
+            bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
+        fits.append((bic, p, float(beta[0]), beta[1:], sigma2, companion_radius(beta[1:])))
+    return fits
+
+
+def ar_bic(y, p_max: int) -> tuple:
+    """(bic, order, intercept, coefficients, variance) of AR-BIC: the first BIC
+    minimum among the orders whose companion radius is below 1 + 1e-8."""
+    return min((f[:5] for f in ar_fits(y, p_max) if f[5] < 1.0 + 1e-8), key=lambda c: c[:2])
+
+
+def ar_steps(intercept: float, coefs, y, h: int) -> np.ndarray:
+    """Forecasts of steps 1..h after the series y by the AR recursion
+    y_{t+1} = intercept + sum_j coefs[j - 1] y_{t+1-j}, one step at a time."""
+    values = list(y)
+    for _ in range(h):
+        values.append(intercept + sum(a * values[-1 - j] for j, a in enumerate(coefs)))
+    return np.array(values[len(y):])

@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hdffm import (
     load_mortality_csv,
     project_curve,
 )
-from hdffm import fbasis
+from hdffm import fbasis, files
 from hdffm.fbasis import AGE_GRID, GROUP_AGE
 
 
@@ -442,7 +443,7 @@ class TestPlainLoader:
         ("01,19_75,F,0,0.01", "line 3: year must be an integer of ASCII digits, got '19_75'"),
         ("01,\u0661\u0669\u0667\u0665,F,0,0.01", "line 3: year must be an integer of ASCII digits"),
         ("01,1975,F,0", "line 3: expected 5 columns (prefecture_id, year, sex, age, rate), got 4"),
-        ("01,99999999999999999999,F,0,0.01", "year or age out of range"),
+        ("01,99999999999999999999,F,0,0.01", "line 3: year out of range, got '99999999999999999999'"),
         ("01,1975,F,x+,0.01", "line 3: invalid literal for int() with base 10: 'x+'"),
         ("01,1975,F,95+,0.01", "line 3: invalid literal for int() with base 10: '95+'"),
         ("01,1975,F,111,0.01", "line 3: age must be 0..110 or '110+', got '111'"),
@@ -467,6 +468,13 @@ def load_perfbench_tables():
     return module
 
 
+def shuffle_rows(path):
+    """Put a CSV's rows after its header in a seeded random order."""
+    header, *lines = path.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(lines))
+    path.write_text("\n".join([header] + [lines[i] for i in order]) + "\n")
+
+
 class TestPerfbenchTables:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_loaders_and_ingest_match_references(self, tmp_path, basis9, seed):
@@ -484,9 +492,7 @@ class TestPerfbenchTables:
         # each curve's ages in their new order of appearance
         path = tmp_path / "m.csv"
         load_perfbench_tables().write_csv(path, 1, n_pref=8)
-        header, *lines = path.read_text().splitlines()
-        order = np.random.default_rng(0).permutation(len(lines))
-        path.write_text("\n".join([header] + [lines[i] for i in order]) + "\n")
+        shuffle_rows(path)
         records = fbasis._load_plain_csv(path)
         assert records is not None
         rows = fbasis._read_csv_rows(path)
@@ -508,3 +514,160 @@ class TestPerfbenchTables:
         arrays = [getattr(records, name) for name in ("pref", "year", "sex", "age", "rate")]
         assert all(a.flags.owndata for a in arrays)
         assert peak <= 4 * sum(a.nbytes for a in arrays)
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty parsed-table cache of the test's own: hdffm's directory under
+    the XDG_CACHE_HOME it sets."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "hdffm"
+
+
+def entries(cache_dir):
+    return sorted(p.name for p in cache_dir.glob("*.npz"))
+
+
+def entry_name(path):
+    return files.cache_key(path.read_bytes(), fbasis.__file__) + ".npz"
+
+
+def cold_parse(path):
+    """The records of a parse that does not touch the cache."""
+    records = fbasis._load_plain_csv(path)
+    return line_loader(path) if records is None else records
+
+
+def load_warm(monkeypatch, path):
+    """``load_mortality_csv`` with both parsers refusing: from the cache or not at all."""
+    def refuse(_):
+        raise AssertionError("the table was parsed again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fbasis, "_load_plain_csv", refuse)
+        patch.setattr(fbasis, "_read_csv_rows", refuse)
+        return load_mortality_csv(path)
+
+
+def write_table(path, rate="0.0123"):
+    path.write_text(f"{HEADER}\n" + "\n".join(ROWS) + f"\n9,1976,F,0,{rate}\n")
+    return path
+
+
+class TestRecordCache:
+    def assert_warm_equals_cold(self, path, cache_dir, monkeypatch):
+        cold = cold_parse(path)
+        assert_same_records(load_mortality_csv(path), cold)  # this load stores the entry
+        assert entries(cache_dir) == [entry_name(path)]
+        warm = load_warm(monkeypatch, path)
+        assert_same_records(warm, cold)
+        # the records own their arrays, as a parse's do
+        assert all(getattr(warm, name).flags.owndata for name in ("pref", "year", "sex", "age",
+                                                                   "rate"))
+
+    @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+    def test_warm_load_equals_cold_parse(self, tmp_path, cache_dir, monkeypatch, name):
+        # the corpus holds files of both readers
+        path = tmp_path / "m.csv"
+        path.write_bytes(LOADER_CORPUS[name][0].encode())
+        self.assert_warm_equals_cold(path, cache_dir, monkeypatch)
+
+    @pytest.mark.parametrize("table", ["seed1", "seed2", "seed3", "shuffled"])
+    def test_warm_load_equals_cold_parse_on_perfbench_tables(self, tmp_path, cache_dir,
+                                                             monkeypatch, table):
+        path = tmp_path / "m.csv"
+        load_perfbench_tables().write_csv(path, 1 if table == "shuffled" else int(table[-1]),
+                                          n_pref=8)
+        if table == "shuffled":
+            shuffle_rows(path)
+        self.assert_warm_equals_cold(path, cache_dir, monkeypatch)
+
+    def test_changed_bytes_under_the_same_size_and_mtime_parsed_again(self, tmp_path,
+                                                                      cache_dir):
+        path = write_table(tmp_path / "m.csv", rate="0.0123")
+        first = load_mortality_csv(path)
+        stat = os.stat(path)
+        write_table(path, rate="0.0456")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+        second = load_mortality_csv(path)
+        assert_same_records(second, line_loader(path))
+        assert second.rate[-1] == 0.0456 and first.rate[-1] == 0.0123
+        assert len(entries(cache_dir)) == 2
+
+    def test_edited_loader_parses_again(self, tmp_path, cache_dir, monkeypatch):
+        # the key covers the loader's source: the same table under edited code is a new entry
+        path = write_table(tmp_path / "m.csv")
+        load_mortality_csv(path)
+        want = cold_parse(path)
+        edited = tmp_path / "fbasis.py"
+        edited.write_bytes(Path(fbasis.__file__).read_bytes() + b"# edited\n")
+        monkeypatch.setattr(fbasis, "__file__", str(edited))
+        calls = []
+        monkeypatch.setattr(fbasis, "_load_plain_csv",
+                            lambda p, parse=fbasis._load_plain_csv: calls.append(p) or parse(p))
+        assert_same_records(load_mortality_csv(path), want)
+        assert calls == [path] and len(entries(cache_dir)) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign"])
+    def test_bad_entry_ignored_and_replaced(self, tmp_path, cache_dir, monkeypatch, damage):
+        path = write_table(tmp_path / "m.csv")
+        load_mortality_csv(path)
+        entry = cache_dir / entry_name(path)
+        good = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) // 2])
+        else:  # another program's .npz, under the entry's name
+            with open(entry, "wb") as fh:
+                np.savez(fh, pref=np.arange(3.0))
+        assert_same_records(load_mortality_csv(path), cold_parse(path))
+        assert entry.read_bytes() == good
+        assert_same_records(load_warm(monkeypatch, path), cold_parse(path))
+
+    def test_cache_home_a_regular_file(self, tmp_path, monkeypatch):
+        # such an XDG_CACHE_HOME switches the cache off: every load parses
+        path = write_table(tmp_path / "m.csv")
+        home = tmp_path / "not_a_directory"
+        home.write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        calls = []
+        monkeypatch.setattr(fbasis, "_load_plain_csv",
+                            lambda p, parse=fbasis._load_plain_csv: calls.append(p) or parse(p))
+        for _ in range(2):
+            assert_same_records(load_mortality_csv(path), cold_parse(path))
+        assert len(calls) == 4 and home.read_text() == "x"  # two loads, two reference parses
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        load_mortality_csv(path)
+        assert_same_records(load_warm(monkeypatch, path), cold_parse(path))
+
+    def test_rejected_table_not_cached(self, tmp_path, cache_dir):
+        load_mortality_csv(write_table(tmp_path / "good.csv"))
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\n01,1975,F,1,0.01\n01,1975,F,x5,0.01\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(
+                    "line 3: invalid literal for int() with base 10: 'x5'")):
+                load_mortality_csv(path)
+            assert entries(cache_dir) == [entry_name(tmp_path / "good.csv")]
+
+    def test_label_a_str_array_cannot_hold_not_cached(self, tmp_path, cache_dir):
+        # the line reader keeps a trailing NUL, which a numpy str array drops
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"9\0,1975,F,0,0.01\n")
+        for _ in range(2):
+            assert load_mortality_csv(path).prefectures == ("9\0",)
+        assert entries(cache_dir) == []
+        load_mortality_csv(write_table(tmp_path / "good.csv"))
+        assert len(entries(cache_dir)) == 1
+
+    def test_fifth_entry_leaves_four(self, tmp_path, cache_dir, monkeypatch):
+        # the least recently used goes: table 0 is read again before table 4 is
+        # written, so table 1 is the one removed
+        paths = [write_table(tmp_path / f"m{i}.csv", rate=f"0.0{i}1") for i in range(5)]
+        for path in paths[:4]:
+            load_mortality_csv(path)
+        assert len(entries(cache_dir)) == 4
+        load_warm(monkeypatch, paths[0])
+        load_mortality_csv(paths[4])
+        assert entries(cache_dir) == sorted(entry_name(p) for p in paths if p != paths[1])

@@ -29,17 +29,8 @@ from hdffm import forecast
 from hdffm.forecast import _ar_bic_forecasts, _lag_matrices
 from hdffm.panel import _CHUNK_BYTES, stack_runs
 from hdffm.simulate import DgpConfig, gen_dgp
+import reference
 from conftest import ar_burn_in_draw, random_mixed_panel, random_spd
-
-
-def companion_radius(coefs):
-    """Spectral radius of the companion matrix of an AR coefficient vector."""
-    p = coefs.size
-    if p == 0:
-        return 0.0
-    comp = np.eye(p, k=-1)
-    comp[0] = coefs
-    return float(np.abs(np.linalg.eigvals(comp)).max())
 
 
 def order(y, p_max):
@@ -101,35 +92,6 @@ class TestFitArBic:
             fit_ar_bic(Y, 3)
 
 
-def brute_force_fits(y, p_max):
-    """(bic, order, intercept, coefficients, variance, radius) of every AR
-    order, written out directly: a fresh lag matrix and lstsq per order."""
-    T = y.size
-    t_eff, target = T - p_max, y[p_max:]
-    rss_floor = 1e-24 * t_eff * max(float(np.mean(target**2)), 1e-30)
-    fits = []
-    for p in range(p_max + 1):
-        X = np.ones((t_eff, p + 1))
-        for j in range(1, p + 1):
-            X[:, j] = y[p_max - j : T - j]
-        beta = np.linalg.lstsq(X, target, rcond=None)[0]
-        resid = target - X @ beta
-        rss = float(resid @ resid)
-        if rss <= rss_floor:
-            bic, sigma2 = -np.inf, 0.0
-        else:
-            bic, sigma2 = t_eff * np.log(rss / t_eff) + (p + 2) * np.log(t_eff), rss / t_eff
-        fits.append((bic, p, float(beta[0]), beta[1:], sigma2, companion_radius(beta[1:])))
-    return fits
-
-
-def brute_force_ar_bic(y, p_max):
-    """(bic, order, intercept, coefficients, variance) of AR-BIC: the first BIC
-    minimum among the orders whose companion radius is below 1 + 1e-8."""
-    return min((f[:5] for f in brute_force_fits(y, p_max) if f[5] < 1.0 + 1e-8),
-               key=lambda c: c[:2])
-
-
 def stationary_ar3(seed):
     rng = np.random.default_rng(seed)
     poly = np.poly(rng.uniform(-0.9, 0.9, 3))  # roots inside the unit circle
@@ -138,12 +100,12 @@ def stationary_ar3(seed):
 
 
 class TestFitArBicOracle:
-    """``fit_ar_bic`` (one QR) against ``brute_force_ar_bic`` (lstsq per order)."""
+    """``fit_ar_bic`` (one QR) against ``reference.ar_bic`` (lstsq per order)."""
 
     @staticmethod
     def assert_matches(y, p_max):
         (got_p,), beta, sigma2_got = fit_ar_bic(y[None], p_max)
-        _, p, intercept, coefs, sigma2 = brute_force_ar_bic(y, p_max)
+        _, p, intercept, coefs, sigma2 = reference.ar_bic(y, p_max)
         assert got_p == p
         # the QR solve and lstsq agree to 1e-12 relative, or, on ill-conditioned
         # lags (trends), to a few eps * cond, which bounds either solver's error
@@ -191,12 +153,12 @@ class TestFitArBicOracle:
         flips = 0
         for y in Y:
             p = order(y, p_max)
-            want = brute_force_ar_bic(y, p_max)
+            want = reference.ar_bic(y, p_max)
             if p == want[1]:
                 self.assert_matches(y, p_max)
                 continue
             flips += 1
-            fits = brute_force_fits(y, p_max)
+            fits = reference.ar_fits(y, p_max)
             bic_tie = abs(fits[p][0] - want[0]) <= 1e-13 * abs(want[0])
             radius_tie = any(abs(f[5] - (1.0 + 1e-8)) <= 1e-14 for f in fits)
             assert bic_tie or radius_tie
@@ -284,7 +246,8 @@ def order_radii(y, p_max):
     lags = np.ones((T - p_max, p_max + 1))
     for j in range(1, p_max + 1):
         lags[:, j] = y[p_max - j : T - j]
-    return np.array([companion_radius(np.linalg.lstsq(lags[:, : p + 1], y[p_max:], rcond=None)[0][1:])
+    return np.array([reference.companion_radius(np.linalg.lstsq(lags[:, : p + 1], y[p_max:],
+                                                                rcond=None)[0][1:])
                      for p in range(1, p_max + 1)])
 
 

@@ -1,5 +1,6 @@
 """The panel Gram, V(k), fixed-c selection and the rank-k fit against the
-plain-loop references of ``reference.py`` on random mixed panels."""
+plain-loop references of ``reference.py`` on random mixed panels, and AR-BIC
+and its h-step forecasts against them on random AR rows."""
 
 import math
 
@@ -8,8 +9,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference
-from hdffm import (Panel, common_component, fit_factors, functional_space,
-                   idiosyncratic_residual, scalar_space, select_r_fixed)
+from hdffm import (Panel, ar_forecast, common_component, fit_ar_bic, fit_factors,
+                   functional_space, idiosyncratic_residual, scalar_space, select_r_fixed)
 from hdffm.estimate import v_profile
 from hdffm.panel import gram_matrix
 from hdffm.select import C_GRID
@@ -88,3 +89,50 @@ def test_fit_common_component_and_residual_match_the_reference(panel):
         for ours, ref in [(common_component(fit), common),
                           (idiosyncratic_residual(panel, fit), residual)]:
             assert max(np.abs(a - b).max() for a, b in zip(ours.coeffs, ref)) <= tol * scale
+
+
+# AR-BIC's tolerance: the intercepts, coefficients, variances and forecasts,
+# each in units of its row's standard deviation (the variance in its square),
+# agree to AR_TOL; the orders agree exactly unless the two best BIC values
+# differ by less than AR_TOL * t_eff, a relative change of about AR_TOL in
+# the RSS of either order
+AR_TOL = 1e-9
+
+
+def ar_rows(n, T, seed):
+    """n stationary AR rows of length T, each of order 0..3 with real roots in
+    (-0.9, 0.9), a mean of up to a few standard deviations and a scale of
+    1e-3..1e3, after a burn-in of 100 steps."""
+    rng = np.random.default_rng(seed)
+    Y = np.empty((n, T))
+    for row in Y:
+        coefs = -np.atleast_1d(np.poly(rng.uniform(-0.9, 0.9, int(rng.integers(0, 4)))))[1:]
+        x = np.zeros(T + 100)
+        for t, e in enumerate(rng.standard_normal(T + 100)):
+            x[t] = e + sum(a * x[t - 1 - j] for j, a in enumerate(coefs) if t > j)
+        row[:] = 10 ** rng.uniform(-3, 3) * (rng.normal(0, 3) + x[100:])
+    return Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(ar_rows, st.integers(1, 8), st.integers(21, 150), st.integers(0, 2**32 - 1)),
+       st.integers(0, 5), st.integers(1, 6))
+def test_ar_bic_and_forecasts_match_the_reference(Y, p_max, h):
+    orders, beta, sigma2 = fit_ar_bic(Y, p_max)
+    forecasts = ar_forecast(beta, Y[:, Y.shape[1] - p_max :], h, orders)
+    t_eff, near = Y.shape[1] - p_max, 0
+    for y, p, b, s2, fc in zip(Y, orders, beta, sigma2, forecasts):
+        bics = sorted(f[0] for f in reference.ar_fits(y, p_max) if f[5] < 1.0 + 1e-8)
+        tie = len(bics) > 1 and bics[1] - bics[0] < AR_TOL * t_eff
+        near += tie
+        _, want_p, intercept, coefs, want_s2 = reference.ar_bic(y, p_max)
+        if p != want_p:
+            assert tie, f"order {p} against {want_p}; admissible orders' BIC values {bics}"
+            continue
+        assert not b[p + 1 :].any()
+        s = y.std()
+        got = np.concatenate([[b[0] / s], b[1 : p + 1], [s2 / s**2], fc / s])
+        want = np.concatenate([[intercept / s], coefs, [want_s2 / s**2],
+                               reference.ar_steps(intercept, coefs, y, h) / s])
+        assert np.abs(got - want).max() <= AR_TOL
+    event(f"rows with a BIC margin below the tolerance: {near}")
