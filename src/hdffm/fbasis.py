@@ -211,12 +211,9 @@ _PLAIN_FIELDS = [("pref", "S16"), ("year", "i8"), ("sex", "S8"), ("age", "S8"), 
 _AGE_SPELLINGS = np.array([str(a) for a in range(_LAST_AGE + 1)] + [f"{_LAST_AGE}+"], dtype="S8")
 
 
-def _load_plain_csv(path) -> MortalityRecords | None:
-    """The records of a CSV in the plain shape with five fields a row, read a
-    column at a time, in any row order; None for any other file, or one the
-    line reader would reject (it then reports the line)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _plain_header(data: bytes) -> bool | None:
+    """Whether a CSV of the bytes ``data`` in the plain shape starts with a
+    header row; None for any other file, which goes to the line reader."""
     bom = len(_BOM) if data.startswith(_BOM) else 0  # skipped, as by the line reader
     header = data[bom : bom + max(map(len, _HEADERS))].lower().startswith(_HEADERS)
     if data.translate(None, _PLAIN_BYTES) != data[:bom]:
@@ -224,7 +221,13 @@ def _load_plain_csv(path) -> MortalityRecords | None:
     start = (data.find(b"\n") + 1 or len(data)) if header else bom  # after the header
     if not _DATA_BYTE.search(data, start):
         return None  # no data rows: nothing but line breaks after the header
-    del data  # the parse below holds the table; the raw bytes are not needed
+    return header
+
+
+def _load_plain_csv(path, header: bool) -> MortalityRecords | None:
+    """The records of a CSV in the plain shape (``_plain_header``) with five
+    fields a row, read a column at a time, in any row order; None for one the
+    line reader would reject (it then reports the line)."""
     try:
         table = np.loadtxt(path, dtype=_PLAIN_FIELDS, delimiter=",", comments=None,
                            skiprows=int(header), encoding="utf-8-sig", ndmin=1)
@@ -273,18 +276,23 @@ def load_mortality_csv(path) -> MortalityRecords:
     The records are cached by content: the entry's key covers the file's
     bytes and this loader's code (``files.cache_key``), so a table loaded
     before is read back from its entry, bitwise the records its parse gave.
-    A table the loaders reject is not cached.
+    A table the loaders reject is not cached, nor one that changes while it
+    is read and parsed.
     """
     with open(path, "rb") as fh:
-        key, stat = cache_key(fh.read(), __file__), os.fstat(fh.fileno())
+        stamp = os.fstat(fh.fileno())  # before the read: an edit after it moves the stamp
+        data = fh.read()
+    key = cache_key(data, __file__)
     records = _records_from_arrays(cached_arrays(key))
     if records is None:
-        records = _load_plain_csv(path)
+        header = _plain_header(data)
+        del data  # the parse below holds the table; the raw bytes are not needed
+        records = None if header is None else _load_plain_csv(path, header)
         if records is None:
             records = _as_records(_read_csv_rows(path))
         arrays = _records_to_arrays(records)
         if arrays is not None:
-            cache_arrays(key, arrays, path, stat)
+            cache_arrays(key, arrays, path, stamp)
     return records
 
 

@@ -369,17 +369,21 @@ def cached_arrays(key: str | None) -> dict | None:
 
 def cache_arrays(key: str | None, arrays: dict, source, stat: os.stat_result) -> None:
     """Store ``arrays``, parsed from the file ``source``, as the cache entry
-    ``key``, unless that file has changed since ``os.fstat`` gave ``stat`` as
-    its bytes were read for the key.  The entry is written to a temporary file
-    in the cache directory, then renamed over the entry, so a reader sees a
-    whole entry or none; entries beyond the ``_CACHE_ENTRIES`` most recently
-    used are then removed.  No error is raised: a failed write stores nothing."""
+    ``key``, unless that file has changed since ``os.fstat`` gave ``stat``
+    before its bytes were read for the key.  The entry is written to a
+    temporary file in the cache directory, then renamed over the entry, so a
+    reader sees a whole entry or none; entries beyond the ``_CACHE_ENTRIES``
+    most recently used are then removed, and so are the temporary files of
+    other writers (one killed while writing leaves its file behind).  No error
+    is raised: a failed write stores nothing."""
     directory = _cache_dir()
     if key is None or directory is None:
         return
     path = os.path.join(directory, key + ".npz")
     try:
-        now = os.stat(source)  # a change of content moves the size, the inode or ctime
+        # a change of content moves the size, the inode or ctime (to the file
+        # system's clock tick, which a kernel may refine once a stamp is read)
+        now = os.stat(source)
         if any(getattr(now, f) != getattr(stat, f) for f in _STAMP):
             return
         os.makedirs(directory, exist_ok=True)
@@ -389,13 +393,17 @@ def cache_arrays(key: str | None, arrays: dict, source, stat: os.stat_result) ->
                 np.savez(fh, **arrays)
             os.replace(tmp, path)
         except BaseException:
-            os.unlink(tmp)
+            with contextlib.suppress(OSError):  # another writer's sweep may remove it first
+                os.unlink(tmp)
             raise
         _touch(path)
         others = []
         with os.scandir(directory) as found:
             for entry in found:
-                if entry.name.endswith(".npz") and entry.path != path:
+                if entry.name.endswith(".tmp"):  # a live writer's then stores nothing
+                    with contextlib.suppress(OSError):
+                        os.unlink(entry.path)
+                elif entry.name.endswith(".npz") and entry.path != path:
                     with contextlib.suppress(OSError):  # another process may remove it first
                         others.append((entry.stat().st_mtime_ns, entry.path))
         for _, old in sorted(others, reverse=True)[_CACHE_ENTRIES - 1 :]:

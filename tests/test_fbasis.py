@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import time
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -387,6 +388,12 @@ def line_loader(path):
     return fbasis._as_records(fbasis._read_csv_rows(path))
 
 
+def plain_loader(path):
+    """The column reader's records; None for a file the line reader takes."""
+    header = fbasis._plain_header(Path(path).read_bytes())
+    return None if header is None else fbasis._load_plain_csv(path, header)
+
+
 HEADER = "prefecture_id,year,sex,age,rate"
 # 110+, empty rates, a repeated key (empty, then given) and ids sorting "10" < "9"
 ROWS = ["9,1975,F,0,0.0123", "9,1975,F,1,", "9,1975,F,110+,0.5", "9,1975,F,1,4e-3",
@@ -413,7 +420,7 @@ class TestPlainLoader:
         text, plain = LOADER_CORPUS[name]
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
-        assert (fbasis._load_plain_csv(path) is not None) == plain
+        assert (plain_loader(path) is not None) == plain
         assert_same_records(load_mortality_csv(path), line_loader(path))
 
     @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
@@ -423,7 +430,7 @@ class TestPlainLoader:
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_text(text, encoding="utf-8")
         bom.write_text(text, encoding="utf-8-sig")
-        assert fbasis._load_plain_csv(bom) is not None  # the column reader takes it
+        assert plain_loader(bom) is not None  # the column reader takes it
         assert_same_records(load_mortality_csv(bom), load_mortality_csv(plain))
 
     def test_ages_are_the_schema_not_the_grouping(self, monkeypatch):
@@ -454,7 +461,7 @@ class TestPlainLoader:
     def test_bad_field_named_either_way(self, tmp_path, row, message):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\n01,1975,F,1,0.01\n{row}\n01,1975,F,2,0.01\n")
-        assert fbasis._load_plain_csv(path) is None
+        assert plain_loader(path) is None
         for load in (load_mortality_csv, line_loader):
             with pytest.raises(ValueError, match=re.escape(message)):
                 load(path)
@@ -481,7 +488,7 @@ class TestPerfbenchTables:
         # the benchmark's generator and seeds, 8 of its 47 prefectures
         path = tmp_path / "m.csv"
         load_perfbench_tables().write_csv(path, seed, n_pref=8)
-        records = fbasis._load_plain_csv(path)
+        records = plain_loader(path)
         rows = fbasis._read_csv_rows(path)
         assert_same_records(records, fbasis._as_records(rows))
         want = reference_ingest(rows, basis9)
@@ -493,7 +500,7 @@ class TestPerfbenchTables:
         path = tmp_path / "m.csv"
         load_perfbench_tables().write_csv(path, 1, n_pref=8)
         shuffle_rows(path)
-        records = fbasis._load_plain_csv(path)
+        records = plain_loader(path)
         assert records is not None
         rows = fbasis._read_csv_rows(path)
         assert_same_records(records, fbasis._as_records(rows))
@@ -534,13 +541,13 @@ def entry_name(path):
 
 def cold_parse(path):
     """The records of a parse that does not touch the cache."""
-    records = fbasis._load_plain_csv(path)
+    records = plain_loader(path)
     return line_loader(path) if records is None else records
 
 
 def load_warm(monkeypatch, path):
     """``load_mortality_csv`` with both parsers refusing: from the cache or not at all."""
-    def refuse(_):
+    def refuse(*_):
         raise AssertionError("the table was parsed again")
 
     with monkeypatch.context() as patch:
@@ -596,6 +603,30 @@ class TestRecordCache:
         assert second.rate[-1] == 0.0456 and first.rate[-1] == 0.0123
         assert len(entries(cache_dir)) == 2
 
+    def test_table_edited_after_its_read_not_stored(self, tmp_path, cache_dir, monkeypatch):
+        # rewritten in place, same size and mtime, after its bytes are read and
+        # hashed and before the parse reads it: no entry holds the edited
+        # table's records under the first bytes' key
+        path = write_table(tmp_path / "m.csv", rate="0.0123")
+        first_bytes, first = path.read_bytes(), cold_parse(path)
+
+        def key_then_edit(data, *sources, key=fbasis.cache_key):
+            stat = os.stat(path)
+            time.sleep(0.05)  # a file system may stamp times to a clock tick: edit a tick later
+            write_table(path, rate="0.0456")
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert os.stat(path).st_size == stat.st_size
+            return key(data, *sources)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fbasis, "cache_key", key_then_edit)
+            assert load_mortality_csv(path).rate[-1] == 0.0456  # the parse read the edit
+        assert entries(cache_dir) == []
+        path.write_bytes(first_bytes)
+        assert_same_records(load_mortality_csv(path), first)
+        assert entries(cache_dir) == [entry_name(path)]
+        assert_same_records(load_warm(monkeypatch, path), first)
+
     def test_edited_loader_parses_again(self, tmp_path, cache_dir, monkeypatch):
         # the key covers the loader's source: the same table under edited code is a new entry
         path = write_table(tmp_path / "m.csv")
@@ -606,7 +637,7 @@ class TestRecordCache:
         monkeypatch.setattr(fbasis, "__file__", str(edited))
         calls = []
         monkeypatch.setattr(fbasis, "_load_plain_csv",
-                            lambda p, parse=fbasis._load_plain_csv: calls.append(p) or parse(p))
+                            lambda p, h, parse=fbasis._load_plain_csv: calls.append(p) or parse(p, h))
         assert_same_records(load_mortality_csv(path), want)
         assert calls == [path] and len(entries(cache_dir)) == 2
 
@@ -633,7 +664,7 @@ class TestRecordCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(home))
         calls = []
         monkeypatch.setattr(fbasis, "_load_plain_csv",
-                            lambda p, parse=fbasis._load_plain_csv: calls.append(p) or parse(p))
+                            lambda p, h, parse=fbasis._load_plain_csv: calls.append(p) or parse(p, h))
         for _ in range(2):
             assert_same_records(load_mortality_csv(path), cold_parse(path))
         assert len(calls) == 4 and home.read_text() == "x"  # two loads, two reference parses
@@ -660,6 +691,14 @@ class TestRecordCache:
         assert entries(cache_dir) == []
         load_mortality_csv(write_table(tmp_path / "good.csv"))
         assert len(entries(cache_dir)) == 1
+
+    def test_killed_writers_temporary_file_removed(self, tmp_path, cache_dir):
+        # a writer killed in np.savez leaves its temporary file; the next store removes it
+        cache_dir.mkdir(parents=True)
+        (cache_dir / "tmpkilled.tmp").write_bytes(b"PK\x03\x04")
+        path = write_table(tmp_path / "m.csv")
+        load_mortality_csv(path)
+        assert sorted(p.name for p in cache_dir.iterdir()) == [entry_name(path)]
 
     def test_fifth_entry_leaves_four(self, tmp_path, cache_dir, monkeypatch):
         # the least recently used goes: table 0 is read again before table 4 is
